@@ -1,20 +1,32 @@
-"""Exact arithmetic in quadratic extensions Q(sqrt(D)) with D < 0.
+"""Exact arithmetic in quadratic extensions Q(sqrt(delta)) with delta < 0.
 
-Numbers are stored as a + b*sqrt(D) with a, b, D all rational and D
-negative, so every value is a genuinely complex number whose argument
-lies in (0, pi) exactly when b > 0.  All sign and argument tests are
-decided by integer arithmetic on Fractions; no floating point is used
-anywhere in this package.
+Numbers are stored as a + b*sqrt(delta) with a, b, delta all rational and
+delta negative, so every value is a genuinely complex number whose argument
+lies in (0, pi) exactly when b > 0.  No floating point is used anywhere in
+this package.
+
+Powers and sign tests run on plain ints.  Write delta = p/q in lowest
+terms, so that sqrt(delta) = sqrt(D)/q with D = p*q.  For the positive
+integer s = lcm(den(a), den(b/q)),
+
+    s * (a + b*sqrt(delta)) = A + B*sqrt(D)    with A, B integers,
+
+an element of Z[sqrt(D)] (see integral_form).  Scaling by a positive
+number changes neither the sign of the imaginary part nor whether a
+number is a negative real, so every threshold test is decided on int
+pairs (A, B); quad_pow divides by s^m once, at the end.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Optional, Union
+from math import gcd, lcm
+from typing import Optional, Tuple, Union
 
 Rat = Fraction
 RatLike = Union[Fraction, int]
+IntPair = Tuple[int, int]
 
 
 class DeltaMismatchError(ValueError):
@@ -86,18 +98,48 @@ def quad(re: RatLike, im_coeff: RatLike, delta: RatLike) -> QuadNum:
     return QuadNum(Fraction(re), Fraction(im_coeff), Fraction(delta))
 
 
+def integral_form(re: RatLike, im_coeff: RatLike,
+                  delta: Fraction) -> Tuple[int, int, int, int]:
+    """(A, B, s, D) with s = lcm(den(re), den(im_coeff/q)) > 0, where
+    delta = p/q in lowest terms and D = p*q, such that
+    s * (re + im_coeff*sqrt(delta)) = A + B*sqrt(D)."""
+    q = delta.denominator
+    g = gcd(im_coeff.numerator, q)
+    b_num, b_den = im_coeff.numerator // g, im_coeff.denominator * (q // g)
+    s = lcm(re.denominator, b_den)
+    return (re.numerator * (s // re.denominator), b_num * (s // b_den), s,
+            delta.numerator * q)
+
+
+def zmul(x: IntPair, y: IntPair, d: int) -> IntPair:
+    """Product of x = a + b*sqrt(d) and y = c + e*sqrt(d) in Z[sqrt(d)]."""
+    a, b = x
+    c, e = y
+    return a * c + b * e * d, a * e + b * c
+
+
+def zpow(x: IntPair, m: int, d: int) -> IntPair:
+    """m-th power of x in Z[sqrt(d)], m >= 0, by square-and-multiply."""
+    result = (1, 0)
+    while m:
+        if m & 1:
+            result = zmul(result, x, d)
+        m >>= 1
+        if m:
+            x = zmul(x, x, d)
+    return result
+
+
 def quad_pow(z: QuadNum, m: int) -> QuadNum:
     """Exact m-th power of z, m >= 0."""
     if m < 0:
         raise ValueError("exponent must be nonnegative")
-    result = QuadNum(Fraction(1), Fraction(0), z.delta)
-    base = z
-    while m:
-        if m & 1:
-            result = result * base
-        base = base * base
-        m >>= 1
-    return result
+    a, b, s, d = integral_form(z.re, z.im_coeff, z.delta)
+    x, y = zpow((a, b), m, d)
+    # (x + y*sqrt(D)) / s^m with sqrt(D) = q*sqrt(delta).
+    scale = s ** m
+    return QuadNum(Fraction(x, scale), Fraction(y * z.delta.denominator, scale),
+                   z.delta)
 
 
 def is_negative_real(z: QuadNum) -> bool:
@@ -106,22 +148,24 @@ def is_negative_real(z: QuadNum) -> bool:
 
 
 def arg_less_than(z: QuadNum, q: int) -> bool:
-    """Decide arg(z) < pi/q exactly, for z nonzero in the closed upper
-    half plane with arg(z) in (0, pi/2).
+    """Decide arg(z) < pi/q exactly, for z in the open upper half plane,
+    i.e. arg(z) in (0, pi).
 
     Criterion: arg(z) < pi/q iff z^k stays in the open upper half plane
-    for every k = 2..q.
+    for every k = 2..q.  If arg(z) >= pi/q, the least k with
+    k*arg(z) >= pi is at most q and puts k*arg(z) in [pi, 2*pi).
     """
     if z.is_zero():
         raise ValueError("argument of zero is undefined")
     if q < 2:
         raise ValueError("q must be at least 2")
-    if z.re <= 0 and z.im_coeff <= 0:
-        raise ValueError("z must satisfy re > 0 or im > 0")
-    w = z
+    if z.im_coeff <= 0:
+        raise ValueError("z must lie in the open upper half plane (im > 0)")
+    a, b, _, d = integral_form(z.re, z.im_coeff, z.delta)
+    w = (a, b)
     for _ in range(2, q + 1):
-        w = w * z
-        if w.im_sign() <= 0:
+        w = zmul(w, (a, b), d)
+        if w[1] <= 0:
             return False
     return True
 

@@ -10,17 +10,18 @@ from __future__ import annotations
 
 import csv
 import io
-from dataclasses import dataclass, replace
+from dataclasses import InitVar, dataclass, replace
 from fractions import Fraction
 from typing import Optional, Tuple, Union
 
 from .chow import RingCtx, intersection_degree
-from .exact import QuadNum, cos_sq_pi_over, is_negative_real, quad, quad_pow
+from .exact import cos_sq_pi_over, integral_form, zmul, zpow
 
 Rat = Fraction
 RatLike = Union[Fraction, int]
 
 KINDS = ("P", "D", "C")
+_THRESHOLD_FIELDS = ("n", "tau", "rho", "delta")
 
 # cos^(n-1)(pi/(n+1)) for the three dimensions where the half-plane
 # argument condition admits solutions; rational in each case.
@@ -37,14 +38,19 @@ class InvariantError(ValueError):
 
 def check_rho_tau(n: int, tau: RatLike, rho: RatLike, delta: RatLike) -> bool:
     """True iff (rho + sqrt(delta)) * (tau + sqrt(delta))^n is a strictly
-    negative real number, i.e. the two cone thresholds are compatible."""
+    negative real number, i.e. the two cone thresholds are compatible.
+
+    Decided on the scaled integer forms of both factors (exact.integral_form):
+    a positive scale keeps a negative real negative and real."""
     tau, rho, delta = Fraction(tau), Fraction(rho), Fraction(delta)
     if delta >= 0:
         raise ValueError("delta must be negative")
     if tau <= 0:
         raise ValueError("tau must be positive")
-    z = quad(rho, 1, delta) * quad_pow(quad(tau, 1, delta), n)
-    return is_negative_real(z)
+    a, b, _, d = integral_form(tau, 1, delta)
+    c, e, _, _ = integral_form(rho, 1, delta)
+    x, y = zmul((c, e), zpow((a, b), n, d), d)
+    return y == 0 and x < 0
 
 
 def solve_nu_prime(n: int, tau: RatLike, delta: RatLike,
@@ -59,15 +65,16 @@ def solve_nu_prime(n: int, tau: RatLike, delta: RatLike,
     tau, delta = Fraction(tau), Fraction(delta)
     if delta >= 0 or tau <= 0:
         raise ValueError("need delta < 0 and tau > 0")
-    z = quad(tau, 1, delta)
-    b_n = quad_pow(z, n).im_coeff
-    b_n1 = quad_pow(z, n + 1).im_coeff
-    if b_n1 == 0:
+    a, b, s, d = integral_form(tau, 1, delta)
+    # s^k * (a_k + b_k*sqrt(delta)) = X_k + Y_k*sqrt(D) with b_k = q*Y_k/s^k,
+    # so b_n/b_{n+1} = s*Y_n/Y_{n+1}.
+    z_n = zpow((a, b), n, d)
+    y_n, y_n1 = z_n[1], zmul(z_n, (a, b), d)[1]
+    if y_n1 == 0:
         return None
-    ratio = 2 * b_n / (mu * b_n1)
-    if ratio.denominator != 1 or ratio <= 0:
+    nu_prime, rest = divmod(2 * s * y_n, mu * y_n1)
+    if rest or nu_prime <= 0:
         return None
-    nu_prime = int(ratio)
     rho = tau - Fraction(2, mu * nu_prime)
     if not check_rho_tau(n, tau, rho, delta):
         return None
@@ -168,8 +175,11 @@ class InvariantTuple:
     label: Optional[str] = None
     status: str = "candidate"
     reason: Optional[str] = None
+    # Set by with_status when n, tau, rho and delta keep values that
+    # already passed check_rho_tau; not a field, so not compared.
+    _thresholds_checked: InitVar[bool] = False
 
-    def __post_init__(self):
+    def __post_init__(self, _thresholds_checked: bool = False):
         for f in ("nu", "nu_prime", "tau", "tau_prime", "rho", "delta",
                   "c2_over_d"):
             object.__setattr__(self, f, Fraction(getattr(self, f)))
@@ -178,6 +188,9 @@ class InvariantTuple:
             if v is not None:
                 object.__setattr__(self, f, Fraction(v))
         self._validate()
+        if not _thresholds_checked and not check_rho_tau(
+                self.n, self.tau, self.rho, self.delta):
+            raise InvariantError("rhotau", "thresholds fail the argument condition")
 
     def _validate(self) -> None:
         if self.kind not in KINDS:
@@ -219,8 +232,6 @@ class InvariantTuple:
                                      "rho must equal (nu*nu'-2)/(mu*nu') for kind D")
         if self.d is not None and (self.c2_over_d * self.d).denominator != 1:
             raise InvariantError("c2_integrality", "c2 = (c2/d)*d must be an integer")
-        if not check_rho_tau(self.n, self.tau, self.rho, self.delta):
-            raise InvariantError("rhotau", "thresholds fail the argument condition")
 
     @property
     def c2(self) -> Optional[Fraction]:
@@ -230,7 +241,13 @@ class InvariantTuple:
 
     def with_status(self, status: str, reason: Optional[str] = None,
                     **kwargs) -> "InvariantTuple":
-        return replace(self, status=status, reason=reason, **kwargs)
+        """Copy with a new status and any changed fields, validated again.
+        The threshold test depends on n, tau, rho and delta alone, so it
+        is re-run only when one of them changes value."""
+        unchanged = all(kwargs.get(f, getattr(self, f)) == getattr(self, f)
+                        for f in _THRESHOLD_FIELDS)
+        return replace(self, status=status, reason=reason,
+                       _thresholds_checked=unchanged, **kwargs)
 
 
 CSV_COLUMNS = (

@@ -5,12 +5,43 @@ from hypothesis import given, strategies as st
 
 from fanocalc import exact
 from fanocalc.exact import (DeltaMismatchError, arg_less_than, cos_sq_pi_over,
-                            is_negative_real, quad, quad_pow, tan_sq_pi_over)
+                            integral_form, is_negative_real, quad, quad_pow,
+                            tan_sq_pi_over)
 
 rationals = st.fractions(min_value=-10, max_value=10,
                          max_denominator=6)
 deltas = st.fractions(max_value=Fraction(-1, 6), min_value=-20,
                       max_denominator=6)
+# Denominators above one make the scale s of integral_form exceed one.
+fractional_deltas = st.fractions(
+    min_value=-40, max_value=Fraction(-1, 12),
+    max_denominator=12).filter(lambda d: d.denominator > 1)
+fractional_positives = st.fractions(
+    min_value=Fraction(1, 7), max_value=8,
+    max_denominator=7).filter(lambda x: x.denominator > 1)
+
+
+def fraction_pow(z, m):
+    """Reference: square-and-multiply on QuadNum (Fraction) products, the
+    algorithm quad_pow ran before the integer kernel."""
+    result = quad(1, 0, z.delta)
+    while m:
+        if m & 1:
+            result = result * z
+        z = z * z
+        m >>= 1
+    return result
+
+
+def fraction_arg_less_than(z, q):
+    """Reference: the QuadNum loop arg_less_than ran before the integer
+    kernel."""
+    w = z
+    for _ in range(2, q + 1):
+        w = w * z
+        if w.im_sign() <= 0:
+            return False
+    return True
 
 
 def test_quad_pow_fourth_power_of_one_plus_i():
@@ -61,6 +92,11 @@ def test_arg_less_than_rejects_zero_and_bad_inputs():
         arg_less_than(quad(1, 1, -1), 1)
     with pytest.raises(ValueError):
         arg_less_than(quad(-1, -1, -1), 3)
+    # arg 0 and arg -pi/4: outside (0, pi), where the criterion holds.
+    with pytest.raises(ValueError):
+        arg_less_than(quad(1, 0, -1), 3)
+    with pytest.raises(ValueError):
+        arg_less_than(quad(1, -1, -1), 3)
 
 
 def test_trig_lookup_tables():
@@ -124,3 +160,26 @@ def test_exact_angle_for_admissible_dimensions():
         for tau in (1, 2, 3):
             delta = -Fraction(tau * tau) * tan_sq
             assert is_negative_real(quad_pow(quad(tau, 1, delta), n + 1))
+
+
+@given(rationals, rationals, fractional_deltas)
+def test_integral_form_scales_into_z_sqrt_d(re, im, delta):
+    a, b, s, d = integral_form(re, im, delta)
+    q = delta.denominator
+    assert s > 0 and d == delta.numerator * q
+    # s*(re + im*sqrt(delta)) = a + b*sqrt(d), sqrt(d) = q*sqrt(delta).
+    assert Fraction(a, s) == re and Fraction(b * q, s) == im
+
+
+@given(rationals, rationals, fractional_deltas,
+       st.integers(min_value=0, max_value=16))
+def test_quad_pow_matches_fraction_reference(re, im, delta, m):
+    z = quad(re, im, delta)
+    assert quad_pow(z, m) == fraction_pow(z, m)
+
+
+@given(rationals, fractional_positives, fractional_deltas,
+       st.integers(min_value=2, max_value=16))
+def test_arg_less_than_matches_fraction_reference(re, im, delta, q):
+    z = quad(re, im, delta)
+    assert arg_less_than(z, q) == fraction_arg_less_than(z, q)

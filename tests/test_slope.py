@@ -1,8 +1,11 @@
+from dataclasses import replace
 from fractions import Fraction
 
 import pytest
+from hypothesis import example, given, strategies as st
 
 from fanocalc import chow, slope
+from fanocalc.exact import is_negative_real, quad
 from fanocalc.slope import (InvariantError, InvariantTuple, adjunction_check,
                             base_degree_ratio, c1_prime, check_rho_tau,
                             kprime_degree_formulas, pushforward_R,
@@ -10,6 +13,39 @@ from fanocalc.slope import (InvariantError, InvariantTuple, adjunction_check,
                             y_dot_f)
 
 F = Fraction
+
+fractional_taus = st.fractions(
+    min_value=F(1, 7), max_value=8,
+    max_denominator=7).filter(lambda x: x.denominator > 1)
+fractional_deltas = st.fractions(
+    min_value=-40, max_value=F(-1, 12),
+    max_denominator=12).filter(lambda d: d.denominator > 1)
+
+
+def fraction_power(tau, delta, n):
+    """(tau + sqrt(delta))^n as a product of QuadNums (Fractions)."""
+    w = quad(1, 0, delta)
+    for _ in range(n):
+        w = w * quad(tau, 1, delta)
+    return w
+
+
+def fraction_check_rho_tau(n, tau, rho, delta):
+    """Reference: check_rho_tau on QuadNums, before the integer kernel."""
+    return is_negative_real(quad(rho, 1, delta) * fraction_power(tau, delta, n))
+
+
+def fraction_solve_nu_prime(n, tau, delta, mu):
+    """Reference: solve_nu_prime on QuadNums, before the integer kernel."""
+    b_n = fraction_power(tau, delta, n).im_coeff
+    b_n1 = fraction_power(tau, delta, n + 1).im_coeff
+    if b_n1 == 0:
+        return None
+    ratio = 2 * b_n / (mu * b_n1)
+    if ratio.denominator != 1 or ratio <= 0:
+        return None
+    rho = tau - F(2, mu * int(ratio))
+    return int(ratio) if fraction_check_rho_tau(n, tau, rho, delta) else None
 
 
 def test_check_rho_tau_examples():
@@ -37,6 +73,26 @@ def test_solve_nu_prime_absences():
     assert solve_nu_prime(3, 3, F(-3), 1) is None  # ratio 2/3
     assert solve_nu_prime(2, 1, F(-1, 3), 1) is None  # ratio 3/2
     assert solve_nu_prime(2, 3, F(-3), 1) is None  # ratio 1/2
+
+
+@given(st.integers(min_value=0, max_value=16), fractional_taus,
+       st.fractions(min_value=-8, max_value=8, max_denominator=7),
+       fractional_deltas)
+@example(2, F(1, 3), F(1, 6), F(-2, 9))  # rho = tau - 2/(mu*nu'), nu' = 4
+@example(2, F(1, 2), F(1, 2), F(-3, 4))  # exact angle pi/3
+def test_check_rho_tau_matches_fraction_reference(n, tau, rho, delta):
+    assert check_rho_tau(n, tau, rho, delta) == \
+        fraction_check_rho_tau(n, tau, rho, delta)
+
+
+@given(st.integers(min_value=0, max_value=16), fractional_taus,
+       fractional_deltas, st.integers(min_value=1, max_value=5))
+@example(2, F(1, 3), F(-2, 9), 3)  # scale s = 9, nu' = 4
+@example(2, F(2, 5), F(-2, 5), 4)  # scale s = 5, nu' = 5
+@example(1, F(1, 2), F(-1, 3), 2)  # scale s = 6, nu' = 1
+def test_solve_nu_prime_matches_fraction_reference(n, tau, delta, mu):
+    assert solve_nu_prime(n, tau, delta, mu) == \
+        fraction_solve_nu_prime(n, tau, delta, mu)
 
 
 def test_c1_prime_values():
@@ -165,3 +221,65 @@ def test_fractional_cells_render_as_p_over_q():
     row = tuple_to_row(t)
     assert row[10] == "-1/3"
     assert row[11] == "1/3"
+
+
+def fractional_tuple(**overrides):
+    # c2/d = 1/3, so c2 = (c2/d)*d is an integer only for d divisible by 3.
+    base = dict(n=5, kind="C", lam=1, mu=1, mu_prime=1, nu=1, nu_prime=3,
+                tau=1, tau_prime=3, rho=1, i=2, i_prime=5, c1=-1,
+                delta=F(-1, 3), c2_over_d=F(1, 3))
+    base.update(overrides)
+    return InvariantTuple(**base)
+
+
+def test_with_status_still_checks_c2_integrality():
+    t = fractional_tuple()
+    assert t.with_status("admissible", d=3).c2 == 1
+    with pytest.raises(InvariantError) as err:
+        t.with_status("admissible", d=1)
+    assert err.value.reason == "c2_integrality"
+
+
+@pytest.mark.parametrize("start,changes", [
+    # delta: (2 + sqrt(-8))^3 is not real.
+    (dict(), dict(delta=F(-8), c2_over_d=F(2))),
+    # tau: (1 + sqrt(-12))^3 is not real.
+    (dict(), dict(tau=1, nu=1, i=2, rho=1, c1=-1, c2_over_d=F(13, 4))),
+    # rho: (1 + 2i) * (2 + 2i)^2 = -16 + 8i is not real.
+    (dict(kind="D", rho=0, delta=F(-4), c2_over_d=F(1)),
+     dict(rho=1, nu_prime=2, tau_prime=2, i_prime=4)),
+])
+def test_with_status_rechecks_changed_thresholds(start, changes):
+    t = sample_tuple(**start)
+    with pytest.raises(InvariantError) as err:
+        t.with_status("admissible", **changes)
+    assert err.value.reason == "rhotau"
+
+
+@pytest.mark.parametrize("changes", [
+    dict(), dict(d=3), dict(tau=2, delta=-12),
+    dict(d=1, deg_x=1, name_x="P2", label="row"),
+])
+def test_with_status_copies_equal_replace(changes):
+    t = sample_tuple()
+    copy = t.with_status("admissible", "why", **changes)
+    assert copy == replace(t, status="admissible", reason="why", **changes)
+    assert type(copy.delta) is Fraction
+
+
+def test_with_status_reruns_threshold_test_only_on_change(monkeypatch):
+    calls = []
+
+    def counting(*args):
+        calls.append(args)
+        return check_rho_tau(*args)
+
+    monkeypatch.setattr(slope, "check_rho_tau", counting)
+    t = sample_tuple()
+    assert len(calls) == 1
+    t.with_status("excluded", "why", d=1, tau=2, rho=F(2))
+    assert len(calls) == 1
+    # (1 + sqrt(-3))^3 = -8.
+    t.with_status("candidate", tau=1, nu=1, i=2, rho=1, c1=-1, delta=-3,
+                  c2_over_d=1)
+    assert len(calls) == 2
