@@ -3,8 +3,20 @@
 The ring has generators G1 (fiber-positive) and G2 (pulled back), subject
 to G1^2 = rel_a*G1*G2 + rel_b*G2^2, with G2^(n+1) = 0 and everything of
 total degree above n+1 truncated.  A degree functional sends G1*G2^n to
-degree_s.  Elements are kept in normal form: G1-degree at most one, zero
-coefficients dropped.
+degree_s.
+
+Every element has the normal form A(t) + G1*B(t) with t = G2 and A, B in
+Q[t]/(t^(n+1)).  Write rel_a = pa/r and rel_b = pb/r, r the lcm of their
+denominators.  A RingElem stores one positive int denominator and the
+2n+2 int numerators of A and B, in lowest terms, so a product is a few
+truncated integer convolutions and one gcd, with no rewriting:
+
+    (A1 + G1 B1)(A2 + G1 B2)
+        = (A1 A2 + rel_b t^2 B1 B2) + G1 (A1 B2 + B1 A2 + rel_a t B1 B2).
+
+A raw polynomial reduces in one pass through G1^i = alpha_i*G1*G2^(i-1)
++ beta_i*G2^i, where alpha_(i+1) = rel_a*alpha_i + beta_i and beta_(i+1)
+= rel_b*alpha_i.  Coefficients are Fractions at the API boundary.
 
 Basis changes between the (-K, H) and (-K', H') divisor bases (matrix A)
 and between the two codimension-two integral bases (matrix B) are handled
@@ -15,12 +27,15 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import Dict, Optional, Tuple, Union
+from math import gcd, lcm
+from types import MappingProxyType
+from typing import Dict, List, Mapping, Optional, Tuple, Union
 
-Rat = Fraction
 RatLike = Union[Fraction, int]
 Monomial = Tuple[int, int]  # (G1 exponent, G2 exponent)
 Coeffs = Dict[Monomial, Fraction]
+# Every element holds 2n+2 ints, so n is bounded like any other input size.
+MAX_N = 1000
 
 
 class ContextMismatchError(ValueError):
@@ -34,96 +49,173 @@ class RingCtx:
     rel_a: Fraction
     rel_b: Fraction
     degree_s: Fraction
+    # (r, pa, pb) with rel_a = pa/r and rel_b = pb/r.
+    _rel: Tuple[int, int, int] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         object.__setattr__(self, "rel_a", Fraction(self.rel_a))
         object.__setattr__(self, "rel_b", Fraction(self.rel_b))
         object.__setattr__(self, "degree_s", Fraction(self.degree_s))
         object.__setattr__(self, "gen_names", tuple(self.gen_names))
-        if self.n < 2:
-            raise ValueError("base dimension n must be at least 2")
+        if not 2 <= self.n <= MAX_N:
+            raise ValueError(f"base dimension n must be from 2 to {MAX_N}")
         if self.degree_s <= 0:
             raise ValueError("degree_s must be positive")
+        a, b = self.rel_a, self.rel_b
+        r = lcm(a.denominator, b.denominator)
+        object.__setattr__(self, "_rel", (r, a.numerator * r // a.denominator,
+                                          b.numerator * r // b.denominator))
+
+    def _unit(self, k: int, c: Fraction = Fraction(1)) -> "RingElem":
+        vec = [0] * (2 * self.n + 2)
+        vec[k] = c.numerator
+        return RingElem(self, vec, c.denominator)
 
     @property
     def gen1(self) -> "RingElem":
-        return RingElem(self, {(1, 0): Fraction(1)})
+        return self._unit(self.n + 1)
 
     @property
     def gen2(self) -> "RingElem":
-        return RingElem(self, {(0, 1): Fraction(1)})
+        return self._unit(1)
 
     def element(self, coeffs: Coeffs) -> "RingElem":
         return reduce(coeffs, self)
 
     def zero(self) -> "RingElem":
-        return RingElem(self, {})
+        return self._unit(0, Fraction(0))
 
     def one(self) -> "RingElem":
-        return RingElem(self, {(0, 0): Fraction(1)})
+        return self._unit(0)
 
     def scalar(self, s: RatLike) -> "RingElem":
-        s = Fraction(s)
-        return RingElem(self, {(0, 0): s} if s else {})
+        return self._unit(0, Fraction(s))
+
+
+def _lowest(ctx: RingCtx, vec: List[int], den: int) -> "RingElem":
+    if den != 1:
+        g = gcd(den, *vec)
+        if g != 1:
+            vec = [v // g for v in vec]
+            den //= g
+    return RingElem(ctx, vec, den)
+
+
+def _convolve(out: List[int], at: int, xs, ys, top: int, scale: int) -> None:
+    """out[at + i + j] += scale * x_i * y_j for i + j <= top, where xs and
+    ys list the nonzero (index, value) pairs of two vectors."""
+    for i, c in xs:
+        c *= scale
+        for j, d in ys:
+            if i + j > top:
+                break
+            out[at + i + j] += c * d
 
 
 def reduce(raw: Union[Coeffs, "RingElem"], ctx: RingCtx) -> "RingElem":
     """Normal form of a formal polynomial in G1, G2.
 
-    Substitutes G1^2 -> rel_a*G1*G2 + rel_b*G2^2, kills G2^(n+1) and all
-    monomials of total degree above n+1.  Idempotent on normal forms.
+    Substitutes G1^i -> alpha_i*G1*G2^(i-1) + beta_i*G2^i, kills G2^(n+1)
+    and all monomials of total degree above n+1.  A RingElem of ctx is
+    already in normal form and is returned as it is.
     """
     if isinstance(raw, RingElem):
         if raw.ctx is not ctx and raw.ctx != ctx:
             raise ContextMismatchError("element belongs to a different context")
-        raw = raw.coeffs
-    top = ctx.n + 1
-    out: Coeffs = {}
-    work = [((i, j), Fraction(c)) for (i, j), c in raw.items() if c]
-    while work:
-        (i, j), c = work.pop()
-        if i + j > top or j > ctx.n:
+        return raw
+    n = ctx.n
+    m = n + 1
+    r, pa, pb = ctx._rel
+    terms = []  # (slot, numerator, denominator)
+    for (i, j), c in raw.items():
+        c = Fraction(c)
+        if not c or i + j > m or j > n:
             continue
-        if i >= 2:
-            work.append(((i - 1, j + 1), c * ctx.rel_a))
-            work.append(((i - 2, j + 2), c * ctx.rel_b))
+        if i < 2:
+            terms.append((i * m + j, c.numerator, c.denominator))
             continue
-        out[(i, j)] = out.get((i, j), Fraction(0)) + c
-    return RingElem(ctx, {m: c for m, c in out.items() if c})
+        # G1^i = (alpha*G1*G2^(i-1) + beta*G2^i) / r^i
+        alpha, beta, scale = r, 0, r
+        for _ in range(i - 1):
+            alpha, beta, scale = pa * alpha + r * beta, pb * alpha, scale * r
+        terms.append((m + i + j - 1, c.numerator * alpha, c.denominator * scale))
+        if i + j <= n:
+            terms.append((i + j, c.numerator * beta, c.denominator * scale))
+    den = lcm(*(q for _, _, q in terms))
+    vec = [0] * (2 * m)
+    for k, p, q in terms:
+        vec[k] += p * (den // q)
+    return _lowest(ctx, vec, den)
 
 
-@dataclass(frozen=True)
 class RingElem:
-    ctx: RingCtx
-    coeffs: Coeffs = field(default_factory=dict)
+    """A normal form A(t) + G1*B(t) of ctx's ring.
+
+    `vec` holds the numerators of the coefficients of t^0..t^n in A, then
+    in B, over the positive denominator `den`, in lowest terms; both are
+    never changed after construction.  Use RingCtx to build elements.
+    """
+
+    __slots__ = ("ctx", "vec", "den", "_coeffs")
+
+    def __init__(self, ctx: RingCtx, vec: List[int], den: int):
+        self.ctx = ctx
+        self.vec = vec
+        self.den = den
+        self._coeffs = None
+
+    @property
+    def coeffs(self) -> Mapping[Monomial, Fraction]:
+        """Read-only {(i, j): coefficient of G1^i*G2^j}, zeros dropped."""
+        if self._coeffs is None:
+            m, den = self.ctx.n + 1, self.den
+            self._coeffs = MappingProxyType({
+                divmod(k, m): Fraction(v, den)
+                for k, v in enumerate(self.vec) if v})
+        return self._coeffs
 
     def _check(self, other: "RingElem") -> None:
-        if self.ctx != other.ctx:
+        if self.ctx is not other.ctx and self.ctx != other.ctx:
             raise ContextMismatchError("elements belong to different contexts")
 
     def __add__(self, other: "RingElem") -> "RingElem":
         self._check(other)
-        out = dict(self.coeffs)
-        for m, c in other.coeffs.items():
-            out[m] = out.get(m, Fraction(0)) + c
-        return RingElem(self.ctx, {m: c for m, c in out.items() if c})
+        d1, d2 = self.den, other.den
+        if d1 == d2:
+            vec = [x + y for x, y in zip(self.vec, other.vec)]
+        else:
+            den = lcm(d1, d2)
+            s1, s2 = den // d1, den // d2
+            vec = [x * s1 + y * s2 for x, y in zip(self.vec, other.vec)]
+            d1 = den
+        return _lowest(self.ctx, vec, d1)
 
     def __sub__(self, other: "RingElem") -> "RingElem":
         return self + (-other)
 
     def __neg__(self) -> "RingElem":
-        return RingElem(self.ctx, {m: -c for m, c in self.coeffs.items()})
+        return RingElem(self.ctx, [-v for v in self.vec], self.den)
 
     def __mul__(self, other: Union["RingElem", RatLike]) -> "RingElem":
         if isinstance(other, (int, Fraction)):
             return self.scale(other)
         self._check(other)
-        prod: Coeffs = {}
-        for (i1, j1), c1 in self.coeffs.items():
-            for (i2, j2), c2 in other.coeffs.items():
-                m = (i1 + i2, j1 + j2)
-                prod[m] = prod.get(m, Fraction(0)) + c1 * c2
-        return reduce(prod, self.ctx)
+        ctx = self.ctx
+        n = ctx.n
+        m = n + 1
+        r, pa, pb = ctx._rel
+        x, y = self.vec, other.vec
+        xa = [(i, x[i]) for i in range(m) if x[i]]
+        xb = [(i, x[m + i]) for i in range(m) if x[m + i]]
+        ya = [(j, y[j]) for j in range(m) if y[j]]
+        yb = [(j, y[m + j]) for j in range(m) if y[m + j]]
+        out = [0] * (2 * m)
+        _convolve(out, 0, xa, ya, n, r)
+        _convolve(out, m, xa, yb, n, r)
+        _convolve(out, m, xb, ya, n, r)
+        _convolve(out, m + 1, xb, yb, n - 1, pa)
+        _convolve(out, 2, xb, yb, n - 2, pb)
+        return _lowest(ctx, out, self.den * other.den * r)
 
     def __rmul__(self, other: RatLike) -> "RingElem":
         return self.scale(other)
@@ -131,27 +223,39 @@ class RingElem:
     def scale(self, s: RatLike) -> "RingElem":
         s = Fraction(s)
         if not s:
-            return RingElem(self.ctx, {})
-        return RingElem(self.ctx, {m: c * s for m, c in self.coeffs.items()})
+            return self.ctx.zero()
+        p = s.numerator
+        return _lowest(self.ctx, [v * p for v in self.vec],
+                       self.den * s.denominator)
 
     def __pow__(self, k: int) -> "RingElem":
         if k < 0:
             raise ValueError("exponent must be nonnegative")
-        result = self.ctx.one()
-        for _ in range(k):
-            result = result * self
+        result, base = self.ctx.one(), self
+        while k:
+            if k & 1:
+                result = result * base
+            k >>= 1
+            if k:
+                base = base * base
         return result
 
     def is_zero(self) -> bool:
-        return not self.coeffs
+        return not any(self.vec)
 
     def is_homogeneous(self, degree: int) -> bool:
-        return all(i + j == degree for i, j in self.coeffs)
+        m = self.ctx.n + 1
+        return all(sum(divmod(k, m)) == degree
+                   for k, v in enumerate(self.vec) if v)
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, RingElem):
             return NotImplemented
-        return self.ctx == other.ctx and self.coeffs == other.coeffs
+        return self.den == other.den and self.vec == other.vec \
+            and self.ctx == other.ctx
+
+    def __hash__(self) -> int:
+        return hash((self.ctx, tuple(self.vec), self.den))
 
     def __repr__(self) -> str:
         g1, g2 = self.ctx.gen_names
@@ -169,10 +273,9 @@ def intersection_degree(e: RingElem) -> Fraction:
 
     The functional sends G1*G2^n to degree_s and G2^(n+1) to zero.
     """
-    top = e.ctx.n + 1
-    if not e.is_homogeneous(top):
+    if any(e.vec[:-1]):
         raise ValueError("intersection_degree needs a class of top degree")
-    return e.coeffs.get((1, e.ctx.n), Fraction(0)) * e.ctx.degree_s
+    return Fraction(e.vec[-1], e.den) * e.ctx.degree_s
 
 
 @dataclass(frozen=True)
@@ -232,8 +335,8 @@ def convert_element(e: RingElem, m: BasisMap, dst: RingCtx) -> RingElem:
     """Rewrite e in the generators of dst, where the generators of e's
     context equal m applied to the generators of dst."""
     (a, b), (c, d) = m.entries
-    g1 = dst.element({(1, 0): a, (0, 1): b})
-    g2 = dst.element({(1, 0): c, (0, 1): d})
+    g1 = dst.gen1.scale(a) + dst.gen2.scale(b)
+    g2 = dst.gen1.scale(c) + dst.gen2.scale(d)
     out = dst.zero()
     for (i, j), coeff in e.coeffs.items():
         out = out + (g1 ** i) * (g2 ** j) * coeff
@@ -247,14 +350,14 @@ def derived_context(ctx: RingCtx, m: BasisMap,
     recomputed so that all intersection numbers agree with ctx."""
     minv = m.inverse()
     (a, b), (c, d) = minv.entries
-    g1p = ctx.element({(1, 0): a, (0, 1): b})
-    g2p = ctx.element({(1, 0): c, (0, 1): d})
+    g1p = ctx.gen1.scale(a) + ctx.gen2.scale(b)
+    g2p = ctx.gen1.scale(c) + ctx.gen2.scale(d)
+    slots = (ctx.n + 2, 2)  # G1*G2 and G2^2
 
     def in_deg2_basis(e: RingElem) -> Tuple[Fraction, Fraction]:
-        extra = set(e.coeffs) - {(1, 1), (0, 2)}
-        if extra:
+        if any(v for k, v in enumerate(e.vec) if k not in slots):
             raise ValueError("degenerate map: degree-2 class not in normal span")
-        return e.coeffs.get((1, 1), Fraction(0)), e.coeffs.get((0, 2), Fraction(0))
+        return tuple(Fraction(e.vec[k], e.den) for k in slots)
 
     p11, p02 = in_deg2_basis(g1p * g1p)
     q11, q02 = in_deg2_basis(g1p * g2p)
@@ -344,6 +447,8 @@ def dumps_context(ctx: RingCtx) -> str:
 
 
 def loads_context(text: str) -> RingCtx:
+    """Read the name=value lines of a context; a bad line or value raises
+    ValueError naming the line and the field."""
     fields = {}
     for lineno, line in enumerate(text.splitlines(), 1):
         line = line.strip()
@@ -352,25 +457,40 @@ def loads_context(text: str) -> RingCtx:
         if "=" not in line:
             raise ValueError(f"line {lineno}: expected 'name=value'")
         key, _, value = line.partition("=")
-        fields[key.strip()] = value.strip()
+        fields[key.strip()] = (lineno, value.strip())
     missing = [f for f in _CTX_FIELDS if f not in fields]
     if missing:
         raise ValueError(f"missing context fields: {', '.join(missing)}")
-    names = tuple(fields["gen_names"].split(","))
+
+    def parse(name, convert, kind):
+        lineno, value = fields[name]
+        try:
+            return convert(value)
+        except (ValueError, ZeroDivisionError):
+            raise ValueError(f"line {lineno}: field {name}: {value!r} is not "
+                             f"{kind}") from None
+
+    names = tuple(fields["gen_names"][1].split(","))
     if len(names) != 2:
-        raise ValueError("gen_names must hold exactly two labels")
+        raise ValueError(f"line {fields['gen_names'][0]}: field gen_names "
+                         "must hold exactly two labels")
     return RingCtx(
-        n=int(fields["n"]),
+        n=parse("n", int, "an integer"),
         gen_names=names,  # type: ignore[arg-type]
-        rel_a=Fraction(fields["rel_a"]),
-        rel_b=Fraction(fields["rel_b"]),
-        degree_s=Fraction(fields["degree_s"]),
+        rel_a=parse("rel_a", Fraction, "a rational p/q"),
+        rel_b=parse("rel_b", Fraction, "a rational p/q"),
+        degree_s=parse("degree_s", Fraction, "a rational p/q"),
     )
 
 
 def load_context(path) -> RingCtx:
+    """Read a context file; a ValueError from its text names the file."""
     with open(path, "r", encoding="utf-8") as fh:
-        return loads_context(fh.read())
+        text = fh.read()
+    try:
+        return loads_context(text)
+    except ValueError as err:
+        raise ValueError(f"{path}: {err}") from None
 
 
 def save_context(ctx: RingCtx, path) -> None:

@@ -286,7 +286,9 @@ def run(argv: Optional[List[str]] = None) -> int:
             return cmd_exclusions(cfg)
         if cfg.command == "family-table":
             return cmd_family_table(cfg)
-    except OSError as err:
+    except (OSError, ValueError) as err:
+        # Unreadable files, and contexts, bounds or datasets the library
+        # rejects.
         print(f"input error: {err}", file=sys.stderr)
         return 2
     raise AssertionError(f"unhandled command {cfg.command}")
@@ -294,3 +296,7 @@ def run(argv: Optional[List[str]] = None) -> int:
 
 def main() -> None:
     sys.exit(run())
+
+
+if __name__ == "__main__":
+    main()

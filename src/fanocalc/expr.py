@@ -297,10 +297,7 @@ def _eval(node: Node, ctx: RingCtx, bindings: Bindings) -> Value:
             return a.scale(b)
         return a * b
     if isinstance(node, Pow):
-        v = _eval(node.base, ctx, bindings)
-        if isinstance(v, Fraction):
-            return v ** node.exponent
-        return v ** node.exponent
+        return _eval(node.base, ctx, bindings) ** node.exponent
     raise TypeError(f"unknown node {node!r}")
 
 

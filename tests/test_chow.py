@@ -72,6 +72,18 @@ def test_reduce_rejects_mixed_contexts():
         reduce(a.gen1, b)
 
 
+def test_equal_elements_hash_equal():
+    ctx = w36_ctx()
+    s = ctx.gen1 + ctx.gen2
+    same = ctx.element({(1, 0): F(2), (0, 1): F(2)}).scale(F(1, 2))
+    assert s == same and hash(s) == hash(same)
+    # Equal contexts built apart give equal elements.
+    assert hash(w36_ctx().gen1) == hash(ctx.gen1)
+    assert {s, same, s ** 2, ctx.gen1 * ctx.gen1 + ctx.gen1 * ctx.gen2
+            + ctx.gen2 * ctx.gen1 + ctx.gen2 * ctx.gen2} == {s, s ** 2}
+    assert len({ctx.zero(), ctx.gen2 ** 6, ctx.scalar(0)}) == 1
+
+
 def test_intersection_degree_examples():
     ctx = lh_ctx(5, -1, F(1, 3), 18)
     minus_k = ctx.element({(1, 0): F(2), (0, 1): F(1)})

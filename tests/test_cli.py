@@ -1,10 +1,15 @@
 import json
+import math
+import os
 import pathlib
 import shutil
+import subprocess
+import sys
+import time
 
 import pytest
 
-from fanocalc import cli
+from fanocalc import chow, cli
 from fanocalc.slope import CSV_COLUMNS
 
 GOLDEN = pathlib.Path(__file__).parent / "golden"
@@ -84,6 +89,64 @@ def test_eval_missing_context_exits_2(capsys, tmp_path):
     code, _, err = run(capsys, "eval", "--ctx", str(missing), "H")
     assert code == 2
     assert str(missing) in err
+
+
+def test_eval_power_far_beyond_nilpotency_is_fast_and_binomial(capsys):
+    # (1 + L)^k = sum over j <= n+1 of C(k, j) L^j in the w36 ring.
+    path = CONTEXTS / "w36.ctx"
+    k = 3_000_000
+    start = time.perf_counter()
+    code, out, _ = run(capsys, "eval", "--ctx", str(path), f"(1+L)^{k}")
+    elapsed = time.perf_counter() - start
+    assert code == 0
+    ctx = chow.load_context(path)
+    want = ctx.zero()
+    for j in range(ctx.n + 2):
+        want = want + ctx.gen1 ** j * math.comb(k, j)
+    assert out == f"{want!r}\n"
+    assert elapsed < 10.0
+
+
+@pytest.mark.parametrize("text, message", [
+    ("n=x\ngen_names=L,H\nrel_a=0\nrel_b=-3\ndegree_s=1\n",
+     "line 1: field n: 'x' is not an integer"),
+    ("n=3\ngen_names=L,H\nrel_a=0\nrel_b=1/0\ndegree_s=1\n",
+     "line 4: field rel_b: '1/0' is not a rational p/q"),
+    # Elements are dense in n, so n is bounded.
+    ("n=1000000\ngen_names=L,H\nrel_a=0\nrel_b=-3\ndegree_s=1\n",
+     "base dimension n must be from 2 to 1000"),
+])
+def test_eval_bad_context_value_exits_2(capsys, tmp_path, text, message):
+    path = tmp_path / "bad.ctx"
+    path.write_text(text)
+    code, out, err = run(capsys, "eval", "--ctx", str(path), "L*H")
+    assert code == 2
+    assert out == ""
+    assert err == f"input error: {path}: {message}\n"
+
+
+@pytest.mark.parametrize("argv, bound", [
+    (("enumerate", "--type", "congruence", "--m-max", "2"), "m_max"),
+    (("enumerate", "--type", "D", "--n-max", "1"), "n_max"),
+])
+def test_enumerate_bound_below_minimum_exits_2(capsys, argv, bound):
+    code, out, err = run(capsys, *argv)
+    assert code == 2
+    assert out == ""
+    assert err.startswith("input error: ") and bound in err
+
+
+@pytest.mark.parametrize("module", ["fanocalc", "fanocalc.cli"])
+def test_python_m_entry_points(capsys, module):
+    src = pathlib.Path(cli.__file__).parent.parent
+    env = dict(os.environ, PYTHONPATH=str(src))
+    argv = ["exclusions", "--case", "2-1"]
+    proc = subprocess.run([sys.executable, "-m", module, *argv], env=env,
+                          capture_output=True, text=True, timeout=120)
+    assert (proc.returncode, proc.stdout) == run(capsys, *argv)[:2]
+    bad = subprocess.run([sys.executable, "-m", module, "enumerate"], env=env,
+                         capture_output=True, text=True, timeout=120)
+    assert bad.returncode == 2
 
 
 def test_usage_error_exits_2(capsys):
