@@ -520,19 +520,22 @@ def family_table() -> List[FamilyRow]:
 
 def enumerate_congruences(m_max: int = DEFAULT_M_MAX) -> List[CongruenceTuple]:
     """All (alpha, z, m) with m <= m_max, alpha = (m-1)/(m-z-1) an
-    integer >= 3, and 0 < z <= 2m/3."""
+    integer >= 3, and 0 < z <= 2m/3.
+
+    The loop runs over the divisor t = m-1-z, not over z.  alpha >= 3
+    means 3t <= m-1, so t <= (m-1)//3 (alpha = 2 is impossible; see
+    CongruenceTuple), and then z = m-1-t >= 2(m-1)/3 > 0.  The integer
+    z <= 2m/3 means t >= m-1-2m//3, and t >= 1 for alpha = (m-1)/t to be
+    defined.  That range holds at most two values of t for each m, so
+    the scan is O(m_max).
+    """
     if m_max < 3:
         raise ValueError("m_max must be at least 3")
     out = []
     for m in range(3, m_max + 1):
-        for z in range(1, 2 * m // 3 + 1):
-            t = m - z - 1
-            if t <= 0 or (m - 1) % t:
-                continue
-            alpha = (m - 1) // t
-            if alpha < 3:
-                continue  # alpha = 2 is impossible; see CongruenceTuple
-            out.append(CongruenceTuple(alpha, z, m))
+        for t in range(max(1, m - 1 - 2 * m // 3), (m - 1) // 3 + 1):
+            if (m - 1) % t == 0:
+                out.append(CongruenceTuple((m - 1) // t, m - 1 - t, m))
     out.sort(key=lambda c: (c.alpha, c.z, c.m))
     return out
 

@@ -48,20 +48,38 @@ def dataset_path() -> str:
     return _default_path("fano_manifolds.csv")
 
 
+DATASET_COLUMNS = ("dim", "index", "degree", "name", "b4_rank", "source_note")
+
+
 def load_dataset(path: Optional[str] = None) -> List[FanoEntry]:
+    """Read the manifold table.  A file that lacks a column of
+    DATASET_COLUMNS raises ValueError naming the file and the columns; a
+    row that does not convert, one naming the file and the line."""
     if path is None:
         path = dataset_path()
     entries = []
     with open(path, "r", encoding="utf-8", newline="") as fh:
-        for row in csv.DictReader(fh):
-            entries.append(FanoEntry(
-                dim=int(row["dim"]),
-                index=int(row["index"]),
-                degree=int(row["degree"]),
-                name=row["name"],
-                b4_rank=int(row["b4_rank"]) if row["b4_rank"] else None,
-                source_note=row["source_note"],
-            ))
+        # A short row reads "" for its missing cells, which int() rejects
+        # with ValueError, not None, which it rejects with TypeError.
+        reader = csv.DictReader(fh, restval="")
+        missing = [c for c in DATASET_COLUMNS
+                   if c not in (reader.fieldnames or ())]
+        if missing:
+            raise ValueError(f"{path}: missing column(s) "
+                             f"{', '.join(missing)}")
+        for row in reader:
+            try:
+                entries.append(FanoEntry(
+                    dim=int(row["dim"]),
+                    index=int(row["index"]),
+                    degree=int(row["degree"]),
+                    name=row["name"],
+                    b4_rank=int(row["b4_rank"]) if row["b4_rank"] else None,
+                    source_note=row["source_note"],
+                ))
+            except ValueError as err:
+                raise ValueError(f"{path}: line {reader.line_num}: {err}") \
+                    from None
     return entries
 
 

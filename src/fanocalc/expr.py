@@ -12,11 +12,14 @@ from __future__ import annotations
 import string
 from dataclasses import dataclass, field
 from fractions import Fraction
+from math import gcd
 from typing import Dict, List, Optional, Tuple, Union
 
 from .chow import RingCtx, RingElem, intersection_degree
 
 MAX_DEPTH = 64
+# Largest power evaluated, in bits, estimated before computing it.
+MAX_POW_BITS = 1 << 20
 
 _SYMBOL_START = set(string.ascii_letters)
 _SYMBOL_CONT = set(string.ascii_letters + string.digits + "'")
@@ -74,6 +77,7 @@ class Mul:
 class Pow:
     base: "Node"
     exponent: int
+    pos: int = field(default=0, compare=False)  # column of the exponent
 
 
 Node = Union[Lit, Sym, Neg, Add, Mul, Pow]
@@ -192,7 +196,7 @@ class _Parser:
             etok = self.next()
             if etok.kind != "number" or "/" in etok.text:
                 raise ExprError("exponent must be an integer literal", etok.pos)
-            node = Pow(node, int(etok.text))
+            node = Pow(node, int(etok.text), etok.pos)
         return node
 
     def atom(self) -> Node:
@@ -297,7 +301,23 @@ def _eval(node: Node, ctx: RingCtx, bindings: Bindings) -> Value:
             return a.scale(b)
         return a * b
     if isinstance(node, Pow):
-        return _eval(node.base, ctx, bindings) ** node.exponent
+        base = _eval(node.base, ctx, bindings)
+        k = node.exponent
+        # The scalar s = p/q, or the scalar part of a ring element (the
+        # rest is nilpotent), makes s^k about k times as long as s.  For
+        # s in {0, 1, -1} the size grows only polynomially in k.
+        if isinstance(base, RingElem):
+            p, q = base.vec[0], base.den
+        else:
+            p, q = base.numerator, base.denominator
+        if p and abs(p) != q:
+            g = gcd(p, q)
+            bits = k * max((p // g).bit_length(), (q // g).bit_length())
+            if bits > MAX_POW_BITS:
+                raise ExprError(f"power too large: about {bits} bits, "
+                                f"above the limit of {MAX_POW_BITS}",
+                                node.pos)
+        return base ** k
     raise TypeError(f"unknown node {node!r}")
 
 

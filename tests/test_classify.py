@@ -205,6 +205,31 @@ def test_congruences_match_brute_force():
     assert got == brute
 
 
+def _congruences_quadratic(m_max):
+    """The O(m_max^2) scan over every z, kept as the reference for the
+    loop over the divisor t = m-1-z."""
+    out = []
+    for m in range(3, m_max + 1):
+        for z in range(1, 2 * m // 3 + 1):
+            t = m - z - 1
+            if t <= 0 or (m - 1) % t:
+                continue
+            alpha = (m - 1) // t
+            if alpha < 3:
+                continue
+            out.append(CongruenceTuple(alpha, z, m))
+    out.sort(key=lambda c: (c.alpha, c.z, c.m))
+    return out
+
+
+def test_congruences_match_quadratic_scan():
+    for m_max in range(3, 301):
+        assert enumerate_congruences(m_max) == _congruences_quadratic(m_max)
+    got = enumerate_congruences(2000)
+    assert len(got) == 669
+    assert got == _congruences_quadratic(2000)
+
+
 def test_congruence_tuple_validation():
     CongruenceTuple(4, 6, 9)
     with pytest.raises(ValueError):

@@ -107,6 +107,21 @@ def test_eval_power_far_beyond_nilpotency_is_fast_and_binomial(capsys):
     assert elapsed < 10.0
 
 
+def test_eval_oversized_power_exits_2_fast():
+    src = pathlib.Path(cli.__file__).parent.parent
+    env = dict(os.environ, PYTHONPATH=str(src))
+    start = time.perf_counter()
+    proc = subprocess.run([sys.executable, "-m", "fanocalc", "eval", "--ctx",
+                           str(CONTEXTS / "w36.ctx"), "2^30000000"],
+                          env=env, capture_output=True, text=True, timeout=120)
+    elapsed = time.perf_counter() - start
+    assert proc.returncode == 2
+    assert proc.stdout == ""
+    assert proc.stderr.startswith("error: column 3: power too large")
+    assert "Traceback" not in proc.stderr
+    assert elapsed < 1.0
+
+
 @pytest.mark.parametrize("text, message", [
     ("n=x\ngen_names=L,H\nrel_a=0\nrel_b=-3\ndegree_s=1\n",
      "line 1: field n: 'x' is not an integer"),
@@ -199,6 +214,51 @@ def test_dataset_env_override(capsys, tmp_path, monkeypatch):
                        "--format", "csv")
     assert code == 0
     assert "V_4^5" not in out
+
+
+@pytest.mark.parametrize("text, message", [
+    ("dim,index,degree\n5,4,4\n",
+     "missing column(s) name, b4_rank, source_note"),
+    ("dim,index,degree,name,b4_rank,source_note\n2,3,1,P2,,plane\n5,4\n",
+     "line 3: invalid literal for int() with base 10: ''"),
+    ("dim,index,degree,name,b4_rank,source_note\n2,4,1,P2,,plane\n",
+     "line 2: index must lie between 1 and dim+1"),
+], ids=["missing-columns", "short-row", "bad-index"])
+def test_dataset_bad_file_exits_2(capsys, tmp_path, monkeypatch, text,
+                                  message):
+    path = tmp_path / "manifolds.csv"
+    path.write_text(text)
+    monkeypatch.setenv("FANOCALC_DATA", str(path))
+    code, out, err = run(capsys, "enumerate", "--type", "C", "--n", "5")
+    assert code == 2
+    assert out == ""
+    assert err == f"input error: {path}: {message}\n"
+
+
+# Each command imports only the modules it runs: verify and expr are
+# compiled from source on every start when bytecode is not cached.
+_IMPORT_PROBE = """\
+import contextlib, io, sys
+from fanocalc import cli
+with contextlib.redirect_stdout(io.StringIO()):
+    code = cli.run(sys.argv[1:])
+print(code, *sorted(m for m in ("fanocalc.verify", "fanocalc.expr")
+                    if m in sys.modules))
+"""
+
+
+@pytest.mark.parametrize("argv, loaded", [
+    (("enumerate", "--type", "C"), ""),
+    (("exclusions", "--case", "1-4"), ""),
+    (("family-table",), ""),
+    (("eval", "--ctx", str(CONTEXTS / "w36.ctx"), "L*H^5"), " fanocalc.expr"),
+])
+def test_commands_import_only_what_they_run(argv, loaded):
+    src = pathlib.Path(cli.__file__).parent.parent
+    env = dict(os.environ, PYTHONPATH=str(src))
+    proc = subprocess.run([sys.executable, "-c", _IMPORT_PROBE, *argv],
+                          env=env, capture_output=True, text=True, timeout=120)
+    assert proc.stdout == f"0{loaded}\n", proc.stderr
 
 
 def test_output_byte_stable(capsys):

@@ -1,3 +1,4 @@
+import time
 from fractions import Fraction
 
 import pytest
@@ -102,6 +103,30 @@ def test_evaluate_unbound_symbol():
     ctx = lh_ctx()
     with pytest.raises(ExprError, match="unbound symbol"):
         evaluate_text("L + X", ctx, base_bindings(ctx))
+
+
+def test_evaluate_rejects_oversized_power():
+    ctx = lh_ctx()
+    bindings = base_bindings(ctx)
+    start = time.perf_counter()
+    with pytest.raises(ExprError, match="power too large") as err:
+        evaluate_text("2^30000000", ctx, bindings)
+    assert err.value.pos == 3
+    # The scalar part of a ring element grows the same way.
+    with pytest.raises(ExprError, match="power too large") as err:
+        evaluate_text("(1/3 + L)^3000000", ctx, bindings)
+    assert err.value.pos == 11
+    with pytest.raises(ExprError, match="power too large"):
+        evaluate_text("2^524289", ctx, bindings)
+    assert time.perf_counter() - start < 1.0
+    # Scalars 0 and +-1 grow polynomially in k and are not capped, also
+    # when the element's denominator is not 1; a power just under the cap
+    # is computed.
+    for text in ("(1 + L)^3000000", "(-1 + 1/2*H)^3000000", "L^3000000",
+                 "(-1)^3000001", "(2*L + 1/2*H + 1)^40"):
+        evaluate_text(text, ctx, bindings)
+    assert evaluate_text("2^524288", ctx, bindings).element \
+        == ctx.scalar(2 ** 524288)
 
 
 def test_evaluate_truncation_note():
