@@ -431,17 +431,13 @@ def basis_map_B(nu: int, nu_prime: int, mu: int, c1: int, delta: RatLike,
 _CTX_FIELDS = ("n", "gen_names", "rel_a", "rel_b", "degree_s")
 
 
-def _frac_str(x: Fraction) -> str:
-    return str(x.numerator) if x.denominator == 1 else f"{x.numerator}/{x.denominator}"
-
-
 def dumps_context(ctx: RingCtx) -> str:
     lines = [
         f"n={ctx.n}",
         f"gen_names={ctx.gen_names[0]},{ctx.gen_names[1]}",
-        f"rel_a={_frac_str(ctx.rel_a)}",
-        f"rel_b={_frac_str(ctx.rel_b)}",
-        f"degree_s={_frac_str(ctx.degree_s)}",
+        f"rel_a={ctx.rel_a}",
+        f"rel_b={ctx.rel_b}",
+        f"degree_s={ctx.degree_s}",
     ]
     return "\n".join(lines) + "\n"
 

@@ -10,6 +10,7 @@ primed symbols never become ambiguous.  Precedence, tightest first:
 from __future__ import annotations
 
 import string
+import sys
 from dataclasses import dataclass, field
 from fractions import Fraction
 from math import gcd
@@ -108,7 +109,7 @@ def tokenize(text: str) -> List[Token]:
                 if k == j + 1:
                     raise ExprError("expected digits after '/'", j + 2)
                 denom = text[j + 1:k]
-                if int(denom) == 0:
+                if not denom.strip("0"):
                     raise ExprError("zero denominator", j + 2)
                 tokens.append(Token("number", f"{num}/{denom}", pos))
                 i = k
@@ -145,12 +146,20 @@ class _Parser:
         self.index += 1
         return tok
 
-    def _enter(self) -> None:
+    def _enter(self, tok: Token) -> None:
+        """One nesting level per open parenthesis or unary minus."""
         self.depth += 1
         if self.depth > MAX_DEPTH:
-            tok = self.peek()
-            raise ExprError("expression too deeply nested",
-                            tok.pos if tok else 1)
+            raise ExprError("expression too deeply nested", tok.pos)
+
+    def _number(self, tok: Token, convert):
+        try:
+            return convert(tok.text)
+        except ValueError:
+            # Past the interpreter's limit on decimal-to-int conversion.
+            raise ExprError("number has more than "
+                            f"{sys.get_int_max_str_digits()} digits",
+                            tok.pos) from None
 
     def parse(self) -> Node:
         node = self.expr()
@@ -160,32 +169,26 @@ class _Parser:
         return node
 
     def expr(self) -> Node:
-        self._enter()
         node = self.term()
         while (tok := self.peek()) and tok.kind in ("plus", "minus"):
             self.next()
             rhs = self.term()
             node = Add(node, rhs if tok.kind == "plus" else Neg(rhs))
-        self.depth -= 1
         return node
 
     def term(self) -> Node:
-        self._enter()
         node = self.factor()
         while (tok := self.peek()) and tok.kind == "star":
             self.next()
             node = Mul(node, self.factor())
-        self.depth -= 1
         return node
 
     def factor(self) -> Node:
-        self._enter()
         tok = self.peek()
-        if tok and tok.kind == "minus":
-            self.next()
-            node: Node = Neg(self.factor())
-        else:
-            node = self.power()
+        if not (tok and tok.kind == "minus"):
+            return self.power()
+        self._enter(self.next())
+        node = Neg(self.factor())
         self.depth -= 1
         return node
 
@@ -196,20 +199,22 @@ class _Parser:
             etok = self.next()
             if etok.kind != "number" or "/" in etok.text:
                 raise ExprError("exponent must be an integer literal", etok.pos)
-            node = Pow(node, int(etok.text), etok.pos)
+            node = Pow(node, self._number(etok, int), etok.pos)
         return node
 
     def atom(self) -> Node:
         tok = self.next()
         if tok.kind == "number":
-            return Lit(Fraction(tok.text), tok.pos)
+            return Lit(self._number(tok, Fraction), tok.pos)
         if tok.kind == "symbol":
             return Sym(tok.text, tok.pos)
         if tok.kind == "lparen":
+            self._enter(tok)
             node = self.expr()
             closing = self.next()
             if closing.kind != "rparen":
                 raise ExprError("expected ')'", closing.pos)
+            self.depth -= 1
             return node
         raise ExprError(f"unexpected {tok.text!r}", tok.pos)
 
@@ -232,8 +237,7 @@ def to_text(node: Node) -> str:
         return f"({text})" if isinstance(child, kinds) else text
 
     if isinstance(node, Lit):
-        v = node.value
-        return str(v.numerator) if v.denominator == 1 else f"{v.numerator}/{v.denominator}"
+        return str(node.value)
     if isinstance(node, Sym):
         return node.name
     if isinstance(node, Neg):
@@ -287,18 +291,16 @@ def _eval(node: Node, ctx: RingCtx, bindings: Bindings) -> Value:
     if isinstance(node, Add):
         a = _eval(node.left, ctx, bindings)
         b = _eval(node.right, ctx, bindings)
-        if isinstance(a, Fraction) and isinstance(b, Fraction):
-            return a + b
-        return _lift(a, ctx) + _lift(b, ctx)
+        if isinstance(a, RingElem) or isinstance(b, RingElem):
+            return _lift(a, ctx) + _lift(b, ctx)
+        return a + b
     if isinstance(node, Mul):
         a = _eval(node.left, ctx, bindings)
         b = _eval(node.right, ctx, bindings)
-        if isinstance(a, Fraction) and isinstance(b, Fraction):
-            return a * b
-        if isinstance(a, Fraction):
+        if isinstance(a, RingElem):
+            return a * b if isinstance(b, RingElem) else a.scale(b)
+        if isinstance(b, RingElem):
             return b.scale(a)
-        if isinstance(b, Fraction):
-            return a.scale(b)
         return a * b
     if isinstance(node, Pow):
         base = _eval(node.base, ctx, bindings)
@@ -331,7 +333,7 @@ def evaluate(ast: Node, ctx: RingCtx, bindings: Bindings) -> EvalResult:
     top = ctx.n + 1
     if not elem.is_zero() and elem.is_homogeneous(top):
         degree = intersection_degree(elem)
-    if elem.is_zero() and not isinstance(value, Fraction):
+    if elem.is_zero() and isinstance(value, RingElem):
         note = "result vanishes in the truncated ring"
     return EvalResult(elem, degree, note)
 

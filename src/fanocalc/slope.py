@@ -258,13 +258,7 @@ CSV_COLUMNS = (
 
 
 def _cell(value) -> str:
-    if value is None:
-        return ""
-    if isinstance(value, Fraction):
-        if value.denominator == 1:
-            return str(value.numerator)
-        return f"{value.numerator}/{value.denominator}"
-    return str(value)
+    return "" if value is None else str(value)
 
 
 def tuple_to_row(t: InvariantTuple) -> Tuple[str, ...]:

@@ -53,6 +53,16 @@ def test_enumerate_congruence_matches_golden(capsys):
     assert out == (GOLDEN / "congruences_m19.csv").read_text()
 
 
+@pytest.mark.parametrize("kind", ["C", "P", "D", "congruence"])
+@pytest.mark.parametrize("fmt", ["table", "json"])
+def test_enumerate_output_matches_golden(capsys, kind, fmt):
+    # The stdout of each command at its default bounds.
+    code, out, err = run(capsys, "enumerate", "--type", kind,
+                         "--format", fmt)
+    assert (code, err) == (0, "")
+    assert out == (GOLDEN / "cli" / f"enumerate-{kind}.{fmt}.out").read_text()
+
+
 def test_enumerate_json_mirrors_csv_fields(capsys):
     code, out, _ = run(capsys, "enumerate", "--type", "C", "--n", "2",
                        "--format", "json")
@@ -105,6 +115,18 @@ def test_eval_power_far_beyond_nilpotency_is_fast_and_binomial(capsys):
         want = want + ctx.gen1 ** j * math.comb(k, j)
     assert out == f"{want!r}\n"
     assert elapsed < 10.0
+
+
+def test_eval_result_past_the_print_limit_exits_2(capsys):
+    limit = sys.get_int_max_str_digits()
+    path = str(CONTEXTS / "w36.ctx")
+    code, out, _ = run(capsys, "eval", "--ctx", path, "2^14000")
+    assert code == 0
+    assert out == f"({2 ** 14000})*1\n"
+    code, out, err = run(capsys, "eval", "--ctx", path, "2^20000")
+    assert (code, out) == (2, "")
+    assert err == ("error: the result has too many digits to print "
+                   f"(limit: {limit} digits per integer)\n")
 
 
 def test_eval_oversized_power_exits_2_fast():

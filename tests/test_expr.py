@@ -64,6 +64,39 @@ def test_parse_depth_limit():
         parse_text(deep)
 
 
+@pytest.mark.parametrize("opener", ["(", "-", "-("])
+def test_parse_depth_counts_parentheses_and_unary_minus(opener):
+    # One level per parenthesis and per unary minus, so MAX_DEPTH of them
+    # parse and one more is rejected at its own column, the innermost.
+    def nested(levels):
+        text = "L * H"
+        for k in range(levels):
+            op = opener[k % len(opener)]
+            text = f"({text})" if op == "(" else f"-{text}"
+        return text
+
+    parse_text(nested(expr.MAX_DEPTH))
+    too_deep = nested(expr.MAX_DEPTH + 1)
+    with pytest.raises(ExprError, match="nested") as err:
+        parse_text(too_deep)
+    assert err.value.pos == expr.MAX_DEPTH + 1
+    # Sums and products inside the parentheses add no level, and a closed
+    # group gives its level back.
+    parse_text("(" * expr.MAX_DEPTH + "1+L*H^2-3*H" + ")" * expr.MAX_DEPTH)
+    parse_text(" + ".join(["(-L)"] * (2 * expr.MAX_DEPTH)))
+
+
+@pytest.mark.parametrize("text, pos", [
+    ("1" * 5000, 1),
+    ("L + 2/" + "1" * 5000, 5),
+    ("L^" + "1" * 5000, 3),
+], ids=["literal", "denominator", "exponent"])
+def test_parse_rejects_numbers_past_the_digit_limit(text, pos):
+    with pytest.raises(ExprError, match="digits") as err:
+        parse_text(text)
+    assert err.value.pos == pos
+
+
 def lh_ctx():
     return chow.RingCtx(5, ("L", "H"), F(-1), F(-1, 3), F(18))
 
