@@ -2,15 +2,30 @@
 rank-two Fano bundles on manifolds with cyclic second and fourth
 cohomology."""
 
-from .exact import QuadNum, quad, quad_pow, is_negative_real, arg_less_than
-from .chow import RingCtx, RingElem, BasisMap, reduce, intersection_degree
-from .slope import InvariantTuple, check_rho_tau, solve_nu_prime
-
 __version__ = "0.1.0"
 
-__all__ = [
-    "QuadNum", "quad", "quad_pow", "is_negative_real", "arg_less_than",
-    "RingCtx", "RingElem", "BasisMap", "reduce", "intersection_degree",
-    "InvariantTuple", "check_rho_tau", "solve_nu_prime",
-    "__version__",
-]
+# Each re-export is imported from its module on first access (PEP 562),
+# so that a command loads only the modules it runs.
+_EXPORTS = {
+    "QuadNum": "exact", "quad": "exact", "quad_pow": "exact",
+    "is_negative_real": "exact", "arg_less_than": "exact",
+    "RingCtx": "chow", "RingElem": "chow", "BasisMap": "chow",
+    "reduce": "chow", "intersection_degree": "chow",
+    "InvariantTuple": "slope", "check_rho_tau": "slope",
+    "solve_nu_prime": "slope",
+}
+
+__all__ = [*_EXPORTS, "__version__"]
+
+
+def __getattr__(name):
+    if name not in _EXPORTS:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    from importlib import import_module
+    value = getattr(import_module(f"{__name__}.{_EXPORTS[name]}"), name)
+    globals()[name] = value
+    return value
+
+
+def __dir__():
+    return sorted([*globals(), *_EXPORTS])

@@ -6,20 +6,28 @@ bundle structure (kind P), a blow-down along a codimension-two center
 candidate allowed by the exact threshold arithmetic, then applies
 realizability filters against the curated manifold dataset; candidates
 killed by a nontrivial argument carry an exclusion report with its exact
-witness values.  The congruence enumerator solves the separate counting
-problem for line congruences whose variety of minimal rational tangents
-splits into linear pieces.
+witness values.  The congruence enumerator and the family table live in
+`families` and are re-exported here.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import TYPE_CHECKING, Dict, List, Optional, Sequence, Tuple
 
-from . import chow, dataset, exact, slope
+from . import dataset, exact, slope
 from .dataset import FanoEntry
+# Re-exported as part of classify's public names; the benchmark traces
+# classify.enumerate_congruences.
+from .families import (DEFAULT_M_MAX, _FAMILY_ROWS,  # noqa: F401
+                       CongruenceProfile, CongruenceTuple, FamilyRow,
+                       congruence_profile, enumerate_congruences,
+                       family_table)
 from .slope import InvariantTuple
+
+if TYPE_CHECKING:
+    from . import chow
 
 # Labels of the admissible pairs, in the order of the final statement.
 _P_NAMES = {
@@ -30,7 +38,6 @@ _P_NAMES = {
 
 DEFAULT_N_MAX = 6
 DEFAULT_TAU_PRIME_MAX = 8
-DEFAULT_M_MAX = 19
 
 
 @dataclass(frozen=True)
@@ -39,44 +46,6 @@ class ExclusionReport:
     witness: Dict[str, object]
     citation: str
     candidate: Optional[InvariantTuple] = None
-
-
-@dataclass(frozen=True)
-class CongruenceTuple:
-    alpha: int
-    z: int
-    m: int
-
-    def __post_init__(self):
-        if self.m - self.z - 1 <= 0 or self.alpha * (self.m - self.z - 1) != self.m - 1:
-            raise ValueError("alpha must equal (m-1)/(m-z-1) exactly")
-        # alpha = 2 would force the two linear pieces to meet; ruled out.
-        if self.alpha < 3:
-            raise ValueError("alpha must be at least 3")
-        if not (0 < 3 * self.z <= 2 * self.m):
-            raise ValueError("z must satisfy 0 < z <= 2m/3")
-
-
-@dataclass(frozen=True)
-class CongruenceProfile:
-    index: int
-    vmrt_components: int
-    vmrt_dim: int
-    deg_z: Fraction
-    bound: int
-
-
-@dataclass(frozen=True)
-class FamilyRow:
-    x_prime: str
-    moduli: str
-    tau_moduli: int
-    x: str
-    tau: int
-
-    @property
-    def pullback_factor(self) -> Fraction:
-        return Fraction(self.tau_moduli, self.tau)
 
 
 @dataclass(frozen=True)
@@ -321,7 +290,11 @@ _CITE_SCHWARZ = ("Chern classes of a rank-three bundle on projective "
                  "five-space satisfy c1*c2 = c3 (mod 2)")
 
 
+# chow is imported inside the three functions below, the n=5 dossiers,
+# so that every other enumeration runs without compiling it.
+
 def _w36_context() -> chow.RingCtx:
+    from . import chow
     return chow.RingCtx(5, ("L", "H"), Fraction(-1), Fraction(-1, 3),
                         Fraction(18))
 
@@ -329,6 +302,7 @@ def _w36_context() -> chow.RingCtx:
 def kprime_context_1_4() -> chow.RingCtx:
     """The (-K', H') context of the tau = 1, tau' = 4 conic candidate,
     derived from the (L, H) context with L^2 = -LH - H^2/3, LH^5 = 18."""
+    from . import chow
     ctx = _w36_context()
     # L = -(-K') - 3H', H = (-K') + 4H'.
     m = chow.BasisMap(((Fraction(-1), Fraction(-3)),
@@ -344,6 +318,7 @@ def exclude_1_4() -> ExclusionReport:
     the parity condition.  The functional is evaluated two independent
     ways: directly in the (L, H) ring and in the derived (-K', H') ring.
     """
+    from . import chow
     c1p = Fraction(c1_prime_int(5, 1, 4))
     # Direct (L, H) expansion: K' = 4L + 3H, H' = L + H.
     ctx = _w36_context()
@@ -497,66 +472,3 @@ def enumerate_type_C(n: int,
             ))
     rows.sort(key=_sort_key)
     return rows, reports
-
-
-# -- family table ------------------------------------------------------------
-
-_FAMILY_ROWS = (
-    FamilyRow("P2", "P2", 2, "P2", 1),
-    FamilyRow("P3", "G(1,3)", 1, "V_4^3", 1),
-    FamilyRow("Q3", "P3", 2, "Q3", 2),
-    FamilyRow("K(G2)", "Q5", 3, "V_4^5", 3),
-    FamilyRow("Q5", "G(1,6)_Q5", 1, "W_36^5", 1),
-)
-
-
-def family_table() -> List[FamilyRow]:
-    """Admissible conic pairs with the parameter space of the conic
-    family and the pullback factor of its ample generator."""
-    return list(_FAMILY_ROWS)
-
-
-# -- congruences -------------------------------------------------------------
-
-def enumerate_congruences(m_max: int = DEFAULT_M_MAX) -> List[CongruenceTuple]:
-    """All (alpha, z, m) with m <= m_max, alpha = (m-1)/(m-z-1) an
-    integer >= 3, and 0 < z <= 2m/3.
-
-    The loop runs over the divisor t = m-1-z, not over z.  alpha >= 3
-    means 3t <= m-1, so t <= (m-1)//3 (alpha = 2 is impossible; see
-    CongruenceTuple), and then z = m-1-t >= 2(m-1)/3 > 0.  The integer
-    z <= 2m/3 means t >= m-1-2m//3, and t >= 1 for alpha = (m-1)/t to be
-    defined.  That range holds at most two values of t for each m, so
-    the scan is O(m_max).
-    """
-    if m_max < 3:
-        raise ValueError("m_max must be at least 3")
-    out = []
-    for m in range(3, m_max + 1):
-        for t in range(max(1, m - 1 - 2 * m // 3), (m - 1) // 3 + 1):
-            if (m - 1) % t == 0:
-                out.append(CongruenceTuple((m - 1) // t, m - 1 - t, m))
-    out.sort(key=lambda c: (c.alpha, c.z, c.m))
-    return out
-
-
-def congruence_profile(t: CongruenceTuple, lzh) -> CongruenceProfile:
-    """Numeric profile of a congruence solution.
-
-    The fundamental locus Z has degree alpha^(m-z) - L^z*H^(m-z), with
-    the mixed intersection number supplied by the caller; it is strictly
-    below alpha^(m-z), so Z is never a complete intersection of the
-    expected multidegree.
-    """
-    lzh = Fraction(lzh)
-    if lzh <= 0:
-        raise ValueError("L^z*H^(m-z) must be positive")
-    index = t.m - t.z
-    bound = t.alpha ** index
-    return CongruenceProfile(
-        index=index,
-        vmrt_components=t.alpha,
-        vmrt_dim=index - 2,
-        deg_z=Fraction(bound) - lzh,
-        bound=bound,
-    )

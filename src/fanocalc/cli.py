@@ -2,19 +2,23 @@
 
 All output is deterministic: fixed column order, rationals printed as
 "p/q", LF line endings.  Exit codes: 0 success, 1 failed verification,
-2 usage or input errors.
+2 usage or input errors.  A reader that closes stdout early, such as
+`head`, ends the command quietly with exit code 0.
 """
 
 from __future__ import annotations
 
 import argparse
-import csv
-import json
+import os
 import sys
-from typing import Dict, List, Optional, Sequence
+from typing import TYPE_CHECKING, Dict, List, Optional, Sequence
 
-from . import chow, classify
-from .slope import CSV_COLUMNS, tuple_to_row
+if TYPE_CHECKING:
+    from . import chow, classify
+
+# Each command imports the modules it runs, and no fanocalc module is
+# imported here: with no cached bytecode, every module loaded is compiled
+# from source on each start.
 
 FORMATS = ("table", "csv", "json")
 
@@ -29,6 +33,7 @@ def emit(columns: Sequence[str], rows: Sequence[Sequence], fmt: str,
     their Python type, where table and CSV print str(cell).
     """
     if fmt == "json":
+        import json
         payload = [dict(zip(columns, row)) for row in rows]
         if notes is not None:
             payload = {"header": list(notes), "rows": payload}
@@ -37,6 +42,7 @@ def emit(columns: Sequence[str], rows: Sequence[Sequence], fmt: str,
     for note in notes or ():
         print(f"# {note}")
     if fmt == "csv":
+        import csv
         writer = csv.writer(sys.stdout, lineterminator="\n")
         writer.writerow(columns)
         writer.writerows(rows)
@@ -70,8 +76,6 @@ def _print_report(rep: classify.ExclusionReport) -> None:
 
 
 def cmd_verify(ns: argparse.Namespace) -> int:
-    # verify and expr are imported by the one command that needs each:
-    # every other command then skips compiling and running them.
     from . import verify
     results = verify.run_all()
     failures = 0
@@ -88,14 +92,21 @@ def cmd_verify(ns: argparse.Namespace) -> int:
 def cmd_enumerate(ns: argparse.Namespace) -> int:
     kind, fmt = ns.kind, ns.fmt
     if kind == "congruence":
+        from . import families
+        m_max = families.DEFAULT_M_MAX if ns.m_max is None else ns.m_max
         rows = [(t.alpha, t.z, t.m)
-                for t in classify.enumerate_congruences(ns.m_max)]
-        emit(("alpha", "z", "m"), rows, fmt, [f"bounds: m_max={ns.m_max}"])
+                for t in families.enumerate_congruences(m_max)]
+        emit(("alpha", "z", "m"), rows, fmt, [f"bounds: m_max={m_max}"])
         return 0
+    from . import classify
+    from .slope import CSV_COLUMNS, tuple_to_row
     if kind == "D":
-        result = classify.enumerate_type_D(ns.n_max, ns.tau_prime_max)
+        n_max = classify.DEFAULT_N_MAX if ns.n_max is None else ns.n_max
+        tau_prime_max = classify.DEFAULT_TAU_PRIME_MAX \
+            if ns.tau_prime_max is None else ns.tau_prime_max
+        result = classify.enumerate_type_D(n_max, tau_prime_max)
         emit(CSV_COLUMNS, [tuple_to_row(t) for t in result.tuples], fmt,
-             [f"bounds: n_max={ns.n_max} tau_prime_max={ns.tau_prime_max}"])
+             [f"bounds: n_max={n_max} tau_prime_max={tau_prime_max}"])
         if fmt == "table":
             print()
             print("raw table (n, i, tau, c1, c2, d, d', tau', i'):")
@@ -145,7 +156,7 @@ def _eval_bindings(ctx: chow.RingCtx) -> Dict[str, object]:
 
 
 def cmd_eval(ns: argparse.Namespace) -> int:
-    from . import expr
+    from . import chow, expr
     try:
         ctx = chow.load_context(ns.ctx_path)
     except OSError as err:
@@ -173,14 +184,16 @@ def cmd_eval(ns: argparse.Namespace) -> int:
 
 
 def cmd_exclusions(ns: argparse.Namespace) -> int:
+    from . import classify
     exclude = {"1-4": classify.exclude_1_4, "2-1": classify.exclude_2_1}
     _print_report(exclude[ns.case]())
     return 0
 
 
 def cmd_family_table(ns: argparse.Namespace) -> int:
+    from .families import family_table
     rows = [(r.x_prime, r.moduli, str(r.tau_moduli), r.x, str(r.tau),
-             str(r.pullback_factor)) for r in classify.family_table()]
+             str(r.pullback_factor)) for r in family_table()]
     emit(("X_prime", "family_space", "tau_family", "X", "tau", "factor"),
          rows, ns.fmt)
     return 0
@@ -200,10 +213,12 @@ def build_parser() -> argparse.ArgumentParser:
     enum.add_argument("--type", required=True, dest="kind",
                       choices=("P", "D", "C", "congruence"))
     enum.add_argument("--n", type=int)
-    enum.add_argument("--n-max", type=int, default=classify.DEFAULT_N_MAX)
-    enum.add_argument("--tau-prime-max", type=int,
-                      default=classify.DEFAULT_TAU_PRIME_MAX)
-    enum.add_argument("--m-max", type=int, default=classify.DEFAULT_M_MAX)
+    # The bounds default to None, which cmd_enumerate reads as the
+    # enumerator's own default constant: building the parser imports
+    # neither classify nor families.
+    enum.add_argument("--n-max", type=int)
+    enum.add_argument("--tau-prime-max", type=int)
+    enum.add_argument("--m-max", type=int)
     enum.add_argument("--format", dest="fmt", choices=FORMATS, default="table")
     ev = sub.add_parser("eval", help="evaluate a ring expression")
     ev.set_defaults(func=cmd_eval)
@@ -218,18 +233,36 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def run(argv: Optional[List[str]] = None) -> int:
+def _dispatch(argv: Optional[List[str]]) -> int:
     try:
         ns = build_parser().parse_args(argv)
     except SystemExit as err:
         return 2 if err.code not in (0, None) else 0
     try:
         return ns.func(ns)
+    except BrokenPipeError:
+        raise  # not an input error; see run
     except (OSError, ValueError) as err:
         # Unreadable files, and contexts, bounds or datasets the library
         # rejects.
         print(f"input error: {err}", file=sys.stderr)
         return 2
+
+
+def run(argv: Optional[List[str]] = None) -> int:
+    try:
+        code = _dispatch(argv)
+        # Flushed here, so that a reader gone early is seen below and not
+        # at interpreter exit.
+        sys.stdout.flush()
+    except BrokenPipeError:
+        # The reader closed stdout, as `| head` does: a quiet exit.
+        # stdout is pointed at devnull so that the interpreter's own flush
+        # at exit does not fail again (the SIGPIPE note in the docs of the
+        # signal module).
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return 0
+    return code
 
 
 def main() -> None:

@@ -19,6 +19,9 @@ from typing import Dict, List, Optional, Tuple, Union
 from .chow import RingCtx, RingElem, intersection_degree
 
 MAX_DEPTH = 64
+# Longest expression, in tokens.  A flat sum, product or power chain adds
+# no nesting level, and evaluation walks it without recursion.
+MAX_TOKENS = 50_000
 # Largest power evaluated, in bits, estimated before computing it.
 MAX_POW_BITS = 1 << 20
 
@@ -125,6 +128,9 @@ def tokenize(text: str) -> List[Token]:
             i = j
             continue
         raise ExprError(f"unknown character {ch!r}", pos)
+    if len(tokens) > MAX_TOKENS:
+        raise ExprError(f"more than {MAX_TOKENS} tokens",
+                        tokens[MAX_TOKENS].pos)
     return tokens
 
 
@@ -229,6 +235,18 @@ def parse_text(text: str) -> Node:
     return parse(tokenize(text))
 
 
+def _chain(node: Node, kind: type, attr: str) -> Tuple[Node, List[Node]]:
+    """Split the left-deep chain of `kind` nodes at `node`: the operand at
+    its bottom, and the chain's nodes from the innermost out.  `attr`
+    names the child that continues the chain (left, or base for Pow)."""
+    links = []
+    while isinstance(node, kind):
+        links.append(node)
+        node = getattr(node, attr)
+    links.reverse()
+    return node, links
+
+
 def to_text(node: Node) -> str:
     """Pretty printer; parse(to_text(parse(s))) equals parse(s)."""
 
@@ -245,16 +263,26 @@ def to_text(node: Node) -> str:
         # would reassociate without parentheses.
         return "-" + wrap(node.child, Add, Mul)
     if isinstance(node, Add):
-        if isinstance(node.right, Neg):
-            return f"{to_text(node.left)} - {wrap(node.right.child, Add)}"
-        return f"{to_text(node.left)} + {wrap(node.right, Add)}"
+        first, links = _chain(node, Add, "left")
+        parts = [to_text(first)]
+        for link in links:
+            if isinstance(link.right, Neg):
+                parts.append(f" - {wrap(link.right.child, Add)}")
+            else:
+                parts.append(f" + {wrap(link.right, Add)}")
+        return "".join(parts)
     if isinstance(node, Mul):
-        return f"{wrap(node.left, Add)}*{wrap(node.right, Add, Mul)}"
+        first, links = _chain(node, Mul, "left")
+        return "*".join([wrap(first, Add),
+                         *(wrap(link.right, Add, Mul) for link in links)])
     if isinstance(node, Pow):
-        base = to_text(node.base)
-        if not isinstance(node.base, (Sym, Lit)):
-            base = f"({base})"
-        return f"{base}^{node.exponent}"
+        # x^a^b parses as (x^a)^b, and prints with its parentheses.
+        base, links = _chain(node, Pow, "base")
+        text = to_text(base)
+        if not isinstance(base, (Sym, Lit)):
+            text = f"({text})"
+        return "(" * (len(links) - 1) + text + ")".join(
+            f"^{link.exponent}" for link in links)
     raise TypeError(f"unknown node {node!r}")
 
 
@@ -277,7 +305,28 @@ def _lift(v: Value, ctx: RingCtx) -> RingElem:
     return ctx.scalar(Fraction(v))
 
 
+def _pow(base: Value, node: Pow) -> Value:
+    k = node.exponent
+    # The scalar s = p/q, or the scalar part of a ring element (the
+    # rest is nilpotent), makes s^k about k times as long as s.  For
+    # s in {0, 1, -1} the size grows only polynomially in k.
+    if isinstance(base, RingElem):
+        p, q = base.vec[0], base.den
+    else:
+        p, q = base.numerator, base.denominator
+    if p and abs(p) != q:
+        g = gcd(p, q)
+        bits = k * max((p // g).bit_length(), (q // g).bit_length())
+        if bits > MAX_POW_BITS:
+            raise ExprError(f"power too large: about {bits} bits, "
+                            f"above the limit of {MAX_POW_BITS}",
+                            node.pos)
+    return base ** k
+
+
 def _eval(node: Node, ctx: RingCtx, bindings: Bindings) -> Value:
+    # A chain of one binary operator is folded in a loop from its
+    # innermost node out, so its length costs no recursion depth.
     if isinstance(node, Lit):
         return node.value
     if isinstance(node, Sym):
@@ -289,37 +338,33 @@ def _eval(node: Node, ctx: RingCtx, bindings: Bindings) -> Value:
         v = _eval(node.child, ctx, bindings)
         return -v
     if isinstance(node, Add):
-        a = _eval(node.left, ctx, bindings)
-        b = _eval(node.right, ctx, bindings)
-        if isinstance(a, RingElem) or isinstance(b, RingElem):
-            return _lift(a, ctx) + _lift(b, ctx)
-        return a + b
+        first, links = _chain(node, Add, "left")
+        a = _eval(first, ctx, bindings)
+        for link in links:
+            b = _eval(link.right, ctx, bindings)
+            if isinstance(a, RingElem) or isinstance(b, RingElem):
+                a = _lift(a, ctx) + _lift(b, ctx)
+            else:
+                a = a + b
+        return a
     if isinstance(node, Mul):
-        a = _eval(node.left, ctx, bindings)
-        b = _eval(node.right, ctx, bindings)
-        if isinstance(a, RingElem):
-            return a * b if isinstance(b, RingElem) else a.scale(b)
-        if isinstance(b, RingElem):
-            return b.scale(a)
-        return a * b
+        first, links = _chain(node, Mul, "left")
+        a = _eval(first, ctx, bindings)
+        for link in links:
+            b = _eval(link.right, ctx, bindings)
+            if isinstance(a, RingElem):
+                a = a * b if isinstance(b, RingElem) else a.scale(b)
+            elif isinstance(b, RingElem):
+                a = b.scale(a)
+            else:
+                a = a * b
+        return a
     if isinstance(node, Pow):
-        base = _eval(node.base, ctx, bindings)
-        k = node.exponent
-        # The scalar s = p/q, or the scalar part of a ring element (the
-        # rest is nilpotent), makes s^k about k times as long as s.  For
-        # s in {0, 1, -1} the size grows only polynomially in k.
-        if isinstance(base, RingElem):
-            p, q = base.vec[0], base.den
-        else:
-            p, q = base.numerator, base.denominator
-        if p and abs(p) != q:
-            g = gcd(p, q)
-            bits = k * max((p // g).bit_length(), (q // g).bit_length())
-            if bits > MAX_POW_BITS:
-                raise ExprError(f"power too large: about {bits} bits, "
-                                f"above the limit of {MAX_POW_BITS}",
-                                node.pos)
-        return base ** k
+        base, links = _chain(node, Pow, "base")
+        value = _eval(base, ctx, bindings)
+        for link in links:
+            value = _pow(value, link)
+        return value
     raise TypeError(f"unknown node {node!r}")
 
 

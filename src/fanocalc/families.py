@@ -1,0 +1,122 @@
+"""Line congruences and the conic family table.
+
+The congruence enumerator solves the counting problem for line
+congruences whose variety of minimal rational tangents splits into
+linear pieces; the family table lists the admissible conic pairs with
+the parameter space of their conic family.  Both need only integers, so
+this module imports no numeric module and no `dataclasses` at import
+time: `family-table` and `enumerate --type congruence` load it and the
+command line alone.  Its records are named tuples, so a record equals
+the plain tuple of its fields.
+"""
+
+from __future__ import annotations
+
+from collections import namedtuple
+from typing import TYPE_CHECKING, List, NamedTuple
+
+if TYPE_CHECKING:
+    from fractions import Fraction
+
+DEFAULT_M_MAX = 19
+
+
+class CongruenceTuple(namedtuple("CongruenceTuple", "alpha z m")):
+    """A solution (alpha, z, m), validated when it is built."""
+
+    __slots__ = ()
+
+    def __new__(cls, alpha: int, z: int, m: int) -> "CongruenceTuple":
+        if m - z - 1 <= 0 or alpha * (m - z - 1) != m - 1:
+            raise ValueError("alpha must equal (m-1)/(m-z-1) exactly")
+        # alpha = 2 would force the two linear pieces to meet; ruled out.
+        if alpha < 3:
+            raise ValueError("alpha must be at least 3")
+        if not (0 < 3 * z <= 2 * m):
+            raise ValueError("z must satisfy 0 < z <= 2m/3")
+        return super().__new__(cls, alpha, z, m)
+
+
+class CongruenceProfile(NamedTuple):
+    index: int
+    vmrt_components: int
+    vmrt_dim: int
+    deg_z: Fraction
+    bound: int
+
+
+class FamilyRow(NamedTuple):
+    x_prime: str
+    moduli: str
+    tau_moduli: int
+    x: str
+    tau: int
+
+    @property
+    def pullback_factor(self) -> Fraction:
+        from fractions import Fraction
+        return Fraction(self.tau_moduli, self.tau)
+
+
+# -- family table ------------------------------------------------------------
+
+_FAMILY_ROWS = (
+    FamilyRow("P2", "P2", 2, "P2", 1),
+    FamilyRow("P3", "G(1,3)", 1, "V_4^3", 1),
+    FamilyRow("Q3", "P3", 2, "Q3", 2),
+    FamilyRow("K(G2)", "Q5", 3, "V_4^5", 3),
+    FamilyRow("Q5", "G(1,6)_Q5", 1, "W_36^5", 1),
+)
+
+
+def family_table() -> List[FamilyRow]:
+    """Admissible conic pairs with the parameter space of the conic
+    family and the pullback factor of its ample generator."""
+    return list(_FAMILY_ROWS)
+
+
+# -- congruences -------------------------------------------------------------
+
+def enumerate_congruences(m_max: int = DEFAULT_M_MAX) -> List[CongruenceTuple]:
+    """All (alpha, z, m) with m <= m_max, alpha = (m-1)/(m-z-1) an
+    integer >= 3, and 0 < z <= 2m/3.
+
+    The loop runs over the divisor t = m-1-z, not over z.  alpha >= 3
+    means 3t <= m-1, so t <= (m-1)//3 (alpha = 2 is impossible; see
+    CongruenceTuple), and then z = m-1-t >= 2(m-1)/3 > 0.  The integer
+    z <= 2m/3 means t >= m-1-2m//3, and t >= 1 for alpha = (m-1)/t to be
+    defined.  That range holds at most two values of t for each m, so
+    the scan is O(m_max).
+    """
+    if m_max < 3:
+        raise ValueError("m_max must be at least 3")
+    out = []
+    for m in range(3, m_max + 1):
+        for t in range(max(1, m - 1 - 2 * m // 3), (m - 1) // 3 + 1):
+            if (m - 1) % t == 0:
+                out.append(CongruenceTuple((m - 1) // t, m - 1 - t, m))
+    out.sort()  # by (alpha, z, m), the tuple order
+    return out
+
+
+def congruence_profile(t: CongruenceTuple, lzh) -> CongruenceProfile:
+    """Numeric profile of a congruence solution.
+
+    The fundamental locus Z has degree alpha^(m-z) - L^z*H^(m-z), with
+    the mixed intersection number supplied by the caller; it is strictly
+    below alpha^(m-z), so Z is never a complete intersection of the
+    expected multidegree.
+    """
+    from fractions import Fraction
+    lzh = Fraction(lzh)
+    if lzh <= 0:
+        raise ValueError("L^z*H^(m-z) must be positive")
+    index = t.m - t.z
+    bound = t.alpha ** index
+    return CongruenceProfile(
+        index=index,
+        vmrt_components=t.alpha,
+        vmrt_dim=index - 2,
+        deg_z=Fraction(bound) - lzh,
+        bound=bound,
+    )

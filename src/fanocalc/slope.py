@@ -12,10 +12,12 @@ import csv
 import io
 from dataclasses import InitVar, dataclass, replace
 from fractions import Fraction
-from typing import Optional, Tuple, Union
+from typing import TYPE_CHECKING, Optional, Tuple, Union
 
-from .chow import RingCtx, intersection_degree
 from .exact import cos_sq_pi_over, integral_form, zmul, zpow
+
+if TYPE_CHECKING:
+    from .chow import RingCtx
 
 Rat = Fraction
 RatLike = Union[Fraction, int]
@@ -121,6 +123,8 @@ def pushforward_R(nu: int, nu_prime: int, c2_push_coeff: RatLike) -> Fraction:
 def adjunction_check(ctx_prime: RingCtx, c1p: RatLike,
                      deg_x_prime: RatLike) -> bool:
     """Check K'^2 * H'^(n-1) = c1' * deg(X') in a (-K', H') context."""
+    # The one use of chow here: the enumerators run without compiling it.
+    from .chow import intersection_degree
     n = ctx_prime.n
     g1, g2 = ctx_prime.gen1, ctx_prime.gen2
     val = intersection_degree(g1 * g1 * g2 ** (n - 1))  # (-K')^2 = K'^2

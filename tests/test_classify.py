@@ -3,7 +3,7 @@ from fractions import Fraction
 
 import pytest
 
-from fanocalc import classify, dataset, slope
+from fanocalc import classify, dataset, families, slope
 from fanocalc.classify import (CongruenceTuple, congruence_profile,
                                enumerate_congruences, enumerate_type_C,
                                enumerate_type_D, enumerate_type_P,
@@ -232,12 +232,36 @@ def test_congruences_match_quadratic_scan():
 
 def test_congruence_tuple_validation():
     CongruenceTuple(4, 6, 9)
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match=r"^alpha must be at least 3$"):
         CongruenceTuple(2, 1, 3)  # alpha = 2 ruled out
-    with pytest.raises(ValueError):
+    mismatch = r"^alpha must equal \(m-1\)/\(m-z-1\) exactly$"
+    with pytest.raises(ValueError, match=mismatch):
         CongruenceTuple(3, 3, 4)  # alpha mismatch
-    with pytest.raises(ValueError):
-        CongruenceTuple(9, 8, 9)  # z beyond 2m/3
+    with pytest.raises(ValueError, match=mismatch):
+        CongruenceTuple(9, 8, 9)  # z beyond 2m/3 leaves no integer alpha
+    # With alpha an integer >= 3, z > 2m/3 needs a rational z and m.
+    with pytest.raises(ValueError, match=r"^z must satisfy 0 < z <= 2m/3$"):
+        CongruenceTuple(100, F(99, 40), F(7, 2))
+
+
+def test_congruence_tuple_value_semantics():
+    # Equality, hash and repr as the frozen dataclass had them.
+    t = CongruenceTuple(4, 6, 9)
+    assert t == CongruenceTuple(4, 6, 9) and t != CongruenceTuple(3, 4, 7)
+    assert hash(t) == hash(CongruenceTuple(4, 6, 9)) == hash((4, 6, 9))
+    assert len({t, CongruenceTuple(4, 6, 9)}) == 1
+    assert repr(t) == "CongruenceTuple(alpha=4, z=6, m=9)"
+    with pytest.raises(AttributeError):
+        t.alpha = 5
+    assert (t.alpha, t.z, t.m) == (4, 6, 9)
+
+
+@pytest.mark.parametrize("name", [
+    "CongruenceTuple", "CongruenceProfile", "enumerate_congruences",
+    "congruence_profile", "DEFAULT_M_MAX", "FamilyRow", "_FAMILY_ROWS",
+    "family_table"])
+def test_families_names_reexported_by_classify(name):
+    assert getattr(classify, name) is getattr(families, name)
 
 
 def test_congruence_profile():

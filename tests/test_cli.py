@@ -257,30 +257,92 @@ def test_dataset_bad_file_exits_2(capsys, tmp_path, monkeypatch, text,
     assert err == f"input error: {path}: {message}\n"
 
 
-# Each command imports only the modules it runs: verify and expr are
-# compiled from source on every start when bytecode is not cached.
+# Each command imports only the modules it runs: with no cached bytecode
+# every module loaded is compiled from source on each start.  The probe
+# prints the exit code, whether dataclasses (and with it inspect) was
+# loaded, and the fanocalc modules loaded.
 _IMPORT_PROBE = """\
 import contextlib, io, sys
 from fanocalc import cli
 with contextlib.redirect_stdout(io.StringIO()):
     code = cli.run(sys.argv[1:])
-print(code, *sorted(m for m in ("fanocalc.verify", "fanocalc.expr")
-                    if m in sys.modules))
+print(code, "dataclasses" in sys.modules)
+print(*sorted(m.partition(".")[2] for m in sys.modules
+              if m.startswith("fanocalc.")))
 """
+_ENUMERATE = "classify cli dataset exact families slope"
+_DOSSIERS = "chow " + _ENUMERATE
 
 
-@pytest.mark.parametrize("argv, loaded", [
-    (("enumerate", "--type", "C"), ""),
-    (("exclusions", "--case", "1-4"), ""),
-    (("family-table",), ""),
-    (("eval", "--ctx", str(CONTEXTS / "w36.ctx"), "L*H^5"), " fanocalc.expr"),
+@pytest.mark.parametrize("argv, modules", [
+    pytest.param(("--help",), "cli", id="help"),
+    pytest.param(("family-table",), "cli families", id="family-table"),
+    pytest.param(("enumerate", "--type", "congruence"), "cli families",
+                 id="enumerate-congruence"),
+    pytest.param(("enumerate", "--type", "P"), _ENUMERATE, id="enumerate-P"),
+    pytest.param(("enumerate", "--type", "D"), _ENUMERATE, id="enumerate-D"),
+    pytest.param(("enumerate", "--type", "C", "--n", "2"), _ENUMERATE,
+                 id="enumerate-C-n2"),
+    pytest.param(("enumerate", "--type", "C", "--n", "3"), _ENUMERATE,
+                 id="enumerate-C-n3"),
+    pytest.param(("enumerate", "--type", "C", "--n", "5"), _DOSSIERS,
+                 id="enumerate-C-n5"),
+    pytest.param(("enumerate", "--type", "C"), _DOSSIERS, id="enumerate-C"),
+    pytest.param(("exclusions", "--case", "1-4"), _DOSSIERS,
+                 id="exclusions-1-4"),
+    pytest.param(("exclusions", "--case", "2-1"), _ENUMERATE,
+                 id="exclusions-2-1"),
+    pytest.param(("eval", "--ctx", str(CONTEXTS / "w36.ctx"), "L*H^5"),
+                 "chow cli expr", id="eval"),
+    pytest.param(("verify",), "chow classify cli dataset exact expr families "
+                 "slope verify", id="verify"),
 ])
-def test_commands_import_only_what_they_run(argv, loaded):
+def test_commands_import_only_what_they_run(argv, modules):
     src = pathlib.Path(cli.__file__).parent.parent
     env = dict(os.environ, PYTHONPATH=str(src))
     proc = subprocess.run([sys.executable, "-c", _IMPORT_PROBE, *argv],
                           env=env, capture_output=True, text=True, timeout=120)
-    assert proc.stdout == f"0{loaded}\n", proc.stderr
+    dataclasses = not set(modules.split()) <= {"cli", "families"}
+    assert proc.stdout == f"0 {dataclasses}\n{modules}\n", proc.stderr
+
+
+def test_closed_stdout_is_a_quiet_exit():
+    # The output, about 1.3 MB, is larger than a pipe buffer can be, so the
+    # command is still writing when the reader goes.
+    src = pathlib.Path(cli.__file__).parent.parent
+    env = dict(os.environ, PYTHONPATH=str(src))
+    proc = subprocess.Popen([sys.executable, "-m", "fanocalc", "enumerate",
+                             "--type", "congruence", "--m-max", "200000"],
+                            env=env, stdout=subprocess.PIPE,
+                            stderr=subprocess.PIPE)
+    first = proc.stdout.readline()
+    proc.stdout.close()
+    err = proc.stderr.read()
+    proc.stderr.close()
+    assert (proc.wait(timeout=120), err) == (0, b"")
+    assert first == b"# bounds: m_max=200000\n"
+
+
+@pytest.mark.parametrize("text, want", [
+    pytest.param("+".join(["L"] * 2000), "(2000)*L", id="sum"),
+    pytest.param("*".join(["2"] * 2000), f"({2 ** 2000})*1", id="product"),
+])
+def test_eval_flat_chain(capsys, text, want):
+    # One node per term, so a recursive walk would pass the interpreter's
+    # recursion limit.
+    code, out, err = run(capsys, "eval", "--ctx", str(CONTEXTS / "w36.ctx"),
+                         text)
+    assert (code, out, err) == (0, want + "\n", "")
+
+
+def test_eval_past_the_token_cap_exits_2(capsys):
+    from fanocalc.expr import MAX_TOKENS
+    text = "+".join(["L"] * (MAX_TOKENS // 2 + 1))  # MAX_TOKENS + 1 tokens
+    code, out, err = run(capsys, "eval", "--ctx", str(CONTEXTS / "w36.ctx"),
+                         text)
+    assert (code, out) == (2, "")
+    assert err == (f"error: column {MAX_TOKENS + 1}: "
+                   f"more than {MAX_TOKENS} tokens\n")
 
 
 def test_output_byte_stable(capsys):

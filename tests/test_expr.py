@@ -86,6 +86,35 @@ def test_parse_depth_counts_parentheses_and_unary_minus(opener):
     parse_text(" + ".join(["(-L)"] * (2 * expr.MAX_DEPTH)))
 
 
+def test_parse_token_cap():
+    # MAX_TOKENS tokens parse; one more is refused at its own column.
+    half = expr.MAX_TOKENS // 2
+    parse_text("-" + "+".join(["L"] * half))
+    with pytest.raises(ExprError, match="more than") as err:
+        parse_text("+".join(["L"] * (half + 1)))
+    assert err.value.pos == expr.MAX_TOKENS + 1
+
+
+@pytest.mark.parametrize("terms", [2000, 20000])
+def test_flat_chains_evaluate_and_print_without_recursion(terms):
+    # A chain of one operator is a left-deep tree as deep as it is long.
+    ctx = lh_ctx()
+    x = ctx.scalar(1) + ctx.gen1
+    bindings = {"x": x}
+    cases = [
+        ("+".join(["x"] * terms), " + ".join(["x"] * terms), x.scale(terms)),
+        ("*".join(["x"] * terms), "*".join(["x"] * terms), x ** terms),
+        ("x" + "^1" * terms,
+         "(" * (terms - 1) + "x^1" + ")^1" * (terms - 1), x),
+    ]
+    for text, printed, want in cases:
+        ast = parse_text(text)
+        assert evaluate(ast, ctx, bindings).element == want
+        assert to_text(ast) == printed
+    assert evaluate_text("*".join(["2"] * terms), ctx, bindings).element \
+        == ctx.scalar(2 ** terms)
+
+
 @pytest.mark.parametrize("text, pos", [
     ("1" * 5000, 1),
     ("L + 2/" + "1" * 5000, 5),

@@ -1,0 +1,65 @@
+"""The package's public surface, which is imported lazily (PEP 562)."""
+
+import os
+import pathlib
+import subprocess
+import sys
+
+import pytest
+
+import fanocalc
+
+SRC = pathlib.Path(fanocalc.__file__).parent.parent
+EXPECTED_ALL = [
+    "QuadNum", "quad", "quad_pow", "is_negative_real", "arg_less_than",
+    "RingCtx", "RingElem", "BasisMap", "reduce", "intersection_degree",
+    "InvariantTuple", "check_rho_tau", "solve_nu_prime",
+    "__version__",
+]
+
+
+def fresh(code):
+    env = dict(os.environ, PYTHONPATH=str(SRC))
+    proc = subprocess.run([sys.executable, "-c", code], env=env,
+                          capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    return proc.stdout
+
+
+def test_all_is_unchanged():
+    assert fanocalc.__all__ == EXPECTED_ALL
+
+
+def test_every_name_resolves_in_a_fresh_interpreter():
+    out = fresh("import fanocalc, sys\n"
+                "for name in fanocalc.__all__:\n"
+                "    value = getattr(fanocalc, name)\n"
+                "    home = getattr(value, '__module__', 'fanocalc')\n"
+                "    print(name, home.rpartition('.')[2])\n")
+    homes = dict(line.split() for line in out.splitlines())
+    assert list(homes) == EXPECTED_ALL
+    assert {homes[n] for n in EXPECTED_ALL[:5]} == {"exact"}
+    assert {homes[n] for n in EXPECTED_ALL[5:10]} == {"chow"}
+    assert {homes[n] for n in EXPECTED_ALL[10:13]} == {"slope"}
+
+
+def test_star_import_in_a_fresh_interpreter():
+    out = fresh("from fanocalc import *\n"
+                "from fanocalc import chow, exact, slope\n"
+                "print(QuadNum is exact.QuadNum, reduce is chow.reduce,\n"
+                "      solve_nu_prime is slope.solve_nu_prime, __version__)\n")
+    assert out == "True True True 0.1.0\n"
+
+
+def test_names_match_their_modules():
+    from fanocalc import chow, exact, slope
+    assert fanocalc.RingElem is chow.RingElem
+    assert fanocalc.quad_pow is exact.quad_pow
+    assert fanocalc.InvariantTuple is slope.InvariantTuple
+    assert set(EXPECTED_ALL) <= set(dir(fanocalc))
+
+
+def test_unknown_attribute_raises_attribute_error():
+    with pytest.raises(AttributeError, match="no attribute 'no_such_name'"):
+        fanocalc.no_such_name
+    assert not hasattr(fanocalc, "enumerate_type_C")
