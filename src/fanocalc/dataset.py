@@ -15,7 +15,7 @@ import os
 from dataclasses import dataclass
 from fractions import Fraction
 from importlib import resources
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, List, Optional
 
 DATA_ENV_VAR = "FANOCALC_DATA"
 
@@ -81,24 +81,6 @@ def load_dataset(path: Optional[str] = None) -> List[FanoEntry]:
                 raise ValueError(f"{path}: line {reader.line_num}: {err}") \
                     from None
     return entries
-
-
-def match_manifolds(dim: int, index: int, degree,
-                    dataset: Optional[List[FanoEntry]] = None,
-                    ) -> Tuple[List[FanoEntry], Optional[str]]:
-    """All dataset entries with the given dimension, index and degree.
-
-    An empty list is meaningful: no known manifold realizes the numbers.
-    A non-integral degree can never match and is flagged as the reason.
-    """
-    degree = Fraction(degree)
-    if degree.denominator != 1:
-        return [], "non_integral_degree"
-    if dataset is None:
-        dataset = load_dataset()
-    hits = [e for e in dataset
-            if e.dim == dim and e.index == index and e.degree == degree]
-    return hits, None
 
 
 def load_c2_pushforward(path: Optional[str] = None) -> Dict[int, Fraction]:

@@ -1,30 +1,29 @@
 """Exact arithmetic in quadratic extensions Q(sqrt(delta)) with delta < 0.
 
-Numbers are stored as a + b*sqrt(delta) with a, b, delta all rational and
-delta negative, so every value is a genuinely complex number whose argument
-lies in (0, pi) exactly when b > 0.  No floating point is used anywhere in
-this package.
+A number a + b*sqrt(delta), with a, b, delta rational and delta negative,
+is a genuinely complex number whose argument lies in (0, pi) exactly when
+b > 0.  No floating point is used anywhere in this package.
 
-Powers and sign tests run on plain ints.  Write delta = p/q in lowest
-terms, so that sqrt(delta) = sqrt(D)/q with D = p*q.  For the positive
-integer s = lcm(den(a), den(b/q)),
+Every number is stored in one integral form.  Write delta = p/q in lowest
+terms, so that sqrt(delta) = sqrt(D)/q with D = p*q.  For the least
+positive integer s = lcm(den(a), den(b/q)),
 
     s * (a + b*sqrt(delta)) = A + B*sqrt(D)    with A, B integers,
 
-an element of Z[sqrt(D)] (see integral_form).  Scaling by a positive
-number changes neither the sign of the imaginary part nor whether a
-number is a negative real, so every threshold test is decided on int
-pairs (A, B); quad_pow divides by s^m once, at the end.
+an element of Z[sqrt(D)] (see integral_form), and gcd(A, B, s) = 1.
+Products and powers run on the int pair (A, B) and reduce by one gcd.
+Scaling by a positive number changes neither the sign of the imaginary
+part nor whether a number is a negative real, so every threshold test is
+decided on (A, B) alone.  a, b and delta are Fractions at the API.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
 from math import gcd, lcm
 from typing import Optional, Tuple, Union
 
-Rat = Fraction
 RatLike = Union[Fraction, int]
 IntPair = Tuple[int, int]
 
@@ -33,76 +32,73 @@ class DeltaMismatchError(ValueError):
     """Two quadratic numbers over different discriminants were combined."""
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, init=False, repr=False)
 class QuadNum:
-    """Element a + b*sqrt(delta) of Q(sqrt(delta)), delta < 0 rational."""
+    """Element a + b*sqrt(delta) of Q(sqrt(delta)), delta < 0 rational,
+    held as (A + B*sqrt(D))/s in lowest terms.  That form is unique, so
+    two numbers are equal exactly when their fields are."""
 
-    re: Fraction
-    im_coeff: Fraction
+    A: int
+    B: int
+    s: int
     delta: Fraction
+    D: int = field(compare=False)
 
-    def __post_init__(self):
-        object.__setattr__(self, "re", Fraction(self.re))
-        object.__setattr__(self, "im_coeff", Fraction(self.im_coeff))
-        object.__setattr__(self, "delta", Fraction(self.delta))
-        if self.delta >= 0:
-            raise ValueError(f"delta must be negative, got {self.delta}")
+    def __init__(self, re: RatLike, im_coeff: RatLike, delta: RatLike):
+        delta = Fraction(delta)
+        if delta >= 0:
+            raise ValueError(f"delta must be negative, got {delta}")
+        a, b, s, d = integral_form(Fraction(re), Fraction(im_coeff), delta)
+        # The class is frozen; fill its fields in one call, as _lowest does.
+        self.__dict__.update(A=a, B=b, s=s, D=d, delta=delta)
 
-    def _check(self, other: "QuadNum") -> None:
-        if self.delta != other.delta:
+    @property
+    def re(self) -> Fraction:
+        return Fraction(self.A, self.s)
+
+    @property
+    def im_coeff(self) -> Fraction:
+        # B*sqrt(D) = B*q*sqrt(delta).
+        return Fraction(self.B * self.delta.denominator, self.s)
+
+    def __mul__(self, other: "QuadNum") -> "QuadNum":
+        if other.delta is not self.delta and other.delta != self.delta:
             raise DeltaMismatchError(
                 f"cannot mix sqrt({self.delta}) with sqrt({other.delta})"
             )
-
-    def __add__(self, other: "QuadNum") -> "QuadNum":
-        self._check(other)
-        return QuadNum(self.re + other.re, self.im_coeff + other.im_coeff, self.delta)
-
-    def __sub__(self, other: "QuadNum") -> "QuadNum":
-        self._check(other)
-        return QuadNum(self.re - other.re, self.im_coeff - other.im_coeff, self.delta)
-
-    def __neg__(self) -> "QuadNum":
-        return QuadNum(-self.re, -self.im_coeff, self.delta)
-
-    def __mul__(self, other: "QuadNum") -> "QuadNum":
-        self._check(other)
-        a, b, c, d = self.re, self.im_coeff, other.re, other.im_coeff
-        return QuadNum(a * c + b * d * self.delta, a * d + b * c, self.delta)
-
-    def scale(self, s: RatLike) -> "QuadNum":
-        s = Fraction(s)
-        return QuadNum(self.re * s, self.im_coeff * s, self.delta)
-
-    def conjugate(self) -> "QuadNum":
-        return QuadNum(self.re, -self.im_coeff, self.delta)
+        x, y = zmul((self.A, self.B), (other.A, other.B), self.D)
+        return _lowest(x, y, self.s * other.s, self)
 
     def norm(self) -> Fraction:
         """a^2 - delta*b^2; nonnegative, zero only at zero (delta < 0)."""
-        return self.re * self.re - self.delta * self.im_coeff * self.im_coeff
+        return Fraction(self.A * self.A - self.D * self.B * self.B,
+                        self.s * self.s)
 
     def is_zero(self) -> bool:
-        return self.re == 0 and self.im_coeff == 0
-
-    def im_sign(self) -> int:
-        """Sign of the imaginary part (sqrt(delta) lies on the positive
-        imaginary axis, so this is just the sign of the coefficient)."""
-        b = self.im_coeff
-        return (b > 0) - (b < 0)
+        return self.A == 0 and self.B == 0
 
     def __repr__(self) -> str:
         return f"QuadNum({self.re}, {self.im_coeff}, delta={self.delta})"
 
 
+def _lowest(x: int, y: int, s: int, like: QuadNum) -> QuadNum:
+    """(x + y*sqrt(D))/s over the discriminant of `like`, in lowest terms."""
+    g = gcd(x, y, s)
+    z = object.__new__(QuadNum)
+    z.__dict__.update(A=x // g, B=y // g, s=s // g, D=like.D, delta=like.delta)
+    return z
+
+
 def quad(re: RatLike, im_coeff: RatLike, delta: RatLike) -> QuadNum:
-    return QuadNum(Fraction(re), Fraction(im_coeff), Fraction(delta))
+    return QuadNum(re, im_coeff, delta)
 
 
 def integral_form(re: RatLike, im_coeff: RatLike,
                   delta: Fraction) -> Tuple[int, int, int, int]:
     """(A, B, s, D) with s = lcm(den(re), den(im_coeff/q)) > 0, where
     delta = p/q in lowest terms and D = p*q, such that
-    s * (re + im_coeff*sqrt(delta)) = A + B*sqrt(D)."""
+    s * (re + im_coeff*sqrt(delta)) = A + B*sqrt(D).  No smaller s works,
+    so gcd(A, B, s) = 1."""
     q = delta.denominator
     g = gcd(im_coeff.numerator, q)
     b_num, b_den = im_coeff.numerator // g, im_coeff.denominator * (q // g)
@@ -134,17 +130,13 @@ def quad_pow(z: QuadNum, m: int) -> QuadNum:
     """Exact m-th power of z, m >= 0."""
     if m < 0:
         raise ValueError("exponent must be nonnegative")
-    a, b, s, d = integral_form(z.re, z.im_coeff, z.delta)
-    x, y = zpow((a, b), m, d)
-    # (x + y*sqrt(D)) / s^m with sqrt(D) = q*sqrt(delta).
-    scale = s ** m
-    return QuadNum(Fraction(x, scale), Fraction(y * z.delta.denominator, scale),
-                   z.delta)
+    x, y = zpow((z.A, z.B), m, z.D)
+    return _lowest(x, y, z.s ** m, z)
 
 
 def is_negative_real(z: QuadNum) -> bool:
     """True iff z lies on the strictly negative real axis."""
-    return z.im_coeff == 0 and z.re < 0
+    return z.B == 0 and z.A < 0
 
 
 def arg_less_than(z: QuadNum, q: int) -> bool:
@@ -159,12 +151,11 @@ def arg_less_than(z: QuadNum, q: int) -> bool:
         raise ValueError("argument of zero is undefined")
     if q < 2:
         raise ValueError("q must be at least 2")
-    if z.im_coeff <= 0:
+    if z.B <= 0:
         raise ValueError("z must lie in the open upper half plane (im > 0)")
-    a, b, _, d = integral_form(z.re, z.im_coeff, z.delta)
-    w = (a, b)
+    x = w = (z.A, z.B)
     for _ in range(2, q + 1):
-        w = zmul(w, (a, b), d)
+        w = zmul(w, x, z.D)
         if w[1] <= 0:
             return False
     return True

@@ -65,23 +65,76 @@ class Neg:
     child: "Node"
 
 
-@dataclass(frozen=True)
-class Add:
+class _Hashed:
+    """Stands for a node of known hash h inside a tuple: the hash of
+    (node, x) reads only hash(node)."""
+
+    __slots__ = ("h",)
+
+    def __init__(self, h: int):
+        self.h = h
+
+    def __hash__(self) -> int:
+        return self.h
+
+
+class _Link:
+    """Add, Mul and Pow compare, hash and print a left-deep chain in a
+    loop, as _eval walks it, with the results of the dataclass-generated
+    methods, which recurse once per link.  `_down` names the child that
+    continues the chain, `_same` the other fields that == and hash read,
+    and `_shown` the fields after `_down` that repr prints."""
+
+    _down = "left"
+    _same = _shown = ("right",)
+
+    def _key(self):
+        first, links = _chain(self, self.__class__, self._down)
+        return first, [tuple(getattr(link, f) for f in self._same)
+                       for link in links]
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self._key() == other._key()
+
+    def __hash__(self):
+        first, rests = self._key()
+        h = hash(first)
+        for rest in rests:
+            h = hash((_Hashed(h), *rest))
+        return h
+
+    def __repr__(self):
+        first, links = _chain(self, self.__class__, self._down)
+        return (f"{self.__class__.__qualname__}({self._down}=" * len(links)
+                + repr(first) + "".join(
+                    "".join(f", {f}={getattr(link, f)!r}"
+                            for f in self._shown) + ")"
+                    for link in links))
+
+
+@dataclass(frozen=True, eq=False, repr=False)
+class Add(_Link):
     left: "Node"
     right: "Node"
 
 
-@dataclass(frozen=True)
-class Mul:
+@dataclass(frozen=True, eq=False, repr=False)
+class Mul(_Link):
     left: "Node"
     right: "Node"
 
 
-@dataclass(frozen=True)
-class Pow:
+@dataclass(frozen=True, eq=False, repr=False)
+class Pow(_Link):
     base: "Node"
     exponent: int
     pos: int = field(default=0, compare=False)  # column of the exponent
+
+    _down = "base"
+    _same = ("exponent",)
+    _shown = ("exponent", "pos")
 
 
 Node = Union[Lit, Sym, Neg, Add, Mul, Pow]

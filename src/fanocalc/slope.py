@@ -12,12 +12,9 @@ import csv
 import io
 from dataclasses import InitVar, dataclass, replace
 from fractions import Fraction
-from typing import TYPE_CHECKING, Optional, Tuple, Union
+from typing import Optional, Tuple, Union
 
 from .exact import cos_sq_pi_over, integral_form, zmul, zpow
-
-if TYPE_CHECKING:
-    from .chow import RingCtx
 
 Rat = Fraction
 RatLike = Union[Fraction, int]
@@ -118,17 +115,6 @@ def pushforward_R(nu: int, nu_prime: int, c2_push_coeff: RatLike) -> Fraction:
     (nu'+2)(nu*nu'-1) + 2(nu+1) - c2_push_coeff."""
     first = (nu_prime + 2) * (nu * nu_prime - 1) + 2 * (nu + 1)
     return Fraction(first) - Fraction(c2_push_coeff)
-
-
-def adjunction_check(ctx_prime: RingCtx, c1p: RatLike,
-                     deg_x_prime: RatLike) -> bool:
-    """Check K'^2 * H'^(n-1) = c1' * deg(X') in a (-K', H') context."""
-    # The one use of chow here: the enumerators run without compiling it.
-    from .chow import intersection_degree
-    n = ctx_prime.n
-    g1, g2 = ctx_prime.gen1, ctx_prime.gen2
-    val = intersection_degree(g1 * g1 * g2 ** (n - 1))  # (-K')^2 = K'^2
-    return val == Fraction(c1p) * Fraction(deg_x_prime)
 
 
 def kprime_degree_formulas(n: int, tau: RatLike, nu_prime: int, mu: int,

@@ -1,8 +1,10 @@
 """Named self-checks covering the invariants of every module.
 
-Each check is a pure function returning a CheckResult; run_all executes
-them in a fixed order with a fixed random seed, so the verify command is
-deterministic.
+Each check is a pure function of a seeded random.Random, named once by
+its @check decorator.  It raises CheckFailed with the detail of its first
+failure, and may return a note when it passes.  run_all executes the
+checks in the order they are defined with a fixed seed and builds one
+CheckResult for each, so the verify command is deterministic.
 """
 
 from __future__ import annotations
@@ -41,6 +43,24 @@ class CheckResult:
     detail: str = ""
 
 
+class CheckFailed(Exception):
+    """Raised by a check; its message is the detail of the failure."""
+
+
+Check = Callable[[random.Random], Optional[str]]
+CHECKS: Tuple[Check, ...] = ()  # every @check function, in source order
+
+
+def check(name: str) -> Callable[[Check], Check]:
+    """Append the decorated function to CHECKS, reported as `name`."""
+    def register(fn: Check) -> Check:
+        global CHECKS
+        fn.check_name = name
+        CHECKS += (fn,)
+        return fn
+    return register
+
+
 def _rand_frac(rng: random.Random, span: int = 6) -> Fraction:
     return Fraction(rng.randint(-span, span), rng.randint(1, span))
 
@@ -62,7 +82,8 @@ def _rand_elem(rng: random.Random, ctx: chow.RingCtx) -> chow.RingElem:
     return ctx.element(coeffs)
 
 
-def check_quad_pow_multiplicative(rng: random.Random) -> CheckResult:
+@check("quad_pow multiplicative")
+def check_quad_pow_multiplicative(rng: random.Random) -> Optional[str]:
     for _ in range(300):
         delta = -Fraction(rng.randint(1, 12), rng.randint(1, 4))
         z = _rand_quad(rng, delta)
@@ -70,21 +91,20 @@ def check_quad_pow_multiplicative(rng: random.Random) -> CheckResult:
         lhs = exact.quad_pow(z, a + b)
         rhs = exact.quad_pow(z, a) * exact.quad_pow(z, b)
         if lhs != rhs:
-            return CheckResult("quad_pow multiplicative", False,
-                               f"z={z} a={a} b={b}")
-    return CheckResult("quad_pow multiplicative", True)
+            raise CheckFailed(f"z={z} a={a} b={b}")
 
 
-def check_norm_multiplicative(rng: random.Random) -> CheckResult:
+@check("norm multiplicative")
+def check_norm_multiplicative(rng: random.Random) -> Optional[str]:
     for _ in range(300):
         delta = -Fraction(rng.randint(1, 12), rng.randint(1, 4))
         z, w = _rand_quad(rng, delta), _rand_quad(rng, delta)
         if (z * w).norm() != z.norm() * w.norm():
-            return CheckResult("norm multiplicative", False, f"z={z} w={w}")
-    return CheckResult("norm multiplicative", True)
+            raise CheckFailed(f"z={z} w={w}")
 
 
-def check_exact_angle(rng: random.Random) -> CheckResult:
+@check("exact angle powers")
+def check_exact_angle(rng: random.Random) -> Optional[str]:
     """(tau + sqrt(-tau^2 tan^2(pi/(n+1))))^(n+1) is a negative real."""
     for n in (2, 3, 5):
         tan_sq = exact.tan_sq_pi_over(n + 1)
@@ -92,12 +112,11 @@ def check_exact_angle(rng: random.Random) -> CheckResult:
             delta = -Fraction(tau * tau) * tan_sq
             z = exact.quad_pow(exact.quad(tau, 1, delta), n + 1)
             if not exact.is_negative_real(z):
-                return CheckResult("exact angle powers", False,
-                                   f"n={n} tau={tau}")
-    return CheckResult("exact angle powers", True)
+                raise CheckFailed(f"n={n} tau={tau}")
 
 
-def check_arg_antitone(rng: random.Random) -> CheckResult:
+@check("arg_less_than antitone")
+def check_arg_antitone(rng: random.Random) -> Optional[str]:
     for _ in range(200):
         delta = -Fraction(rng.randint(1, 12), rng.randint(1, 4))
         z = exact.quad(rng.randint(1, 6), Fraction(rng.randint(1, 6)), delta)
@@ -105,32 +124,30 @@ def check_arg_antitone(rng: random.Random) -> CheckResult:
         for q in qs:
             for q2 in range(2, q):
                 if not exact.arg_less_than(z, q2):
-                    return CheckResult("arg_less_than antitone", False,
-                                       f"z={z} q={q} q2={q2}")
-    return CheckResult("arg_less_than antitone", True)
+                    raise CheckFailed(f"z={z} q={q} q2={q2}")
 
 
-def check_reduce_properties(rng: random.Random) -> CheckResult:
+@check("reduce idempotent/linear/multiplicative")
+def check_reduce_properties(rng: random.Random) -> Optional[str]:
     for _ in range(300):
         ctx = _rand_ctx(rng)
         x, y = _rand_elem(rng, ctx), _rand_elem(rng, ctx)
         if chow.reduce(x, ctx) != x:
-            return CheckResult("reduce idempotent", False, repr(x))
+            raise CheckFailed(f"idempotent: {x!r}")
         s = _rand_frac(rng)
         if chow.reduce({m: c * s for m, c in x.coeffs.items()}, ctx) != x.scale(s):
-            return CheckResult("reduce linear", False, repr(x))
+            raise CheckFailed(f"linear: {x!r}")
         raw = {}
         for (i1, j1), c1 in x.coeffs.items():
             for (i2, j2), c2 in y.coeffs.items():
                 m = (i1 + i2, j1 + j2)
                 raw[m] = raw.get(m, Fraction(0)) + c1 * c2
         if chow.reduce(raw, ctx) != x * y:
-            return CheckResult("reduce multiplicative", False,
-                               f"{x!r} * {y!r}")
-    return CheckResult("reduce idempotent/linear/multiplicative", True)
+            raise CheckFailed(f"multiplicative: {x!r} * {y!r}")
 
 
-def check_chern_wu(rng: random.Random) -> CheckResult:
+@check("discriminant identity")
+def check_chern_wu(rng: random.Random) -> Optional[str]:
     """(-2 G1 + c1 G2)^2 reduces to Delta G2^2 with Delta = c1^2 + 4 rel_b
     whenever rel_a = c1 and rel_b = -c2/d."""
     for _ in range(25):
@@ -140,17 +157,17 @@ def check_chern_wu(rng: random.Random) -> CheckResult:
         k = ctx.element({(1, 0): Fraction(-2), (0, 1): c1})
         expected = ctx.element({(0, 2): delta})
         if k * k != expected:
-            return CheckResult("discriminant identity", False, repr(ctx))
-    return CheckResult("discriminant identity", True)
+            raise CheckFailed(repr(ctx))
 
 
-def check_basis_roundtrip(rng: random.Random) -> CheckResult:
+@check("basis roundtrip")
+def check_basis_roundtrip(rng: random.Random) -> Optional[str]:
     cases = [(1, 4, 1, 1, 1), (1, 2, 1, 1, 1), (2, 1, 1, 1, 1),
              (3, 1, 1, 1, 2), (1, 1, 1, 1, 2)]
     for nu, nup, mu, mup, lam in cases:
         a, ainv = chow.basis_map_A(nu, nup, mu, mup, lam)
         if not (a @ ainv).is_identity():
-            return CheckResult("basis roundtrip", False, f"A={a.entries}")
+            raise CheckFailed(f"A={a.entries}")
     # Element roundtrip between a context and a derived context, where
     # the conversion is an honest ring isomorphism.
     ctx = chow.RingCtx(5, ("L", "H"), Fraction(-1), Fraction(-1, 3),
@@ -163,12 +180,11 @@ def check_basis_roundtrip(rng: random.Random) -> CheckResult:
         back = chow.convert_element(
             chow.convert_element(e, m, ctx_p), m.inverse(), ctx)
         if back != e:
-            return CheckResult("basis roundtrip", False,
-                               f"element roundtrip failed for {e!r}")
-    return CheckResult("basis roundtrip", True)
+            raise CheckFailed(f"element roundtrip failed for {e!r}")
 
 
-def check_cross_basis_degrees(rng: random.Random) -> CheckResult:
+@check("cross-basis degrees")
+def check_cross_basis_degrees(rng: random.Random) -> Optional[str]:
     expected = {(4, 2): Fraction(-110), (3, 3): Fraction(-36),
                 (2, 4): Fraction(-10), (1, 5): Fraction(-2)}
     ctx = chow.RingCtx(5, ("L", "H"), Fraction(-1), Fraction(-1, 3),
@@ -181,12 +197,11 @@ def check_cross_basis_degrees(rng: random.Random) -> CheckResult:
         derived = (-1) ** a * chow.intersection_degree(
             ctx_p.gen1 ** a * ctx_p.gen2 ** b)
         if direct != want or derived != want:
-            return CheckResult("cross-basis degrees", False,
-                               f"K'^{a}H'^{b}: {direct} / {derived} != {want}")
-    return CheckResult("cross-basis degrees", True)
+            raise CheckFailed(f"K'^{a}H'^{b}: {direct} / {derived} != {want}")
 
 
-def check_b_matrix(rng: random.Random) -> CheckResult:
+@check("codimension-two basis")
+def check_b_matrix(rng: random.Random) -> Optional[str]:
     rows = [
         (2, 1, 1, 0, Fraction(-4), 1, 1, 2),
         (1, 2, 1, -1, Fraction(-1, 3), 3, 1, 1),
@@ -196,66 +211,56 @@ def check_b_matrix(rng: random.Random) -> CheckResult:
     for nu, nup, mu, c1, delta, d, b, dp in rows:
         _, report = chow.basis_map_B(nu, nup, mu, c1, delta, d, b, dp)
         if not report.ok:
-            return CheckResult("codimension-two basis", False,
-                               f"nu={nu} nu'={nup}: {report}")
+            raise CheckFailed(f"nu={nu} nu'={nup}: {report}")
     _, bad = chow.basis_map_B(2, 1, 1, 0, Fraction(-4), 1, 1, 3)
     if bad.ok:
-        return CheckResult("codimension-two basis", False,
-                           "perturbed d'=3 not flagged")
-    return CheckResult("codimension-two basis", True)
+        raise CheckFailed("perturbed d'=3 not flagged")
 
 
-def check_context_roundtrip(rng: random.Random) -> CheckResult:
+@check("context serialization")
+def check_context_roundtrip(rng: random.Random) -> Optional[str]:
     for _ in range(20):
         ctx = _rand_ctx(rng)
         if chow.loads_context(chow.dumps_context(ctx)) != ctx:
-            return CheckResult("context serialization", False, repr(ctx))
-    return CheckResult("context serialization", True)
+            raise CheckFailed(repr(ctx))
 
 
-def check_conic_rows(rng: random.Random) -> CheckResult:
+@check("conic table thresholds")
+def check_conic_rows(rng: random.Random) -> Optional[str]:
     for n, tau, taup, delta, c1p, ydf, dx, dxp in CONIC_ROWS:
         if not slope.check_rho_tau(n, tau, tau, delta):
-            return CheckResult("conic table thresholds", False,
-                               f"n={n} tau={tau}")
+            raise CheckFailed(f"n={n} tau={tau}")
         if slope.c1_prime(n, tau, taup) != c1p:
-            return CheckResult("conic table thresholds", False,
-                               f"c1' mismatch at n={n} ({tau},{taup})")
+            raise CheckFailed(f"c1' mismatch at n={n} ({tau},{taup})")
         if slope.base_degree_ratio(n, tau) * dx != dxp:
-            return CheckResult("conic table thresholds", False,
-                               f"degree ratio at n={n} ({tau},{taup})")
+            raise CheckFailed(f"degree ratio at n={n} ({tau},{taup})")
         if slope.y_dot_f(c1p, taup, 1) != ydf:
-            return CheckResult("conic table thresholds", False,
-                               f"Y.f at n={n} ({tau},{taup})")
-    return CheckResult("conic table thresholds", True)
+            raise CheckFailed(f"Y.f at n={n} ({tau},{taup})")
 
 
-def check_kprime_consistency(rng: random.Random) -> CheckResult:
+@check("second-contraction degrees")
+def check_kprime_consistency(rng: random.Random) -> Optional[str]:
     for n, tau, taup, delta, c1p, ydf, dx, dxp in CONIC_ROWS:
         first, second = slope.kprime_degree_formulas(n, tau, taup, 1, 2 * dx)
         if first != 2 * dxp:
-            return CheckResult("second-contraction degrees", False,
-                               f"-K'H'^n at n={n} ({tau},{taup})")
+            raise CheckFailed(f"-K'H'^n at n={n} ({tau},{taup})")
         if 2 * second / first != c1p:
-            return CheckResult("second-contraction degrees", False,
-                               f"c1' from K'^2 at n={n} ({tau},{taup})")
-    return CheckResult("second-contraction degrees", True)
+            raise CheckFailed(f"c1' from K'^2 at n={n} ({tau},{taup})")
 
 
-def check_blowdown_rows(rng: random.Random) -> CheckResult:
+@check("blow-down table thresholds")
+def check_blowdown_rows(rng: random.Random) -> Optional[str]:
     for n, tau, taup, delta in BLOWDOWN_ROWS:
         got = slope.solve_nu_prime(n, tau, delta, 1)
         if got != taup:
-            return CheckResult("blow-down table thresholds", False,
-                               f"n={n} tau={tau}: nu'={got} != {taup}")
+            raise CheckFailed(f"n={n} tau={tau}: nu'={got} != {taup}")
         rho = Fraction(tau) - Fraction(2, taup)
         if not slope.check_rho_tau(n, tau, rho, delta):
-            return CheckResult("blow-down table thresholds", False,
-                               f"thresholds fail at n={n} tau={tau}")
-    return CheckResult("blow-down table thresholds", True)
+            raise CheckFailed(f"thresholds fail at n={n} tau={tau}")
 
 
-def check_tuple_rejections(rng: random.Random) -> CheckResult:
+@check("tuple validation reasons")
+def check_tuple_rejections(rng: random.Random) -> Optional[str]:
     base = dict(n=2, kind="C", lam=1, mu=1, mu_prime=1, nu=2, nu_prime=1,
                 tau=2, tau_prime=1, rho=2, i=3, i_prime=3, c1=0,
                 delta=Fraction(-12), c2_over_d=Fraction(3))
@@ -275,37 +280,31 @@ def check_tuple_rejections(rng: random.Random) -> CheckResult:
             slope.InvariantTuple(**kwargs)
         except slope.InvariantError as err:
             if err.reason != reason:
-                return CheckResult("tuple validation reasons", False,
-                                   f"wanted {reason}, got {err.reason}")
+                raise CheckFailed(f"wanted {reason}, got {err.reason}")
         else:
-            return CheckResult("tuple validation reasons", False,
-                               f"{reason} not rejected")
-    return CheckResult("tuple validation reasons", True)
+            raise CheckFailed(f"{reason} not rejected")
 
 
-def check_enumerations(rng: random.Random) -> CheckResult:
+@check("classification tables")
+def check_enumerations(rng: random.Random) -> Optional[str]:
     for n, expected in ((2, 1), (3, 2), (5, 2)):
         rows, _ = classify.enumerate_type_C(n)
         admissible = [t for t in rows if t.status == "admissible"]
         if len(admissible) != expected:
-            return CheckResult("classification tables", False,
-                               f"type C n={n}: {len(admissible)} survivors")
+            raise CheckFailed(f"type C n={n}: {len(admissible)} survivors")
         for t in rows:
             if not slope.check_rho_tau(t.n, t.tau, t.rho, t.delta):
-                return CheckResult("classification tables", False,
-                                   f"thresholds fail on emitted row {t}")
+                raise CheckFailed(f"thresholds fail on emitted row {t}")
     result = classify.enumerate_type_D()
     if len(result.tuples) != 4:
-        return CheckResult("classification tables", False,
-                           f"type D raw rows: {len(result.tuples)}")
+        raise CheckFailed(f"type D raw rows: {len(result.tuples)}")
     survivors = [t for t in result.tuples if t.status == "admissible"]
     if [t.label for t in survivors] != ["(D1)"]:
-        return CheckResult("classification tables", False,
-                           f"type D survivors: {survivors}")
-    return CheckResult("classification tables", True)
+        raise CheckFailed(f"type D survivors: {survivors}")
 
 
-def check_congruences(rng: random.Random) -> CheckResult:
+@check("congruence scan")
+def check_congruences(rng: random.Random) -> Optional[str]:
     m_max = 19
     got = {(t.alpha, t.z, t.m) for t in classify.enumerate_congruences(m_max)}
     brute = set()
@@ -316,17 +315,15 @@ def check_congruences(rng: random.Random) -> CheckResult:
                     and 3 * z <= 2 * m:
                 brute.add(((m - 1) // t, z, m))
     if got != brute:
-        return CheckResult("congruence scan", False,
-                           f"diff: {got ^ brute}")
-    return CheckResult("congruence scan", True)
+        raise CheckFailed(f"diff: {got ^ brute}")
 
 
-def check_determinism(rng: random.Random) -> CheckResult:
+@check("deterministic output")
+def check_determinism(rng: random.Random) -> Optional[str]:
     a = slope.tuples_to_csv(classify.enumerate_type_C(5)[0])
     b = slope.tuples_to_csv(classify.enumerate_type_C(5)[0])
     if a != b:
-        return CheckResult("deterministic output", False, "type C n=5")
-    return CheckResult("deterministic output", True)
+        raise CheckFailed("type C n=5")
 
 
 _PRINT_CORPUS = (
@@ -350,20 +347,21 @@ def _rand_node(rng: random.Random, depth: int) -> expr.Node:
     return expr.Add(left, right) if kind == "add" else expr.Mul(left, right)
 
 
-def check_parser_roundtrip(rng: random.Random) -> CheckResult:
+@check("parser round-trip")
+def check_parser_roundtrip(rng: random.Random) -> Optional[str]:
     for text in _PRINT_CORPUS:
         ast = expr.parse_text(text)
         if expr.parse_text(expr.to_text(ast)) != ast:
-            return CheckResult("parser round-trip", False, text)
+            raise CheckFailed(text)
     for _ in range(150):
         ast = _rand_node(rng, 4)
         printed = expr.to_text(ast)
         if expr.parse_text(printed) != ast:
-            return CheckResult("parser round-trip", False, printed)
-    return CheckResult("parser round-trip", True)
+            raise CheckFailed(printed)
 
 
-def check_evaluator(rng: random.Random) -> CheckResult:
+@check("evaluator distributes")
+def check_evaluator(rng: random.Random) -> Optional[str]:
     ctx = chow.RingCtx(3, ("L", "H"), Fraction(0), Fraction(-1), Fraction(2))
     bindings = {"L": ctx.gen1, "H": ctx.gen2, "t": Fraction(3)}
     for _ in range(100):
@@ -376,15 +374,13 @@ def check_evaluator(rng: random.Random) -> CheckResult:
         except expr.ExprError:
             continue  # unbound random symbol; irrelevant here
         if vsum != va + vb:
-            return CheckResult("evaluator distributes", False,
-                               expr.to_text(expr.Add(a, b)))
+            raise CheckFailed(expr.to_text(expr.Add(a, b)))
         if chow.reduce(vsum, ctx) != vsum:
-            return CheckResult("evaluator distributes", False,
-                               "result not in normal form")
-    return CheckResult("evaluator distributes", True)
+            raise CheckFailed("result not in normal form")
 
 
-def check_perturbed_thresholds(rng: random.Random) -> CheckResult:
+@check("perturbed thresholds fail")
+def check_perturbed_thresholds(rng: random.Random) -> Optional[str]:
     """Systematic perturbations of every emitted table row must break
     the threshold compatibility condition."""
     failures = 0
@@ -403,38 +399,17 @@ def check_perturbed_thresholds(rng: random.Random) -> CheckResult:
             if not slope.check_rho_tau(n, t, r, d):
                 failures += 1
     if failures < 10:
-        return CheckResult("perturbed thresholds fail", False,
-                           f"only {failures} of {total} perturbations fail")
-    return CheckResult("perturbed thresholds fail", True,
-                       f"{failures}/{total} perturbations rejected")
-
-
-CHECKS: Tuple[Callable[[random.Random], CheckResult], ...] = (
-    check_quad_pow_multiplicative,
-    check_norm_multiplicative,
-    check_exact_angle,
-    check_arg_antitone,
-    check_reduce_properties,
-    check_chern_wu,
-    check_basis_roundtrip,
-    check_cross_basis_degrees,
-    check_b_matrix,
-    check_context_roundtrip,
-    check_conic_rows,
-    check_kprime_consistency,
-    check_blowdown_rows,
-    check_tuple_rejections,
-    check_enumerations,
-    check_congruences,
-    check_determinism,
-    check_parser_roundtrip,
-    check_evaluator,
-    check_perturbed_thresholds,
-)
+        raise CheckFailed(f"only {failures} of {total} perturbations fail")
+    return f"{failures}/{total} perturbations rejected"
 
 
 def run_all(seed: int = SEED) -> List[CheckResult]:
     results = []
-    for check in CHECKS:
-        results.append(check(random.Random(seed)))
+    for fn in CHECKS:
+        try:
+            note = fn(random.Random(seed))
+        except CheckFailed as err:
+            results.append(CheckResult(fn.check_name, False, str(err)))
+        else:
+            results.append(CheckResult(fn.check_name, True, note or ""))
     return results

@@ -148,18 +148,6 @@ def test_exclusion_scripts_standalone():
 
 # -- dataset -----------------------------------------------------------------
 
-def test_match_manifolds():
-    data = dataset.load_dataset()
-    hits, reason = dataset.match_manifolds(5, 4, 4, data)
-    assert [e.name for e in hits] == ["V_4^5"] and reason is None
-    hits, reason = dataset.match_manifolds(3, 3, 2, data)
-    assert [e.name for e in hits] == ["Q3"]
-    hits, reason = dataset.match_manifolds(2, 2, 1, data)
-    assert hits == [] and reason is None
-    hits, reason = dataset.match_manifolds(5, 4, F(9, 2), data)
-    assert hits == [] and reason == "non_integral_degree"
-
-
 def test_dataset_b4_flags():
     data = dataset.load_dataset()
     flagged = {e.name for e in data if e.b4_rank == 2}

@@ -218,6 +218,16 @@ def test_verify_exits_zero(capsys):
     assert "FAIL" not in out
 
 
+def test_verify_reports_a_failed_check(capsys, monkeypatch):
+    from fanocalc import exact
+    monkeypatch.setattr(exact, "is_negative_real", lambda z: False)
+    code, out, _ = run(capsys, "verify")
+    assert code == 1
+    assert "[ok] norm multiplicative\n[FAIL] exact angle powers\n" \
+        "       n=2 tau=1\n[ok] arg_less_than antitone\n" in out
+    assert out.endswith("19/20 checks passed\n")
+
+
 def test_dataset_env_override(capsys, tmp_path, monkeypatch):
     src = (pathlib.Path(__file__).parent.parent / "src" / "fanocalc"
            / "data" / "fano_manifolds.csv")

@@ -1,12 +1,14 @@
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import example, given, strategies as st
 
 from fanocalc import exact
 from fanocalc.exact import (DeltaMismatchError, arg_less_than, cos_sq_pi_over,
                             integral_form, is_negative_real, quad, quad_pow,
                             tan_sq_pi_over)
+from quad_reference import (fraction_arg_less_than, fraction_mul,
+                            fraction_pow, triple)
 
 rationals = st.fractions(min_value=-10, max_value=10,
                          max_denominator=6)
@@ -19,29 +21,6 @@ fractional_deltas = st.fractions(
 fractional_positives = st.fractions(
     min_value=Fraction(1, 7), max_value=8,
     max_denominator=7).filter(lambda x: x.denominator > 1)
-
-
-def fraction_pow(z, m):
-    """Reference: square-and-multiply on QuadNum (Fraction) products, the
-    algorithm quad_pow ran before the integer kernel."""
-    result = quad(1, 0, z.delta)
-    while m:
-        if m & 1:
-            result = result * z
-        z = z * z
-        m >>= 1
-    return result
-
-
-def fraction_arg_less_than(z, q):
-    """Reference: the QuadNum loop arg_less_than ran before the integer
-    kernel."""
-    w = z
-    for _ in range(2, q + 1):
-        w = w * z
-        if w.im_sign() <= 0:
-            return False
-    return True
 
 
 def test_quad_pow_fourth_power_of_one_plus_i():
@@ -78,7 +57,7 @@ def test_arg_less_than_exact_third():
 def test_arg_less_than_quarter_below_third():
     z = quad(2, 1, -4)
     assert arg_less_than(z, 3)
-    assert (quad_pow(z, 2).im_sign(), quad_pow(z, 3).im_sign()) == (1, 1)
+    assert quad_pow(z, 2).im_coeff > 0 and quad_pow(z, 3).im_coeff > 0
 
 
 def test_arg_less_than_not_strict_at_quarter():
@@ -118,7 +97,7 @@ def test_trig_lookup_tables():
 
 def test_delta_mixing_rejected():
     with pytest.raises(DeltaMismatchError):
-        quad(1, 1, -1) + quad(1, 1, -2)
+        quad(1, 1, -1) * quad(1, 1, -2)
     with pytest.raises(ValueError):
         quad(1, 1, 2)
 
@@ -175,11 +154,33 @@ def test_integral_form_scales_into_z_sqrt_d(re, im, delta):
        st.integers(min_value=0, max_value=16))
 def test_quad_pow_matches_fraction_reference(re, im, delta, m):
     z = quad(re, im, delta)
-    assert quad_pow(z, m) == fraction_pow(z, m)
+    assert triple(quad_pow(z, m)) == fraction_pow((re, im, delta), m)
 
 
 @given(rationals, fractional_positives, fractional_deltas,
        st.integers(min_value=2, max_value=16))
 def test_arg_less_than_matches_fraction_reference(re, im, delta, q):
     z = quad(re, im, delta)
-    assert arg_less_than(z, q) == fraction_arg_less_than(z, q)
+    assert arg_less_than(z, q) == fraction_arg_less_than((re, im, delta), q)
+
+
+@given(rationals, rationals, rationals, rationals, fractional_deltas)
+# (1 + sqrt(-3))/2 squared is (-2 + 2*sqrt(-3))/4 before the gcd.
+@example(Fraction(1, 2), Fraction(3, 2), Fraction(1, 2), Fraction(3, 2),
+         Fraction(-1, 3))
+def test_quadnum_matches_fraction_reference(a, b, c, d, delta):
+    z, w = quad(a, b, delta), quad(c, d, delta)
+    assert triple(z) == (a, b, delta)
+    assert all(type(x) is Fraction for x in triple(z))
+    want = fraction_mul((a, b, delta), (c, d, delta))
+    assert triple(z * w) == want
+    assert z.norm() == a * a - delta * b * b
+    assert (z == w) == ((a, b) == (c, d))
+    # One value built three ways: equal, with equal hashes.
+    built = quad(*want)
+    assert z * w == built and hash(z * w) == hash(built)
+    square = quad(*fraction_mul(triple(z), triple(z)))
+    assert quad_pow(z, 2) == z * z == square
+    assert hash(quad_pow(z, 2)) == hash(z * z) == hash(square)
+    with pytest.raises(AttributeError):
+        z.A = 0

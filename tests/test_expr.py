@@ -1,4 +1,5 @@
 import time
+from dataclasses import field, make_dataclass
 from fractions import Fraction
 
 import pytest
@@ -115,6 +116,24 @@ def test_flat_chains_evaluate_and_print_without_recursion(terms):
         == ctx.scalar(2 ** terms)
 
 
+@pytest.mark.parametrize("op", ["+", "*", "^"])
+def test_long_chains_compare_hash_and_print_without_recursion(op):
+    # 5000 links, each of which cost a level of recursion in the
+    # dataclass-generated ==, hash and repr.
+    def chain(last):
+        if op == "^":
+            return parse_text("L" + "^2" * 4999 + f"^{last}")
+        return parse_text(op.join(["L"] * 4999 + [last]))
+
+    a, b = chain("2" if op == "^" else "L"), chain("2" if op == "^" else "L")
+    other = chain("3" if op == "^" else "H")
+    assert a == b and hash(a) == hash(b) and repr(a) == repr(b)
+    assert a != other and not a == other
+    name = {"+": "Add", "*": "Mul", "^": "Pow"}[op]
+    assert repr(a).count(f"{name}(") == (5000 if op == "^" else 4999)
+    assert {a, b, other} == {a, other}
+
+
 @pytest.mark.parametrize("text, pos", [
     ("1" * 5000, 1),
     ("L + 2/" + "1" * 5000, 5),
@@ -223,6 +242,38 @@ def asts(draw, depth=4):
                    draw(st.integers(min_value=0, max_value=5)))
     return (Add if kind == "add" else Mul)(
         draw(asts(depth=depth - 1)), draw(asts(depth=depth - 1)))
+
+
+# Add, Mul and Pow with the dataclass-generated ==, hash and repr.
+GENERATED = {
+    Add: make_dataclass("Add", ["left", "right"], frozen=True),
+    Mul: make_dataclass("Mul", ["left", "right"], frozen=True),
+    Pow: make_dataclass("Pow", ["base", "exponent",
+                                ("pos", int, field(default=0, compare=False))],
+                        frozen=True),
+}
+
+
+def generated(node):
+    """The same tree, built from the GENERATED node classes."""
+    if isinstance(node, Neg):
+        return Neg(generated(node.child))
+    if isinstance(node, Pow):
+        return GENERATED[Pow](generated(node.base), node.exponent, node.pos)
+    if isinstance(node, (Add, Mul)):
+        return GENERATED[type(node)](generated(node.left),
+                                     generated(node.right))
+    return node
+
+
+@given(asts(), asts())
+def test_chain_nodes_compare_hash_and_print_like_generated_methods(a, b):
+    copy = parse_text(to_text(a))
+    ra, rb, rcopy = generated(a), generated(b), generated(copy)
+    assert repr(a) == repr(ra) and hash(a) == hash(ra)
+    assert (a == b) == (ra == rb) and (a != b) == (ra != rb)
+    assert (a == copy) == (ra == rcopy)
+    assert a == copy and hash(a) == hash(copy)
 
 
 @given(asts())

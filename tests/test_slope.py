@@ -4,13 +4,12 @@ from fractions import Fraction
 import pytest
 from hypothesis import example, given, strategies as st
 
-from fanocalc import chow, slope
-from fanocalc.exact import is_negative_real, quad
-from fanocalc.slope import (InvariantError, InvariantTuple, adjunction_check,
-                            base_degree_ratio, c1_prime, check_rho_tau,
-                            kprime_degree_formulas, pushforward_R,
-                            solve_nu_prime, tuple_to_row, tuples_to_csv,
-                            y_dot_f)
+from fanocalc import slope
+from fanocalc.slope import (InvariantError, InvariantTuple, base_degree_ratio,
+                            c1_prime, check_rho_tau, kprime_degree_formulas,
+                            pushforward_R, solve_nu_prime, tuple_to_row,
+                            tuples_to_csv, y_dot_f)
+from quad_reference import fraction_is_negative_real, fraction_mul
 
 F = Fraction
 
@@ -23,22 +22,25 @@ fractional_deltas = st.fractions(
 
 
 def fraction_power(tau, delta, n):
-    """(tau + sqrt(delta))^n as a product of QuadNums (Fractions)."""
-    w = quad(1, 0, delta)
+    """(tau + sqrt(delta))^n as a product of (a, b, delta) triples."""
+    w = (F(1), F(0), delta)
     for _ in range(n):
-        w = w * quad(tau, 1, delta)
+        w = fraction_mul(w, (tau, F(1), delta))
     return w
 
 
 def fraction_check_rho_tau(n, tau, rho, delta):
-    """Reference: check_rho_tau on QuadNums, before the integer kernel."""
-    return is_negative_real(quad(rho, 1, delta) * fraction_power(tau, delta, n))
+    """Reference: check_rho_tau on Fraction triples, before the integer
+    kernel."""
+    return fraction_is_negative_real(
+        fraction_mul((rho, F(1), delta), fraction_power(tau, delta, n)))
 
 
 def fraction_solve_nu_prime(n, tau, delta, mu):
-    """Reference: solve_nu_prime on QuadNums, before the integer kernel."""
-    b_n = fraction_power(tau, delta, n).im_coeff
-    b_n1 = fraction_power(tau, delta, n + 1).im_coeff
+    """Reference: solve_nu_prime on Fraction triples, before the integer
+    kernel."""
+    b_n = fraction_power(tau, delta, n)[1]
+    b_n1 = fraction_power(tau, delta, n + 1)[1]
     if b_n1 == 0:
         return None
     ratio = 2 * b_n / (mu * b_n1)
@@ -124,22 +126,6 @@ def test_pushforward_R_values():
     assert pushforward_R(1, 2, 8) == 0
     assert pushforward_R(1, 2, 17) == -9
     assert pushforward_R(1, 2, 0) == 8  # first term alone
-
-
-def kprime_ctx_1_3():
-    # (-K', H') context of the tau = 1, tau' = 3 case:
-    # K'^2 = 3 K'H' - 3 H'^2 and -K'H'^5 = 4.
-    return chow.RingCtx(5, ("-K'", "H'"), F(-3), F(-3), F(4))
-
-
-def kprime_ctx_1_4():
-    return chow.RingCtx(5, ("-K'", "H'"), F(-5), F(-7), F(2))
-
-
-def test_adjunction_check():
-    assert adjunction_check(kprime_ctx_1_4(), -10, 1)  # K'^2 H'^4 = -10
-    assert adjunction_check(kprime_ctx_1_3(), -6, 2)  # K'^2 H'^4 = -12
-    assert not adjunction_check(kprime_ctx_1_4(), -5, 1)
 
 
 def test_kprime_degree_formulas():
