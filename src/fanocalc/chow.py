@@ -487,8 +487,3 @@ def load_context(path) -> RingCtx:
         return loads_context(text)
     except ValueError as err:
         raise ValueError(f"{path}: {err}") from None
-
-
-def save_context(ctx: RingCtx, path) -> None:
-    with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        fh.write(dumps_context(ctx))

@@ -48,6 +48,13 @@ class ExclusionReport:
     candidate: Optional[InvariantTuple] = None
 
 
+def _exclude(cand: InvariantTuple, rule: str, witness: Dict[str, object],
+             citation: str) -> ExclusionReport:
+    """The report excluding `cand` by `rule`, with its excluded row."""
+    return ExclusionReport(rule, witness, citation,
+                           cand.with_status("excluded", rule))
+
+
 @dataclass(frozen=True)
 class FinAnalysis:
     """Outcome of the branch where the blown-down locus is a point count
@@ -65,7 +72,6 @@ class TypeDResult:
     tuples: Tuple[InvariantTuple, ...]
     reports: Tuple[ExclusionReport, ...]
     fin: FinAnalysis
-    bounds: Tuple[int, int]  # (n_max, tau_prime_max)
 
 
 def _sort_key(t: InvariantTuple):
@@ -177,48 +183,39 @@ def enumerate_type_D(n_max: int = DEFAULT_N_MAX,
         x_entries = [e for e in data if e.dim == n and e.index == cand.i]
         xp_entries = [e for e in data
                       if e.dim == n + 1 and e.index == cand.i_prime]
+        # The first rule that applies decides; a candidate that reaches
+        # the raw table meets the geometric filters.
         if not x_entries or not xp_entries:
-            reports.append(ExclusionReport(
-                rule="no_manifold",
-                witness={"dim": n if not x_entries else n + 1,
-                         "index": cand.i if not x_entries else cand.i_prime},
-                citation=_CITE_NO_MANIFOLD,
-                candidate=cand.with_status("excluded", "no_manifold"),
+            dim, index = ((n, cand.i) if not x_entries
+                          else (n + 1, cand.i_prime))
+            rep = _exclude(cand, "no_manifold", {"dim": dim, "index": index},
+                           _CITE_NO_MANIFOLD)
+        elif all(e.name == "K(G2)_H" for e in x_entries):
+            rep = _exclude(cand, "hyperplane_section_KG2",
+                           {"dim": n, "index": cand.i, "degree": 18},
+                           _CITE_KG2H)
+        elif all(e.name == "Q4" for e in x_entries):
+            rep = _exclude(cand, "b4_quadric", {"side": "X", "b4_rank": 2},
+                           _CITE_B4)
+        elif all(e.name == "Q4" for e in xp_entries):
+            rep = _exclude(cand, "b4_quadric", {"side": "X'", "b4_rank": 2},
+                           _CITE_B4)
+        else:
+            ex, exp = _unique_entry(x_entries), _unique_entry(xp_entries)
+            rows.append(cand.with_status(
+                "admissible", label="(D1)",
+                name_x=ex.name if ex else None,
+                name_x_prime=exp.name if exp else None,
+                deg_x=ex.degree if ex else None,
+                deg_x_prime=exp.degree if exp else None,
             ))
             continue
-        # Candidate reaches the raw table; now the geometric filters.
-        if x_entries and all(e.name == "K(G2)_H" for e in x_entries):
-            row = cand.with_status("excluded", "hyperplane_section_KG2")
-            reports.append(ExclusionReport(
-                rule="hyperplane_section_KG2",
-                witness={"dim": n, "index": cand.i, "degree": 18},
-                citation=_CITE_KG2H, candidate=row))
-            rows.append(row)
-            continue
-        quadric_side = None
-        if all(e.name == "Q4" for e in x_entries):
-            quadric_side = ("X", n, cand.i)
-        elif all(e.name == "Q4" for e in xp_entries):
-            quadric_side = ("X'", n + 1, cand.i_prime)
-        if quadric_side is not None:
-            row = cand.with_status("excluded", "b4_quadric")
-            reports.append(ExclusionReport(
-                rule="b4_quadric",
-                witness={"side": quadric_side[0], "b4_rank": 2},
-                citation=_CITE_B4, candidate=row))
-            rows.append(row)
-            continue
-        ex, exp = _unique_entry(x_entries), _unique_entry(xp_entries)
-        rows.append(cand.with_status(
-            "admissible", label="(D1)",
-            name_x=ex.name if ex else None,
-            name_x_prime=exp.name if exp else None,
-            deg_x=ex.degree if ex else None,
-            deg_x_prime=exp.degree if exp else None,
-        ))
+        reports.append(rep)
+        if rep.rule != "no_manifold":  # reported, not a row of the table
+            rows.append(rep.candidate)
     rows.sort(key=_sort_key)
     fin = type_D_fin_analysis(tau_prime_max, n_max)
-    return TypeDResult(tuple(rows), tuple(reports), fin, (n_max, tau_prime_max))
+    return TypeDResult(tuple(rows), tuple(reports), fin)
 
 
 def type_d_raw_table(result: TypeDResult) -> List[Tuple[int, ...]]:
@@ -245,10 +242,9 @@ def type_D_fin_analysis(tau_prime_max: int = DEFAULT_TAU_PRIME_MAX,
     reports = []
     for tau_prime in range(1, tau_prime_max + 1):
         # Factor j of the top Chern class vanishes iff both rational
-        # coefficients (tau'-2j) and (tau'-2) vanish.
-        vanishing = [j for j in range(1, tau_prime + 1)
-                     if tau_prime - 2 * j == 0 and tau_prime - 2 == 0]
-        if not vanishing:
+        # coefficients (tau'-2j) and (tau'-2) vanish, so some factor
+        # vanishes iff tau' = 2 (at j = 1).
+        if tau_prime != 2:
             reports.append(ExclusionReport(
                 rule="no_vanishing_factor",
                 witness={"tau_prime": tau_prime,
@@ -290,8 +286,8 @@ _CITE_SCHWARZ = ("Chern classes of a rank-three bundle on projective "
                  "five-space satisfy c1*c2 = c3 (mod 2)")
 
 
-# chow is imported inside the three functions below, the n=5 dossiers,
-# so that every other enumeration runs without compiling it.
+# chow is imported inside the functions below, which serve the n=5
+# dossiers, so that every other enumeration runs without compiling it.
 
 def _w36_context() -> chow.RingCtx:
     from . import chow
@@ -299,15 +295,31 @@ def _w36_context() -> chow.RingCtx:
                         Fraction(18))
 
 
+def _kprime_map_1_4() -> chow.BasisMap:
+    """(L, H) in terms of (-K', H'): L = -(-K') - 3H', H = (-K') + 4H'."""
+    from . import chow
+    return chow.BasisMap(((Fraction(-1), Fraction(-3)),
+                          (Fraction(1), Fraction(4))))
+
+
 def kprime_context_1_4() -> chow.RingCtx:
     """The (-K', H') context of the tau = 1, tau' = 4 conic candidate,
     derived from the (L, H) context with L^2 = -LH - H^2/3, LH^5 = 18."""
     from . import chow
-    ctx = _w36_context()
-    # L = -(-K') - 3H', H = (-K') + 4H'.
-    m = chow.BasisMap(((Fraction(-1), Fraction(-3)),
-                       (Fraction(1), Fraction(4))))
-    return chow.derived_context(ctx, m, ("-K'", "H'"))
+    return chow.derived_context(_w36_context(), _kprime_map_1_4(),
+                                ("-K'", "H'"))
+
+
+def _exclude_1_2() -> ExclusionReport:
+    """Degeneracy-divisor pushforwards of the tau = 1, tau' = 2 candidate
+    at n = 5, one for each degree-matched target."""
+    values = {deg: slope.pushforward_R(1, 2, coeff)
+              for deg, coeff in sorted(dataset.load_c2_pushforward().items())}
+    return ExclusionReport(
+        rule="pushforward_list",
+        witness={"values": values, "zero_case_degree": 4},
+        citation=_CITE_PUSH_LIST,
+    )
 
 
 def exclude_1_4() -> ExclusionReport:
@@ -324,22 +336,16 @@ def exclude_1_4() -> ExclusionReport:
     ctx = _w36_context()
     kp = ctx.element({(1, 0): Fraction(4), (0, 1): Fraction(3)})
     hp = ctx.element({(1, 0): Fraction(1), (0, 1): Fraction(1)})
-
-    def deg_direct(a: int, b: int) -> Fraction:
-        return chow.intersection_degree(kp ** a * hp ** b)
-
     ctx_p = kprime_context_1_4()
     mk, hh = ctx_p.gen1, ctx_p.gen2  # mk is -K'
-
-    def deg_derived(a: int, b: int) -> Fraction:
-        return (-1) ** a * chow.intersection_degree(mk ** a * hh ** b)
-
     monomials = {}
     for a in range(1, 5):
-        v1, v2 = deg_direct(a, 6 - a), deg_derived(a, 6 - a)
-        if v1 != v2:
-            raise AssertionError(f"ring disagreement on K'^{a}H'^{6 - a}")
-        monomials[(a, 6 - a)] = v1
+        b = 6 - a
+        direct = chow.intersection_degree(kp ** a * hp ** b)
+        derived = (-1) ** a * chow.intersection_degree(mk ** a * hh ** b)
+        if direct != derived:
+            raise AssertionError(f"ring disagreement on K'^{a}H'^{b}")
+        monomials[(a, b)] = direct
     value = (Fraction(1, 2) * monomials[(4, 2)]
              - c1p / 4 * monomials[(3, 3)]
              + c1p ** 2 / 8 * monomials[(2, 4)]
@@ -384,6 +390,12 @@ def exclude_2_1() -> ExclusionReport:
     )
 
 
+# The n = 5 dossiers by (n, tau, tau').  Each function is named, not held,
+# so that a wrapper set on the module attribute also sees these calls.
+_DOSSIERS = {(5, 1, 2): "_exclude_1_2", (5, 2, 1): "exclude_2_1",
+             (5, 1, 4): "exclude_1_4"}
+
+
 def c1_prime_int(n: int, tau: int, tau_prime: int) -> Optional[int]:
     value = slope.c1_prime(n, tau, tau_prime)
     return int(value) if value.denominator == 1 else None
@@ -399,7 +411,6 @@ def enumerate_type_C(n: int,
     if data is None:
         data = dataset.load_dataset()
     tan_sq = exact.tan_sq_pi_over(n + 1)
-    c2_coeffs = dataset.load_c2_pushforward()
     rows: List[InvariantTuple] = []
     reports: List[ExclusionReport] = []
     for tau in range(1, n + 1):
@@ -418,37 +429,18 @@ def enumerate_type_C(n: int,
                 c1_prime=c1p, y_dot_f=ydf,
             )
             # Effectivity of the degeneracy divisor: its pushforward is
-            # -c1' times the ample generator.
+            # -c1' times the ample generator.  Then the n = 5 dossiers.
+            rep = None
             if c1p > 0:
-                row = cand.with_status("excluded", "R_not_effective")
-                reports.append(ExclusionReport(
-                    rule="R_not_effective", witness={"pushforward": -c1p},
-                    citation=_CITE_R_EFF, candidate=row))
-                rows.append(row)
-                continue
-            if n == 5 and (tau, tau_prime) == (1, 2):
-                values = {deg: slope.pushforward_R(tau, tau_prime, coeff)
-                          for deg, coeff in sorted(c2_coeffs.items())}
-                row = cand.with_status("excluded", "pushforward_list")
-                reports.append(ExclusionReport(
-                    rule="pushforward_list",
-                    witness={"values": values, "zero_case_degree": 4},
-                    citation=_CITE_PUSH_LIST, candidate=row))
-                rows.append(row)
-                continue
-            if n == 5 and (tau, tau_prime) == (2, 1):
-                rep = exclude_2_1()
-                row = cand.with_status("excluded", rep.rule)
-                reports.append(ExclusionReport(rep.rule, rep.witness,
-                                               rep.citation, row))
-                rows.append(row)
-                continue
-            if n == 5 and (tau, tau_prime) == (1, 4):
-                rep = exclude_1_4()
-                row = cand.with_status("excluded", rep.rule)
-                reports.append(ExclusionReport(rep.rule, rep.witness,
-                                               rep.citation, row))
-                rows.append(row)
+                rep = _exclude(cand, "R_not_effective",
+                               {"pushforward": -c1p}, _CITE_R_EFF)
+            elif (n, tau, tau_prime) in _DOSSIERS:
+                dossier = globals()[_DOSSIERS[n, tau, tau_prime]]()
+                rep = _exclude(cand, dossier.rule, dossier.witness,
+                               dossier.citation)
+            if rep is not None:
+                reports.append(rep)
+                rows.append(rep.candidate)
                 continue
             ratio = slope.base_degree_ratio(n, tau)
             x_entries = [e for e in data

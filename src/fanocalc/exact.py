@@ -45,6 +45,9 @@ class QuadNum:
     D: int = field(compare=False)
 
     def __init__(self, re: RatLike, im_coeff: RatLike, delta: RatLike):
+        if isinstance(re, float) or isinstance(im_coeff, float) \
+                or isinstance(delta, float):
+            raise TypeError("QuadNum takes exact numbers, not float")
         delta = Fraction(delta)
         if delta >= 0:
             raise ValueError(f"delta must be negative, got {delta}")
@@ -62,6 +65,8 @@ class QuadNum:
         return Fraction(self.B * self.delta.denominator, self.s)
 
     def __mul__(self, other: "QuadNum") -> "QuadNum":
+        if not isinstance(other, QuadNum):
+            return NotImplemented
         if other.delta is not self.delta and other.delta != self.delta:
             raise DeltaMismatchError(
                 f"cannot mix sqrt({self.delta}) with sqrt({other.delta})"

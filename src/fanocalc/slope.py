@@ -16,15 +16,20 @@ from typing import Optional, Tuple, Union
 
 from .exact import cos_sq_pi_over, integral_form, zmul, zpow
 
-Rat = Fraction
 RatLike = Union[Fraction, int]
 
 KINDS = ("P", "D", "C")
 _THRESHOLD_FIELDS = ("n", "tau", "rho", "delta")
 
-# cos^(n-1)(pi/(n+1)) for the three dimensions where the half-plane
-# argument condition admits solutions; rational in each case.
-_COS_POW = {2: Fraction(1, 2), 3: Fraction(1, 2), 5: Fraction(9, 16)}
+
+def _two_pow_cos_pow(n: int) -> int:
+    """2^n * cos^(n-1)(pi/(n+1)) = 2 * (4*cos^2(pi/(n+1)))^((n-1)/2), for
+    the three dimensions where the half-plane argument condition admits
+    solutions: the integer 2, 4 and 18 for n = 2, 3 and 5.  At n = 2 the
+    exponent is 1/2 and 4*cos^2(pi/3) = 1, so flooring it changes nothing."""
+    if n not in (2, 3, 5):
+        raise ValueError("n must be 2, 3 or 5")
+    return 2 * int(4 * cos_sq_pi_over(n + 1)) ** ((n - 1) // 2)
 
 
 class InvariantError(ValueError):
@@ -98,9 +103,7 @@ def base_degree_ratio(n: int, tau: RatLike) -> Fraction:
     tau = Fraction(tau)
     if tau <= 0:
         raise ValueError("tau must be positive")
-    if n not in _COS_POW:
-        raise ValueError("n must be 2, 3 or 5")
-    return tau ** (n - 1) / (2 ** n * _COS_POW[n])
+    return tau ** (n - 1) / _two_pow_cos_pow(n)
 
 
 def y_dot_f(c1p: RatLike, tau_prime: RatLike, mu: int) -> Fraction:
@@ -122,13 +125,11 @@ def kprime_degree_formulas(n: int, tau: RatLike, nu_prime: int, mu: int,
     """Closed forms for (-K'*H'^n, K'^2*H'^(n-1)) given -K*H^n."""
     tau = Fraction(tau)
     minus_khn = Fraction(minus_khn)
-    if n not in _COS_POW:
-        raise ValueError("n must be 2, 3 or 5")
-    cos_pow = _COS_POW[n]
+    scale = _two_pow_cos_pow(n)  # 2^n * cos^(n-1)(pi/(n+1))
     cos_sq = cos_sq_pi_over(n + 1)
-    assert cos_sq is not None
-    first = (mu * tau) ** (n - 1) / (2 ** n * cos_pow) * minus_khn
-    second = (mu ** (n - 3) * tau ** (n - 2)) / (2 ** (n - 1) * cos_pow) \
+    first = (mu * tau) ** (n - 1) / scale * minus_khn
+    # Fraction(mu): at n = 2 the power of mu is negative.
+    second = 2 * Fraction(mu) ** (n - 3) * tau ** (n - 2) / scale \
         * (2 * cos_sq - nu_prime * mu * tau) * minus_khn
     return first, second
 

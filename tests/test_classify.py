@@ -136,6 +136,23 @@ def test_type_C_rejects_other_dimensions():
         enumerate_type_C(4)
 
 
+@pytest.mark.parametrize("kind", ["C5", "D"])
+def test_every_report_carries_its_excluded_row(kind):
+    if kind == "C5":
+        rows, reports = enumerate_type_C(5)
+    else:
+        result = enumerate_type_D()
+        rows, reports = result.tuples, result.reports
+    assert reports
+    for rep in reports:
+        assert rep.candidate.status == "excluded"
+        assert rep.candidate.reason == rep.rule
+    # no_manifold candidates are reported but never reach the table.
+    excluded = [t for t in rows if t.status == "excluded"]
+    kept = [r.candidate for r in reports if r.rule != "no_manifold"]
+    assert sorted(excluded, key=repr) == sorted(kept, key=repr)
+
+
 def test_exclusion_scripts_standalone():
     rep = exclude_1_4()
     assert rep.witness["value"] == -395

@@ -102,6 +102,23 @@ def test_delta_mixing_rejected():
         quad(1, 1, 2)
 
 
+def test_product_with_a_non_quadnum_is_a_type_error():
+    z = quad(1, 1, -1)
+    assert z.__mul__(2) is NotImplemented
+    with pytest.raises(TypeError):
+        z * 2
+    with pytest.raises(TypeError):
+        2 * z
+    with pytest.raises(TypeError):
+        z * Fraction(1, 2)
+
+
+@pytest.mark.parametrize("args", [(0.1, 1, -1), (1, 0.5, -1), (1, 1, -1.0)])
+def test_quadnum_rejects_float(args):
+    with pytest.raises(TypeError):
+        exact.QuadNum(*args)
+
+
 @given(rationals, rationals, deltas,
        st.integers(min_value=0, max_value=12),
        st.integers(min_value=0, max_value=12))

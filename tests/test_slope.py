@@ -140,6 +140,14 @@ def test_kprime_consistency_with_c1_prime():
     for n, tau, taup, deg_x in rows:
         first, second = kprime_degree_formulas(n, tau, taup, 1, 2 * deg_x)
         assert 2 * second / first == c1_prime(n, tau, taup)
+        assert type(first) is Fraction and type(second) is Fraction
+
+
+def test_scaled_cosine_power_follows_from_cos_sq():
+    # 2^n * cos^(n-1)(pi/(n+1)) at n = 2, 3, 5: 2 * 1/2, 8 * 1/2, 32 * 9/16.
+    assert [slope._two_pow_cos_pow(n) for n in (2, 3, 5)] == [2, 4, 18]
+    with pytest.raises(ValueError):
+        slope._two_pow_cos_pow(4)
 
 
 def sample_tuple(**overrides):
