@@ -21,6 +21,9 @@ if TYPE_CHECKING:
 # from source on each start.
 
 FORMATS = ("table", "csv", "json")
+# "tau-tau'" of each n = 5 dossier in classify._DOSSIERS, spelled out so
+# that building the parser imports nothing.
+EXCLUSION_CASES = ("1-2", "1-4", "2-1")
 
 
 def emit(columns: Sequence[str], rows: Sequence[Sequence], fmt: str,
@@ -185,8 +188,8 @@ def cmd_eval(ns: argparse.Namespace) -> int:
 
 def cmd_exclusions(ns: argparse.Namespace) -> int:
     from . import classify
-    exclude = {"1-4": classify.exclude_1_4, "2-1": classify.exclude_2_1}
-    _print_report(exclude[ns.case]())
+    tau, tau_prime = map(int, ns.case.split("-"))
+    _print_report(getattr(classify, classify._DOSSIERS[5, tau, tau_prime])())
     return 0
 
 
@@ -226,7 +229,7 @@ def build_parser() -> argparse.ArgumentParser:
     ev.add_argument("expression")
     exc = sub.add_parser("exclusions", help="print an exclusion dossier")
     exc.set_defaults(func=cmd_exclusions)
-    exc.add_argument("--case", required=True, choices=("1-4", "2-1"))
+    exc.add_argument("--case", required=True, choices=EXCLUSION_CASES)
     fam = sub.add_parser("family-table", help="print the conic family table")
     fam.set_defaults(func=cmd_family_table)
     fam.add_argument("--format", dest="fmt", choices=FORMATS, default="table")

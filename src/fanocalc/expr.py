@@ -65,76 +65,49 @@ class Neg:
     child: "Node"
 
 
-class _Hashed:
-    """Stands for a node of known hash h inside a tuple: the hash of
-    (node, x) reads only hash(node)."""
+# A flat chain of one operator is one node.  Its constructor splices in a
+# leading child of its own kind, so (a+b)+c and a+b+c, like (x^2)^3 and
+# x^2^3, are one equal node, while a+(b+c) stays distinct.  A tree is then
+# only as deep as its parentheses and unary minuses, which MAX_DEPTH
+# bounds, and the dataclass-generated ==, hash and repr stay shallow.
 
-    __slots__ = ("h",)
+@dataclass(frozen=True)
+class Add:
+    terms: Tuple["Node", ...]  # a - b is stored as a + Neg(b)
 
-    def __init__(self, h: int):
-        self.h = h
-
-    def __hash__(self) -> int:
-        return self.h
-
-
-class _Link:
-    """Add, Mul and Pow compare, hash and print a left-deep chain in a
-    loop, as _eval walks it, with the results of the dataclass-generated
-    methods, which recurse once per link.  `_down` names the child that
-    continues the chain, `_same` the other fields that == and hash read,
-    and `_shown` the fields after `_down` that repr prints."""
-
-    _down = "left"
-    _same = _shown = ("right",)
-
-    def _key(self):
-        first, links = _chain(self, self.__class__, self._down)
-        return first, [tuple(getattr(link, f) for f in self._same)
-                       for link in links]
-
-    def __eq__(self, other):
-        if other.__class__ is not self.__class__:
-            return NotImplemented
-        return self._key() == other._key()
-
-    def __hash__(self):
-        first, rests = self._key()
-        h = hash(first)
-        for rest in rests:
-            h = hash((_Hashed(h), *rest))
-        return h
-
-    def __repr__(self):
-        first, links = _chain(self, self.__class__, self._down)
-        return (f"{self.__class__.__qualname__}({self._down}=" * len(links)
-                + repr(first) + "".join(
-                    "".join(f", {f}={getattr(link, f)!r}"
-                            for f in self._shown) + ")"
-                    for link in links))
+    def __post_init__(self):
+        if isinstance(self.terms[0], Add):
+            object.__setattr__(self, "terms",
+                               self.terms[0].terms + self.terms[1:])
 
 
-@dataclass(frozen=True, eq=False, repr=False)
-class Add(_Link):
-    left: "Node"
-    right: "Node"
+@dataclass(frozen=True)
+class Mul:
+    factors: Tuple["Node", ...]
+
+    def __post_init__(self):
+        if isinstance(self.factors[0], Mul):
+            object.__setattr__(self, "factors",
+                               self.factors[0].factors + self.factors[1:])
 
 
-@dataclass(frozen=True, eq=False, repr=False)
-class Mul(_Link):
-    left: "Node"
-    right: "Node"
-
-
-@dataclass(frozen=True, eq=False, repr=False)
-class Pow(_Link):
+@dataclass(frozen=True)
+class Pow:
+    """base^e1^e2..., which is (base^e1)^e2..."""
     base: "Node"
-    exponent: int
-    pos: int = field(default=0, compare=False)  # column of the exponent
+    exponents: Tuple[int, ...]
+    # The column of each exponent; all 0 when not given.
+    pos: Tuple[int, ...] = field(default=(), compare=False)
 
-    _down = "base"
-    _same = ("exponent",)
-    _shown = ("exponent", "pos")
+    def __post_init__(self):
+        if not self.pos:
+            object.__setattr__(self, "pos", (0,) * len(self.exponents))
+        inner = self.base
+        if isinstance(inner, Pow):
+            object.__setattr__(self, "base", inner.base)
+            object.__setattr__(self, "exponents",
+                               inner.exponents + self.exponents)
+            object.__setattr__(self, "pos", inner.pos + self.pos)
 
 
 Node = Union[Lit, Sym, Neg, Add, Mul, Pow]
@@ -228,19 +201,19 @@ class _Parser:
         return node
 
     def expr(self) -> Node:
-        node = self.term()
+        terms = [self.term()]
         while (tok := self.peek()) and tok.kind in ("plus", "minus"):
             self.next()
             rhs = self.term()
-            node = Add(node, rhs if tok.kind == "plus" else Neg(rhs))
-        return node
+            terms.append(rhs if tok.kind == "plus" else Neg(rhs))
+        return Add(tuple(terms)) if len(terms) > 1 else terms[0]
 
     def term(self) -> Node:
-        node = self.factor()
+        factors = [self.factor()]
         while (tok := self.peek()) and tok.kind == "star":
             self.next()
-            node = Mul(node, self.factor())
-        return node
+            factors.append(self.factor())
+        return Mul(tuple(factors)) if len(factors) > 1 else factors[0]
 
     def factor(self) -> Node:
         tok = self.peek()
@@ -253,13 +226,15 @@ class _Parser:
 
     def power(self) -> Node:
         node = self.atom()
+        exponents, pos = [], []
         while (tok := self.peek()) and tok.kind == "caret":
             self.next()
             etok = self.next()
             if etok.kind != "number" or "/" in etok.text:
                 raise ExprError("exponent must be an integer literal", etok.pos)
-            node = Pow(node, self._number(etok, int), etok.pos)
-        return node
+            exponents.append(self._number(etok, int))
+            pos.append(etok.pos)
+        return Pow(node, tuple(exponents), tuple(pos)) if exponents else node
 
     def atom(self) -> Node:
         tok = self.next()
@@ -288,18 +263,6 @@ def parse_text(text: str) -> Node:
     return parse(tokenize(text))
 
 
-def _chain(node: Node, kind: type, attr: str) -> Tuple[Node, List[Node]]:
-    """Split the left-deep chain of `kind` nodes at `node`: the operand at
-    its bottom, and the chain's nodes from the innermost out.  `attr`
-    names the child that continues the chain (left, or base for Pow)."""
-    links = []
-    while isinstance(node, kind):
-        links.append(node)
-        node = getattr(node, attr)
-    links.reverse()
-    return node, links
-
-
 def to_text(node: Node) -> str:
     """Pretty printer; parse(to_text(parse(s))) equals parse(s)."""
 
@@ -316,26 +279,19 @@ def to_text(node: Node) -> str:
         # would reassociate without parentheses.
         return "-" + wrap(node.child, Add, Mul)
     if isinstance(node, Add):
-        first, links = _chain(node, Add, "left")
-        parts = [to_text(first)]
-        for link in links:
-            if isinstance(link.right, Neg):
-                parts.append(f" - {wrap(link.right.child, Add)}")
-            else:
-                parts.append(f" + {wrap(link.right, Add)}")
-        return "".join(parts)
+        first, *rest = node.terms
+        return to_text(first) + "".join(
+            f" - {wrap(term.child, Add)}" if isinstance(term, Neg)
+            else f" + {wrap(term, Add)}" for term in rest)
     if isinstance(node, Mul):
-        first, links = _chain(node, Mul, "left")
+        first, *rest = node.factors
         return "*".join([wrap(first, Add),
-                         *(wrap(link.right, Add, Mul) for link in links)])
+                         *(wrap(factor, Add, Mul) for factor in rest)])
     if isinstance(node, Pow):
         # x^a^b parses as (x^a)^b, and prints with its parentheses.
-        base, links = _chain(node, Pow, "base")
-        text = to_text(base)
-        if not isinstance(base, (Sym, Lit)):
-            text = f"({text})"
-        return "(" * (len(links) - 1) + text + ")".join(
-            f"^{link.exponent}" for link in links)
+        text = wrap(node.base, Neg, Add, Mul)
+        return "(" * (len(node.exponents) - 1) + text + ")".join(
+            f"^{k}" for k in node.exponents)
     raise TypeError(f"unknown node {node!r}")
 
 
@@ -358,8 +314,7 @@ def _lift(v: Value, ctx: RingCtx) -> RingElem:
     return ctx.scalar(Fraction(v))
 
 
-def _pow(base: Value, node: Pow) -> Value:
-    k = node.exponent
+def _pow(base: Value, k: int, pos: int) -> Value:
     # The scalar s = p/q, or the scalar part of a ring element (the
     # rest is nilpotent), makes s^k about k times as long as s.  For
     # s in {0, 1, -1} the size grows only polynomially in k.
@@ -373,13 +328,13 @@ def _pow(base: Value, node: Pow) -> Value:
         if bits > MAX_POW_BITS:
             raise ExprError(f"power too large: about {bits} bits, "
                             f"above the limit of {MAX_POW_BITS}",
-                            node.pos)
+                            pos)
     return base ** k
 
 
 def _eval(node: Node, ctx: RingCtx, bindings: Bindings) -> Value:
-    # A chain of one binary operator is folded in a loop from its
-    # innermost node out, so its length costs no recursion depth.
+    # A chain is folded left to right in a loop, so its length costs no
+    # recursion depth.
     if isinstance(node, Lit):
         return node.value
     if isinstance(node, Sym):
@@ -391,20 +346,20 @@ def _eval(node: Node, ctx: RingCtx, bindings: Bindings) -> Value:
         v = _eval(node.child, ctx, bindings)
         return -v
     if isinstance(node, Add):
-        first, links = _chain(node, Add, "left")
+        first, *rest = node.terms
         a = _eval(first, ctx, bindings)
-        for link in links:
-            b = _eval(link.right, ctx, bindings)
+        for term in rest:
+            b = _eval(term, ctx, bindings)
             if isinstance(a, RingElem) or isinstance(b, RingElem):
                 a = _lift(a, ctx) + _lift(b, ctx)
             else:
                 a = a + b
         return a
     if isinstance(node, Mul):
-        first, links = _chain(node, Mul, "left")
+        first, *rest = node.factors
         a = _eval(first, ctx, bindings)
-        for link in links:
-            b = _eval(link.right, ctx, bindings)
+        for factor in rest:
+            b = _eval(factor, ctx, bindings)
             if isinstance(a, RingElem):
                 a = a * b if isinstance(b, RingElem) else a.scale(b)
             elif isinstance(b, RingElem):
@@ -413,10 +368,9 @@ def _eval(node: Node, ctx: RingCtx, bindings: Bindings) -> Value:
                 a = a * b
         return a
     if isinstance(node, Pow):
-        base, links = _chain(node, Pow, "base")
-        value = _eval(base, ctx, bindings)
-        for link in links:
-            value = _pow(value, link)
+        value = _eval(node.base, ctx, bindings)
+        for k, pos in zip(node.exponents, node.pos):
+            value = _pow(value, k, pos)
         return value
     raise TypeError(f"unknown node {node!r}")
 

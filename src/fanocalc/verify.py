@@ -2,7 +2,8 @@
 
 Each check is a pure function of a seeded random.Random, named once by
 its @check decorator.  It raises CheckFailed with the detail of its first
-failure, and may return a note when it passes.  run_all executes the
+failure, and may return a note when it passes; any other exception it
+raises is reported as a failure named by its type.  run_all executes the
 checks in the order they are defined with a fixed seed and builds one
 CheckResult for each, so the verify command is deterministic.
 """
@@ -184,10 +185,7 @@ def check_basis_roundtrip(rng: random.Random) -> Optional[str]:
 def check_cross_basis_degrees(rng: random.Random) -> Optional[str]:
     """exclude_1_4 computes K'^a H'^(6-a) in both the (L, H) and (-K', H')
     rings; they agree, with the values below."""
-    try:
-        got = classify.exclude_1_4().witness["monomials"]
-    except AssertionError as err:  # the two rings disagree
-        raise CheckFailed(str(err)) from None
+    got = classify.exclude_1_4().witness["monomials"]
     if got != (-110, -36, -10, -2):
         raise CheckFailed(f"K'^aH'^(6-a) for a = 4..1: {got}")
 
@@ -327,10 +325,9 @@ def _rand_node(rng: random.Random, depth: int) -> expr.Node:
     if kind == "neg":
         return expr.Neg(_rand_node(rng, depth - 1))
     if kind == "pow":
-        return expr.Pow(_rand_node(rng, depth - 1), rng.randint(0, 4))
-    left = _rand_node(rng, depth - 1)
-    right = _rand_node(rng, depth - 1)
-    return expr.Add(left, right) if kind == "add" else expr.Mul(left, right)
+        return expr.Pow(_rand_node(rng, depth - 1), (rng.randint(0, 4),))
+    pair = (_rand_node(rng, depth - 1), _rand_node(rng, depth - 1))
+    return expr.Add(pair) if kind == "add" else expr.Mul(pair)
 
 
 @check("parser round-trip")
@@ -356,11 +353,11 @@ def check_evaluator(rng: random.Random) -> Optional[str]:
         try:
             va = expr.evaluate(a, ctx, bindings).element
             vb = expr.evaluate(b, ctx, bindings).element
-            vsum = expr.evaluate(expr.Add(a, b), ctx, bindings).element
+            vsum = expr.evaluate(expr.Add((a, b)), ctx, bindings).element
         except expr.ExprError:
             continue  # unbound random symbol; irrelevant here
         if vsum != va + vb:
-            raise CheckFailed(expr.to_text(expr.Add(a, b)))
+            raise CheckFailed(expr.to_text(expr.Add((a, b))))
         if chow.reduce(dict(vsum.coeffs), ctx) != vsum:
             raise CheckFailed("result not in normal form")
 
@@ -394,8 +391,12 @@ def run_all(seed: int = SEED) -> List[CheckResult]:
     for fn in CHECKS:
         try:
             note = fn(random.Random(seed))
-        except CheckFailed as err:
-            results.append(CheckResult(fn.check_name, False, str(err)))
+        except Exception as err:
+            # Any other exception, such as the AssertionError of a
+            # dossier whose two rings disagree, is a failure too.
+            detail = str(err) if isinstance(err, CheckFailed) \
+                else f"{type(err).__name__}: {err}"
+            results.append(CheckResult(fn.check_name, False, detail))
         else:
             results.append(CheckResult(fn.check_name, True, note or ""))
     return results

@@ -1,3 +1,5 @@
+import contextlib
+import io
 import json
 import math
 import os
@@ -8,8 +10,9 @@ import sys
 import time
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
-from fanocalc import chow, cli
+from fanocalc import chow, cli, expr
 from fanocalc.slope import CSV_COLUMNS
 
 GOLDEN = pathlib.Path(__file__).parent / "golden"
@@ -85,6 +88,34 @@ def test_eval_chern_wu_in_every_shipped_context(capsys):
                            "K^2 - D*H^2")
         assert code == 0
         assert out.splitlines()[0] == "0"
+
+
+def test_eval_output_matches_golden(capsys):
+    # Each expression of eval.in in each shipped context, under a "# "
+    # line that names both, as the CI loop prints them.
+    corpus = (GOLDEN / "cli" / "eval.in").read_text().splitlines()
+    printed = []
+    for path in sorted(CONTEXTS.glob("*.ctx")):
+        for text in corpus:
+            code, out, err = run(capsys, "eval", "--ctx", str(path), text)
+            assert (code, err) == (0, "")
+            printed.append(f"# {path.name}: {text}\n{out}")
+    assert "".join(printed) == (GOLDEN / "cli" / "eval.out").read_text()
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.text("LHKDx'0123456789/+-*^() ", max_size=40))
+def test_eval_fuzz_exits_0_or_2_and_round_trips(text):
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = cli.run(["eval", "--ctx", str(CONTEXTS / "w36.ctx"), "--",
+                        text])
+    assert code in (0, 2) and "Traceback" not in err.getvalue()
+    try:
+        ast = expr.parse_text(text)
+    except expr.ExprError:
+        return
+    assert expr.parse_text(expr.to_text(ast)) == ast
 
 
 def test_eval_bad_expression_exits_2(capsys):
@@ -203,6 +234,21 @@ def test_exclusions_cases(capsys):
     assert "(18, 16)" in out
 
 
+def test_exclusion_cases_are_the_dossiers(capsys):
+    from fanocalc import classify
+    assert sorted(cli.EXCLUSION_CASES) == sorted(
+        f"{tau}-{tau_prime}" for _, tau, tau_prime in classify._DOSSIERS)
+    expected = GOLDEN.parent.parent / "bench" / "expected"
+    for case in ("1-4", "2-1"):
+        code, out, err = run(capsys, "exclusions", "--case", case)
+        assert (code, err) == (0, "")
+        assert out == (expected / f"exclusions-{case}.out").read_text()
+    code, out, err = run(capsys, "exclusions", "--case", "1-2")
+    assert (code, err) == (0, "")
+    assert out.startswith("rule: pushforward_list\n"
+                          "  values = {1: -9, 2: -3, 3: -1, 4: 0}\n")
+
+
 def test_family_table(capsys):
     code, out, _ = run(capsys, "family-table", "--format", "csv")
     assert code == 0
@@ -226,6 +272,25 @@ def test_verify_reports_a_failed_check(capsys, monkeypatch):
     assert "[ok] norm multiplicative\n[FAIL] exact angle powers\n" \
         "       n=2 tau=1\n[ok] arg_less_than antitone\n" in out
     assert out.endswith("19/20 checks passed\n")
+
+
+def test_verify_reports_an_exception_as_a_failed_check(capsys, monkeypatch):
+    # A dossier whose two rings disagree raises AssertionError, inside
+    # three checks; each is a [FAIL] line, and the run goes on.
+    from fanocalc import classify
+
+    def broken():
+        raise AssertionError("ring disagreement on K'^1H'^5")
+
+    monkeypatch.setattr(classify, "exclude_1_4", broken)
+    code, out, err = run(capsys, "verify")
+    assert code == 1 and "Traceback" not in err
+    detail = "       AssertionError: ring disagreement on K'^1H'^5\n"
+    for name in ("cross-basis degrees", "classification tables",
+                 "deterministic output"):
+        assert f"[FAIL] {name}\n{detail}" in out
+    assert out.count("[FAIL]") == 3
+    assert out.endswith("17/20 checks passed\n")
 
 
 def test_dataset_env_override(capsys, tmp_path, monkeypatch):
@@ -300,6 +365,8 @@ _DOSSIERS = "chow " + _ENUMERATE
     pytest.param(("enumerate", "--type", "C"), _DOSSIERS, id="enumerate-C"),
     pytest.param(("exclusions", "--case", "1-4"), _DOSSIERS,
                  id="exclusions-1-4"),
+    pytest.param(("exclusions", "--case", "1-2"), _ENUMERATE,
+                 id="exclusions-1-2"),
     pytest.param(("exclusions", "--case", "2-1"), _ENUMERATE,
                  id="exclusions-2-1"),
     pytest.param(("eval", "--ctx", str(CONTEXTS / "w36.ctx"), "L*H^5"),
@@ -338,7 +405,7 @@ def test_closed_stdout_is_a_quiet_exit():
     pytest.param("*".join(["2"] * 2000), f"({2 ** 2000})*1", id="product"),
 ])
 def test_eval_flat_chain(capsys, text, want):
-    # One node per term, so a recursive walk would pass the interpreter's
+    # A walk that recursed once per term would pass the interpreter's
     # recursion limit.
     code, out, err = run(capsys, "eval", "--ctx", str(CONTEXTS / "w36.ctx"),
                          text)

@@ -1,5 +1,4 @@
 import time
-from dataclasses import field, make_dataclass
 from fractions import Fraction
 
 import pytest
@@ -38,12 +37,12 @@ def test_tokenize_rationals():
 
 def test_parse_precedence():
     ast = parse_text("-K+t*H")
-    assert ast == Add(Neg(Sym("K")), Mul(Sym("t"), Sym("H")))
-    assert parse_text("(L+H)^5") == Pow(Add(Sym("L"), Sym("H")), 5)
+    assert ast == Add((Neg(Sym("K")), Mul((Sym("t"), Sym("H")))))
+    assert parse_text("(L+H)^5") == Pow(Add((Sym("L"), Sym("H"))), (5,))
     # Unary minus binds below the power.
-    assert parse_text("-K^2") == Neg(Pow(Sym("K"), 2))
+    assert parse_text("-K^2") == Neg(Pow(Sym("K"), (2,)))
     assert parse_text("2 - 3 - 4") == \
-        Add(Add(Lit(F(2)), Neg(Lit(F(3)))), Neg(Lit(F(4))))
+        Add((Lit(F(2)), Neg(Lit(F(3))), Neg(Lit(F(4)))))
 
 
 def test_parse_errors_carry_positions():
@@ -98,7 +97,7 @@ def test_parse_token_cap():
 
 @pytest.mark.parametrize("terms", [2000, 20000])
 def test_flat_chains_evaluate_and_print_without_recursion(terms):
-    # A chain of one operator is a left-deep tree as deep as it is long.
+    # A chain of one operator is one node, whatever its length.
     ctx = lh_ctx()
     x = ctx.scalar(1) + ctx.gen1
     bindings = {"x": x}
@@ -118,8 +117,8 @@ def test_flat_chains_evaluate_and_print_without_recursion(terms):
 
 @pytest.mark.parametrize("op", ["+", "*", "^"])
 def test_long_chains_compare_hash_and_print_without_recursion(op):
-    # 5000 links, each of which cost a level of recursion in the
-    # dataclass-generated ==, hash and repr.
+    # A chain of 5000 is one node, so the dataclass-generated ==, hash
+    # and repr walk it without a level of recursion per link.
     def chain(last):
         if op == "^":
             return parse_text("L" + "^2" * 4999 + f"^{last}")
@@ -130,7 +129,7 @@ def test_long_chains_compare_hash_and_print_without_recursion(op):
     assert a == b and hash(a) == hash(b) and repr(a) == repr(b)
     assert a != other and not a == other
     name = {"+": "Add", "*": "Mul", "^": "Pow"}[op]
-    assert repr(a).count(f"{name}(") == (5000 if op == "^" else 4999)
+    assert repr(a).count(f"{name}(") == 1
     assert {a, b, other} == {a, other}
 
 
@@ -239,46 +238,52 @@ def asts(draw, depth=4):
         return Neg(draw(asts(depth=depth - 1)))
     if kind == "pow":
         return Pow(draw(asts(depth=depth - 1)),
-                   draw(st.integers(min_value=0, max_value=5)))
+                   (draw(st.integers(min_value=0, max_value=5)),))
     return (Add if kind == "add" else Mul)(
-        draw(asts(depth=depth - 1)), draw(asts(depth=depth - 1)))
-
-
-# Add, Mul and Pow with the dataclass-generated ==, hash and repr.
-GENERATED = {
-    Add: make_dataclass("Add", ["left", "right"], frozen=True),
-    Mul: make_dataclass("Mul", ["left", "right"], frozen=True),
-    Pow: make_dataclass("Pow", ["base", "exponent",
-                                ("pos", int, field(default=0, compare=False))],
-                        frozen=True),
-}
-
-
-def generated(node):
-    """The same tree, built from the GENERATED node classes."""
-    if isinstance(node, Neg):
-        return Neg(generated(node.child))
-    if isinstance(node, Pow):
-        return GENERATED[Pow](generated(node.base), node.exponent, node.pos)
-    if isinstance(node, (Add, Mul)):
-        return GENERATED[type(node)](generated(node.left),
-                                     generated(node.right))
-    return node
-
-
-@given(asts(), asts())
-def test_chain_nodes_compare_hash_and_print_like_generated_methods(a, b):
-    copy = parse_text(to_text(a))
-    ra, rb, rcopy = generated(a), generated(b), generated(copy)
-    assert repr(a) == repr(ra) and hash(a) == hash(ra)
-    assert (a == b) == (ra == rb) and (a != b) == (ra != rb)
-    assert (a == copy) == (ra == rcopy)
-    assert a == copy and hash(a) == hash(copy)
+        (draw(asts(depth=depth - 1)), draw(asts(depth=depth - 1))))
 
 
 @given(asts())
 def test_print_parse_roundtrip(ast):
-    assert parse_text(to_text(ast)) == ast
+    copy = parse_text(to_text(ast))
+    assert copy == ast and hash(copy) == hash(ast)
+
+
+def test_chains_splice_a_leading_child_of_their_own_kind():
+    L, H, two = Sym("L"), Sym("H"), Lit(F(2))
+    assert parse_text("(L+H)+2") == parse_text("L+H+2") \
+        == Add((Add((L, H)), two)) == Add((L, H, two))
+    assert parse_text("L+(H+2)") == Add((L, Add((H, two))))
+    assert parse_text("L+(H+2)") != parse_text("L+H+2")
+    assert parse_text("(L*H)*2") == Mul((L, H, two))
+    assert parse_text("(L^2)^3") == parse_text("L^2^3") \
+        == Pow(Pow(L, (2,)), (3,)) == Pow(L, (2, 3))
+    # Each exponent keeps its column, so an error names the right one.
+    assert parse_text("(L^2)^3").pos == (4, 7)
+    with pytest.raises(ExprError, match="power too large") as err:
+        evaluate_text("(3^2)^999999", lh_ctx(), {})
+    assert err.value.pos == 7
+
+
+@pytest.mark.parametrize("level, depth, step", [
+    pytest.param("(x^2*H+1)", 1, lambda y, ctx: y ** 2 * ctx.gen2
+                 + ctx.scalar(1), id="parenthesized-sum"),
+    pytest.param("-(x)", 2, lambda y, ctx: -y, id="minus-parenthesis"),
+])
+def test_deepest_trees_compare_hash_print_and_evaluate(level, depth, step):
+    # As deep as MAX_DEPTH admits: 64 parentheses, each around a sum of a
+    # product of a power, or 32 of -( with two levels each.
+    ctx = lh_ctx()
+    text, want = "x", ctx.gen1
+    for _ in range(expr.MAX_DEPTH // depth):
+        text, want = level.replace("x", text, 1), step(want, ctx)
+    a, b = parse_text(text), parse_text(text)
+    with pytest.raises(ExprError, match="nested"):
+        parse_text(level.replace("x", text, 1))
+    assert a == b and hash(a) == hash(b) and repr(a) == repr(b)
+    assert parse_text(to_text(a)) == a
+    bindings = dict(base_bindings(ctx), x=ctx.gen1)
+    assert evaluate(a, ctx, bindings).element == want
 
 
 @given(asts(depth=3), asts(depth=3))
@@ -288,6 +293,6 @@ def test_evaluate_distributes_over_sum(a, b):
                 "x1": F(1, 2), "t": F(3)}
     va = evaluate(a, ctx, bindings).element
     vb = evaluate(b, ctx, bindings).element
-    vsum = evaluate(Add(a, b), ctx, bindings).element
+    vsum = evaluate(Add((a, b)), ctx, bindings).element
     assert vsum == va + vb
     assert chow.reduce(vsum, ctx) == vsum
