@@ -453,7 +453,11 @@ def loads_context(text: str) -> RingCtx:
         if "=" not in line:
             raise ValueError(f"line {lineno}: expected 'name=value'")
         key, _, value = line.partition("=")
-        fields[key.strip()] = (lineno, value.strip())
+        key = key.strip()
+        if key in fields:
+            raise ValueError(f"line {lineno}: field {key} is set twice "
+                             f"(first on line {fields[key][0]})")
+        fields[key] = (lineno, value.strip())
     missing = [f for f in _CTX_FIELDS if f not in fields]
     if missing:
         raise ValueError(f"missing context fields: {', '.join(missing)}")
@@ -466,10 +470,10 @@ def loads_context(text: str) -> RingCtx:
             raise ValueError(f"line {lineno}: field {name}: {value!r} is not "
                              f"{kind}") from None
 
-    names = tuple(fields["gen_names"][1].split(","))
-    if len(names) != 2:
+    names = tuple(name.strip() for name in fields["gen_names"][1].split(","))
+    if len(names) != 2 or "" in names or names[0] == names[1]:
         raise ValueError(f"line {fields['gen_names'][0]}: field gen_names "
-                         "must hold exactly two labels")
+                         "must hold exactly two distinct non-empty labels")
     return RingCtx(
         n=parse("n", int, "an integer"),
         gen_names=names,  # type: ignore[arg-type]

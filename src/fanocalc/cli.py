@@ -138,8 +138,15 @@ def cmd_enumerate(ns: argparse.Namespace) -> int:
     emit(CSV_COLUMNS, [tuple_to_row(t) for t in tuples], fmt, [])
     if fmt == "table" and reports:
         print()
-        print(f"{len(reports)} exclusion dossier(s); "
-              "see the exclusions command for details")
+        print(f"{len(reports)} excluded row(s):")
+        for rep in reports:
+            c = rep.candidate
+            why = (f"see exclusions --case {c.tau}-{c.tau_prime}"
+                   if (c.n, c.tau, c.tau_prime) in classify._DOSSIERS else
+                   ", ".join(f"{k} = {_witness_str(v)}"
+                             for k, v in rep.witness.items()))
+            print(f"  n={c.n} tau={c.tau} tau'={c.tau_prime}: {rep.rule}; "
+                  f"{why}")
     return 0
 
 

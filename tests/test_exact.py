@@ -119,43 +119,11 @@ def test_quadnum_rejects_float(args):
         exact.QuadNum(*args)
 
 
-@given(rationals, rationals, deltas,
-       st.integers(min_value=0, max_value=12),
-       st.integers(min_value=0, max_value=12))
-def test_quad_pow_multiplicative(a, b, delta, m, k):
-    z = quad(a, b, delta)
-    assert quad_pow(z, m + k) == quad_pow(z, m) * quad_pow(z, k)
-
-
-@given(rationals, rationals, rationals, rationals, deltas)
-def test_norm_multiplicative(a, b, c, d, delta):
-    z, w = quad(a, b, delta), quad(c, d, delta)
-    assert (z * w).norm() == z.norm() * w.norm()
-
-
 @given(rationals, rationals, deltas)
 def test_norm_positive_definite(a, b, delta):
     z = quad(a, b, delta)
     assert z.norm() >= 0
     assert (z.norm() == 0) == z.is_zero()
-
-
-@given(st.fractions(min_value=Fraction(1, 6), max_value=8, max_denominator=6),
-       st.fractions(min_value=Fraction(1, 6), max_value=8, max_denominator=6),
-       deltas, st.integers(min_value=2, max_value=9))
-def test_arg_less_than_antitone(a, b, delta, q):
-    z = quad(a, b, delta)
-    if arg_less_than(z, q):
-        for smaller in range(2, q):
-            assert arg_less_than(z, smaller)
-
-
-def test_exact_angle_for_admissible_dimensions():
-    for n in (2, 3, 5):
-        tan_sq = tan_sq_pi_over(n + 1)
-        for tau in (1, 2, 3):
-            delta = -Fraction(tau * tau) * tan_sq
-            assert is_negative_real(quad_pow(quad(tau, 1, delta), n + 1))
 
 
 @given(rationals, rationals, fractional_deltas)

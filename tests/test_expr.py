@@ -2,12 +2,11 @@ import time
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, strategies as st
 
 from fanocalc import chow, expr
 from fanocalc.expr import (Add, ExprError, Lit, Mul, Neg, Pow, Sym,
-                           evaluate, evaluate_text, parse, parse_text,
-                           to_text, tokenize)
+                           evaluate, evaluate_text, parse_text, to_text,
+                           tokenize)
 
 F = Fraction
 
@@ -216,39 +215,6 @@ def test_evaluate_truncation_note():
     assert result.note is not None
 
 
-def test_roundtrip_corpus():
-    corpus = [
-        "-K + 2*H", "(L+H)^5", "K'^2 - 5*K'*H' + 7*H'^2", "1/2*L",
-        "-(L*H)", "3 - 4 - 5", "L*(H + L)^2", "-(-L)", "0",
-    ]
-    for text in corpus:
-        ast = parse_text(text)
-        assert parse_text(to_text(ast)) == ast
-
-
-@st.composite
-def asts(draw, depth=4):
-    if depth == 0 or draw(st.booleans()):
-        if draw(st.booleans()):
-            return Lit(draw(st.fractions(min_value=0, max_value=9,
-                                         max_denominator=5)))
-        return Sym(draw(st.sampled_from(["L", "H", "K'", "x1", "t"])))
-    kind = draw(st.sampled_from(["neg", "add", "mul", "pow"]))
-    if kind == "neg":
-        return Neg(draw(asts(depth=depth - 1)))
-    if kind == "pow":
-        return Pow(draw(asts(depth=depth - 1)),
-                   (draw(st.integers(min_value=0, max_value=5)),))
-    return (Add if kind == "add" else Mul)(
-        (draw(asts(depth=depth - 1)), draw(asts(depth=depth - 1))))
-
-
-@given(asts())
-def test_print_parse_roundtrip(ast):
-    copy = parse_text(to_text(ast))
-    assert copy == ast and hash(copy) == hash(ast)
-
-
 def test_chains_splice_a_leading_child_of_their_own_kind():
     L, H, two = Sym("L"), Sym("H"), Lit(F(2))
     assert parse_text("(L+H)+2") == parse_text("L+H+2") \
@@ -284,15 +250,3 @@ def test_deepest_trees_compare_hash_print_and_evaluate(level, depth, step):
     assert parse_text(to_text(a)) == a
     bindings = dict(base_bindings(ctx), x=ctx.gen1)
     assert evaluate(a, ctx, bindings).element == want
-
-
-@given(asts(depth=3), asts(depth=3))
-def test_evaluate_distributes_over_sum(a, b):
-    ctx = chow.RingCtx(3, ("L", "H"), F(0), F(-1), F(2))
-    bindings = {"L": ctx.gen1, "H": ctx.gen2, "K'": ctx.gen1.scale(-2),
-                "x1": F(1, 2), "t": F(3)}
-    va = evaluate(a, ctx, bindings).element
-    vb = evaluate(b, ctx, bindings).element
-    vsum = evaluate(Add((a, b)), ctx, bindings).element
-    assert vsum == va + vb
-    assert chow.reduce(vsum, ctx) == vsum
