@@ -2,6 +2,7 @@ import time
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, strategies as st
 
 from fanocalc import chow, expr
 from fanocalc.expr import (Add, ExprError, Lit, Mul, Neg, Pow, Sym,
@@ -213,6 +214,50 @@ def test_evaluate_truncation_note():
     result = evaluate_text("H^7", ctx, base_bindings(ctx))
     assert result.element.is_zero()
     assert result.note is not None
+
+
+def test_roundtrip_corpus():
+    # The printer's canonical form, which parses back to the same tree.
+    corpus = [
+        ("-K + 2*H", "-K + 2*H"), ("(L+H)^5", "(L + H)^5"),
+        ("K'^2 - 5*K'*H' + 7*H'^2", "K'^2 - 5*K'*H' + 7*H'^2"),
+        ("1/2*L", "1/2*L"), ("-(L*H)", "-(L*H)"), ("((L))", "L"),
+        ("3 - 4 - 5", "3 - 4 - 5"), ("L*(H + L)^2", "L*(H + L)^2"),
+        ("-(-L)", "--L"), ("0", "0"), ("(L+H)+2", "L + H + 2"),
+        ("L+(H+2)", "L + (H + 2)"), ("L^2^3", "(L^2)^3"),
+        ("L - (H - 2)", "L - (H - 2)"),
+    ]
+    for text, printed in corpus:
+        ast = parse_text(text)
+        assert to_text(ast) == printed, text
+        assert parse_text(printed) == ast, text
+
+
+@st.composite
+def chains(draw, depth=3):
+    """Trees with n-ary sums and products and stacked exponents, which
+    the binary trees of verify.check_parser_roundtrip do not draw."""
+    if depth == 0 or draw(st.booleans()):
+        if draw(st.booleans()):
+            return Lit(draw(st.fractions(min_value=0, max_value=9,
+                                         max_denominator=5)))
+        return Sym(draw(st.sampled_from(["L", "H", "K'", "x1", "t"])))
+    kind = draw(st.sampled_from(["neg", "add", "mul", "pow"]))
+    if kind == "neg":
+        return Neg(draw(chains(depth=depth - 1)))
+    if kind == "pow":
+        return Pow(draw(chains(depth=depth - 1)), tuple(draw(
+            st.lists(st.integers(0, 5), min_size=1, max_size=3))))
+    return (Add if kind == "add" else Mul)(tuple(draw(
+        st.lists(chains(depth=depth - 1), min_size=2, max_size=4))))
+
+
+@given(chains())
+def test_print_parse_roundtrip(ast):
+    printed = to_text(ast)
+    copy = parse_text(printed)
+    assert copy == ast and hash(copy) == hash(ast)
+    assert to_text(copy) == printed
 
 
 def test_chains_splice_a_leading_child_of_their_own_kind():
