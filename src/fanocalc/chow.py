@@ -283,7 +283,6 @@ class BasisMap:
     """Exact 2x2 rational change of basis."""
 
     entries: Tuple[Tuple[Fraction, Fraction], Tuple[Fraction, Fraction]]
-    label: str = ""
 
     def __post_init__(self):
         rows = tuple(tuple(Fraction(x) for x in row) for row in self.entries)
@@ -295,10 +294,10 @@ class BasisMap:
         (a, b), (c, d) = self.entries
         return a * d - b * c
 
-    def inverse(self, label: str = "") -> "BasisMap":
+    def inverse(self) -> "BasisMap":
         (a, b), (c, d) = self.entries
         det = self.det()
-        return BasisMap(((d / det, -b / det), (-c / det, a / det)), label)
+        return BasisMap(((d / det, -b / det), (-c / det, a / det)))
 
     def __matmul__(self, other: "BasisMap") -> "BasisMap":
         (a, b), (c, d) = self.entries
@@ -323,12 +322,10 @@ def basis_map_A(nu: int, nu_prime: int, mu: int, mu_prime: int,
         raise ValueError("mu and mu' must be positive")
     a = BasisMap(
         ((Fraction(-nu, lam), Fraction(2 * lam - nu * nu_prime, lam * mu_prime)),
-         (Fraction(mu, lam), Fraction(mu * nu_prime, mu_prime * lam))),
-        label="A",
-    )
+         (Fraction(mu, lam), Fraction(mu * nu_prime, mu_prime * lam))))
     if lam == 1 and abs(a.det()) != 2:
         raise ValueError(f"det(A) must be +-2 for lambda=1, got {a.det()}")
-    return a, a.inverse(label="A_inverse")
+    return a, a.inverse()
 
 
 def convert_element(e: RingElem, m: BasisMap, dst: RingCtx) -> RingElem:
@@ -411,7 +408,7 @@ def basis_map_B(nu: int, nu_prime: int, mu: int, c1: int, delta: RatLike,
     )
     b21 = Fraction(nu * mu, d_prime)
     b22 = Fraction(d, 4 * d_prime) * (delta * mu * mu - 2 * c1 * nu * mu + nu * nu)
-    bmat = BasisMap(((b11, b12), (b21, b22)), label="B")
+    bmat = BasisMap(((b11, b12), (b21, b22)))
     det = bmat.det()
     lhs = d * (Fraction(nu * nu) - delta * mu * mu)
     rhs = Fraction(4 * b * d_prime)

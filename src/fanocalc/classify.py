@@ -89,15 +89,13 @@ def _unique_entry(entries: Sequence[FanoEntry]) -> Optional[FanoEntry]:
 
 # -- kind P ------------------------------------------------------------------
 
-def enumerate_type_P(n: int,
-                     data: Optional[List[FanoEntry]] = None) -> List[InvariantTuple]:
+def enumerate_type_P(n: int) -> List[InvariantTuple]:
     """Both projections are projective bundles; the product nu*nu' is
     pinned to 4*cos^2(pi/(n+1)), which is an integer only for n=2,3,5."""
     cos_sq = exact.cos_sq_pi_over(n + 1)
     if cos_sq is None or n not in (2, 3, 5):
         raise ValueError(f"no rational cos^2(pi/{n + 1}); n must be 2, 3 or 5")
-    if data is None:
-        data = dataset.load_dataset()
+    data = dataset.load_dataset()
     product = 4 * cos_sq
     assert product.denominator == 1
     product = int(product)
@@ -158,15 +156,13 @@ def _type_d_candidates(n_max: int, tau_prime_max: int):
 
 
 def enumerate_type_D(n_max: int = DEFAULT_N_MAX,
-                     tau_prime_max: int = DEFAULT_TAU_PRIME_MAX,
-                     data: Optional[List[FanoEntry]] = None) -> TypeDResult:
+                     tau_prime_max: int = DEFAULT_TAU_PRIME_MAX) -> TypeDResult:
     """Second contraction blows down a divisor to a codimension-two
     center; candidates are cut out by the argument bound and the
     integrality of the codimension-two basis change."""
     if n_max < 2:
         raise ValueError("n_max must be at least 2")
-    if data is None:
-        data = dataset.load_dataset()
+    data = dataset.load_dataset()
     rows: List[InvariantTuple] = []
     reports: List[ExclusionReport] = []
     for n, tau, p, delta, tau_prime in _type_d_candidates(n_max, tau_prime_max):
@@ -401,15 +397,13 @@ def c1_prime_int(n: int, tau: int, tau_prime: int) -> Optional[int]:
     return int(value) if value.denominator == 1 else None
 
 
-def enumerate_type_C(n: int,
-                     data: Optional[List[FanoEntry]] = None,
-                     ) -> Tuple[List[InvariantTuple], List[ExclusionReport]]:
+def enumerate_type_C(n: int) -> Tuple[List[InvariantTuple],
+                                      List[ExclusionReport]]:
     """Second contraction is a conic bundle over a manifold of the same
     dimension; only n = 2, 3, 5 admit the required rational angle."""
     if n not in (2, 3, 5):
         raise ValueError("n must be 2, 3 or 5")
-    if data is None:
-        data = dataset.load_dataset()
+    data = dataset.load_dataset()
     tan_sq = exact.tan_sq_pi_over(n + 1)
     rows: List[InvariantTuple] = []
     reports: List[ExclusionReport] = []

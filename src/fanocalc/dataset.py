@@ -51,12 +51,12 @@ def dataset_path() -> str:
 DATASET_COLUMNS = ("dim", "index", "degree", "name", "b4_rank", "source_note")
 
 
-def load_dataset(path: Optional[str] = None) -> List[FanoEntry]:
-    """Read the manifold table.  A file that lacks a column of
-    DATASET_COLUMNS raises ValueError naming the file and the columns; a
-    row that does not convert, one naming the file and the line."""
-    if path is None:
-        path = dataset_path()
+def load_dataset() -> List[FanoEntry]:
+    """Read the manifold table at dataset_path().  A file that lacks a
+    column of DATASET_COLUMNS raises ValueError naming the file and the
+    columns; a row that does not convert, one naming the file and the
+    line."""
+    path = dataset_path()
     entries = []
     with open(path, "r", encoding="utf-8", newline="") as fh:
         # A short row reads "" for its missing cells, which int() rejects
@@ -83,13 +83,12 @@ def load_dataset(path: Optional[str] = None) -> List[FanoEntry]:
     return entries
 
 
-def load_c2_pushforward(path: Optional[str] = None) -> Dict[int, Fraction]:
+def load_c2_pushforward() -> Dict[int, Fraction]:
     """Map target degree -> pushforward coefficient of c2 of the tangent
     bundle, used by the degeneracy-divisor formula."""
-    if path is None:
-        path = _default_path("c2_pushforward.csv")
     out: Dict[int, Fraction] = {}
-    with open(path, "r", encoding="utf-8", newline="") as fh:
+    with open(_default_path("c2_pushforward.csv"), "r", encoding="utf-8",
+              newline="") as fh:
         for row in csv.DictReader(fh):
             out[int(row["degree"])] = Fraction(row["coeff"])
     return out

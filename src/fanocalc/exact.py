@@ -166,11 +166,12 @@ def arg_less_than(z: QuadNum, q: int) -> bool:
     return True
 
 
-# Rational values of tan^2(pi/q) and cos^2(pi/q).  By Niven's theorem the
-# only q >= 2 with rational cos(pi/q) or rational cos^2(pi/q) are the ones
-# below; absence from the table certifies irrationality.
-_TAN_SQ = {3: Fraction(3), 4: Fraction(1), 6: Fraction(1, 3)}
+# Rational values of cos^2(pi/q).  By Niven's theorem the only q >= 2 with
+# rational cos^2(pi/q) are the ones below; absence from the table
+# certifies irrationality.  tan^2 = (1 - cos^2)/cos^2 is rational exactly
+# where cos^2 is, except at the pole q = 2.
 _COS_SQ = {2: Fraction(0), 3: Fraction(1, 4), 4: Fraction(1, 2), 6: Fraction(3, 4)}
+_TAN_SQ = {q: (1 - c) / c for q, c in _COS_SQ.items() if c}
 
 
 def tan_sq_pi_over(q: int) -> Optional[Fraction]:

@@ -287,9 +287,6 @@ def check_enumerations(rng: random.Random) -> Optional[str]:
         admissible = [t for t in rows if t.status == "admissible"]
         if len(admissible) != sum(row[0] == n for row in CONIC_ROWS):
             raise CheckFailed(f"type C n={n}: {len(admissible)} survivors")
-        for t in rows:
-            if not slope.check_rho_tau(t.n, t.tau, t.rho, t.delta):
-                raise CheckFailed(f"thresholds fail on emitted row {t}")
     result = classify.enumerate_type_D()
     if len(result.tuples) != len(BLOWDOWN_ROWS):
         raise CheckFailed(f"type D raw rows: {len(result.tuples)}")
@@ -371,26 +368,27 @@ def check_evaluator(rng: random.Random) -> Optional[str]:
 
 @check("perturbed thresholds fail")
 def check_perturbed_thresholds(rng: random.Random) -> Optional[str]:
-    """Systematic perturbations of every emitted table row must break
-    the threshold compatibility condition."""
-    failures = 0
+    """Every row the enumerators emit meets the threshold condition, and
+    each perturbation of it (tau and rho one up or one down, or Delta
+    doubled) breaks it."""
+    rows = [t for n in (2, 3, 5) for t in classify.enumerate_type_C(n)[0]]
+    rows += [t for n in (2, 3, 5) for t in classify.enumerate_type_P(n)]
+    rows += classify.enumerate_type_D().tuples
     total = 0
-    rows = [(n, Fraction(tau), Fraction(tau), delta)
-            for n, tau, _, delta, *_ in CONIC_ROWS]
-    rows += [(n, Fraction(tau), Fraction(tau) - Fraction(2, taup), delta)
-             for n, tau, taup, delta, *_ in BLOWDOWN_ROWS]
-    for n, tau, rho, delta in rows:
-        perturbed = [(tau + 1, rho + 1, delta), (tau - 1, rho - 1, delta),
-                     (tau, rho, 2 * delta)]
-        for t, r, d in perturbed:
+    for n, tau, rho, delta in sorted({(t.n, t.tau, t.rho, t.delta)
+                                      for t in rows}):
+        if not slope.check_rho_tau(n, tau, rho, delta):
+            raise CheckFailed(f"emitted row n={n} tau={tau} rho={rho} "
+                              f"Delta={delta} fails")
+        for t, r, d in ((tau + 1, rho + 1, delta), (tau - 1, rho - 1, delta),
+                        (tau, rho, 2 * delta)):
             if t <= 0:
                 continue
             total += 1
-            if not slope.check_rho_tau(n, t, r, d):
-                failures += 1
-    if failures < 10:
-        raise CheckFailed(f"only {failures} of {total} perturbations fail")
-    return f"{failures}/{total} perturbations rejected"
+            if slope.check_rho_tau(n, t, r, d):
+                raise CheckFailed(f"perturbed n={n} tau={t} rho={r} "
+                                  f"Delta={d} passes")
+    return f"{total}/{total} perturbations rejected"
 
 
 def run_all(seed: int = SEED) -> List[CheckResult]:

@@ -1,6 +1,5 @@
 import contextlib
 import io
-import json
 import math
 import os
 import pathlib
@@ -13,9 +12,9 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from fanocalc import chow, cli, expr
-from fanocalc.slope import CSV_COLUMNS
 
 GOLDEN = pathlib.Path(__file__).parent / "golden"
+CLI = GOLDEN / "cli"
 EXPECTED = GOLDEN.parent.parent / "bench" / "expected"
 CONTEXTS = (pathlib.Path(__file__).parent.parent / "src" / "fanocalc"
             / "data" / "contexts")
@@ -27,53 +26,42 @@ def run(capsys, *argv):
     return code, out.out, out.err
 
 
-def test_enumerate_type_C_csv_matches_golden(capsys):
-    for n in (2, 3, 5):
-        code, out, _ = run(capsys, "enumerate", "--type", "C",
-                           "--n", str(n), "--format", "csv")
-        assert code == 0
-        assert out == (GOLDEN / f"type_C_n{n}.csv").read_text()
+# Every pinned output, once: the argv of a command and the file that
+# holds its stdout, byte for byte.  The test id is the file name.
+PINNED = {
+    "enumerate --type C --n 2 --format csv": GOLDEN / "type_C_n2.csv",
+    "enumerate --type C --n 3 --format csv": GOLDEN / "type_C_n3.csv",
+    "enumerate --type C --n 5 --format csv": GOLDEN / "type_C_n5.csv",
+    "enumerate --type P --format csv": GOLDEN / "type_P.csv",
+    "enumerate --type congruence --m-max 19 --format csv":
+        GOLDEN / "congruences_m19.csv",
+    "enumerate --type C --format table": CLI / "enumerate-C.table.out",
+    "enumerate --type C --format json": CLI / "enumerate-C.json.out",
+    "enumerate --type P --format table": CLI / "enumerate-P.table.out",
+    "enumerate --type P --format json": CLI / "enumerate-P.json.out",
+    "enumerate --type D --format table": CLI / "enumerate-D.table.out",
+    "enumerate --type D --format json": CLI / "enumerate-D.json.out",
+    "enumerate --type D --format csv": CLI / "enumerate-D.csv.out",
+    "enumerate --type congruence --format table":
+        CLI / "enumerate-congruence.table.out",
+    "enumerate --type congruence --format json":
+        CLI / "enumerate-congruence.json.out",
+    "exclusions --case 1-2": CLI / "exclusions-1-2.out",
+    "exclusions --case 1-4": EXPECTED / "exclusions-1-4.out",
+    "exclusions --case 2-1": EXPECTED / "exclusions-2-1.out",
+    "family-table --format csv": EXPECTED / "family-table.csv.out",
+    "family-table --format json": EXPECTED / "family-table.json.out",
+    "family-table --format table": EXPECTED / "family-table.table.out",
+    "verify": EXPECTED / "verify.out",
+}
 
 
-def test_enumerate_type_P_csv_matches_golden(capsys):
-    code, out, _ = run(capsys, "enumerate", "--type", "P", "--format", "csv")
-    assert code == 0
-    assert out == (GOLDEN / "type_P.csv").read_text()
-
-
-def test_enumerate_type_D_reports_bounds(capsys):
-    code, out, _ = run(capsys, "enumerate", "--type", "D", "--format", "csv")
-    assert code == 0
-    lines = out.splitlines()
-    assert lines[0] == "# bounds: n_max=6 tau_prime_max=8"
-    assert lines[1] == ",".join(CSV_COLUMNS)
-    assert len(lines) == 6  # header comment + csv header + four rows
-
-
-def test_enumerate_congruence_matches_golden(capsys):
-    code, out, _ = run(capsys, "enumerate", "--type", "congruence",
-                       "--m-max", "19", "--format", "csv")
-    assert code == 0
-    assert out == (GOLDEN / "congruences_m19.csv").read_text()
-
-
-@pytest.mark.parametrize("kind", ["C", "P", "D", "congruence"])
-@pytest.mark.parametrize("fmt", ["table", "json"])
-def test_enumerate_output_matches_golden(capsys, kind, fmt):
-    # The stdout of each command at its default bounds.
-    code, out, err = run(capsys, "enumerate", "--type", kind,
-                         "--format", fmt)
+@pytest.mark.parametrize("argv, path", [
+    pytest.param(argv, path, id=path.name) for argv, path in PINNED.items()])
+def test_pinned_output(capsys, argv, path):
+    code, out, err = run(capsys, *argv.split())
     assert (code, err) == (0, "")
-    assert out == (GOLDEN / "cli" / f"enumerate-{kind}.{fmt}.out").read_text()
-
-
-def test_enumerate_json_mirrors_csv_fields(capsys):
-    code, out, _ = run(capsys, "enumerate", "--type", "C", "--n", "2",
-                       "--format", "json")
-    assert code == 0
-    payload = json.loads(out)
-    assert list(payload["rows"][0]) == list(CSV_COLUMNS)
-    assert payload["rows"][0]["Delta"] == "-12"
+    assert out.encode() == path.read_bytes()
 
 
 def test_eval_prints_degree(capsys):
@@ -93,15 +81,15 @@ def test_eval_chern_wu_in_every_shipped_context(capsys):
 
 def test_eval_output_matches_golden(capsys):
     # Each expression of eval.in in each shipped context, under a "# "
-    # line that names both, as the CI loop prints them.
-    corpus = (GOLDEN / "cli" / "eval.in").read_text().splitlines()
+    # line that names both.
+    corpus = (CLI / "eval.in").read_text().splitlines()
     printed = []
     for path in sorted(CONTEXTS.glob("*.ctx")):
         for text in corpus:
             code, out, err = run(capsys, "eval", "--ctx", str(path), text)
             assert (code, err) == (0, "")
             printed.append(f"# {path.name}: {text}\n{out}")
-    assert "".join(printed) == (GOLDEN / "cli" / "eval.out").read_text()
+    assert "".join(printed) == (CLI / "eval.out").read_text()
 
 
 @settings(max_examples=300, deadline=None)
@@ -233,42 +221,10 @@ def test_usage_error_exits_2(capsys):
     assert run(capsys, "enumerate", "--type", "C", "--n", "4")[0] == 2
 
 
-def test_exclusions_cases(capsys):
-    code, out, _ = run(capsys, "exclusions", "--case", "1-4")
-    assert code == 0
-    assert "value = -395" in out
-    assert "odd = True" in out
-    code, out, _ = run(capsys, "exclusions", "--case", "2-1")
-    assert code == 0
-    assert "m = 4/3" in out
-    assert "(18, 16)" in out
-
-
-def test_exclusion_cases_are_the_dossiers(capsys):
+def test_exclusion_cases_are_the_dossiers():
     from fanocalc import classify
     assert sorted(cli.EXCLUSION_CASES) == sorted(
         f"{tau}-{tau_prime}" for _, tau, tau_prime in classify._DOSSIERS)
-    for case, expected in (("1-2", GOLDEN / "cli"), ("1-4", EXPECTED),
-                           ("2-1", EXPECTED)):
-        code, out, err = run(capsys, "exclusions", "--case", case)
-        assert (code, err) == (0, "")
-        assert out == (expected / f"exclusions-{case}.out").read_text()
-
-
-def test_family_table(capsys):
-    code, out, _ = run(capsys, "family-table", "--format", "csv")
-    assert code == 0
-    lines = out.splitlines()
-    assert lines[0] == "X_prime,family_space,tau_family,X,tau,factor"
-    assert len(lines) == 6
-    assert lines[1].endswith(",2")  # the degree-two pullback row
-
-
-def test_verify_exits_zero(capsys):
-    # The output is the one CI compares, byte for byte.
-    code, out, err = run(capsys, "verify")
-    assert (code, err) == (0, "")
-    assert out == (EXPECTED / "verify.out").read_text()
 
 
 def test_verify_reports_a_failed_check(capsys, monkeypatch):
@@ -283,7 +239,7 @@ def test_verify_reports_a_failed_check(capsys, monkeypatch):
 
 def test_verify_reports_an_exception_as_a_failed_check(capsys, monkeypatch):
     # A dossier whose two rings disagree raises AssertionError, inside
-    # three checks; each is a [FAIL] line, and the run goes on.
+    # four checks; each is a [FAIL] line, and the run goes on.
     from fanocalc import classify
 
     def broken():
@@ -294,10 +250,10 @@ def test_verify_reports_an_exception_as_a_failed_check(capsys, monkeypatch):
     assert code == 1 and "Traceback" not in err
     detail = "       AssertionError: ring disagreement on K'^1H'^5\n"
     for name in ("cross-basis degrees", "classification tables",
-                 "deterministic output"):
+                 "deterministic output", "perturbed thresholds fail"):
         assert f"[FAIL] {name}\n{detail}" in out
-    assert out.count("[FAIL]") == 3
-    assert out.endswith("17/20 checks passed\n")
+    assert out.count("[FAIL]") == 4
+    assert out.endswith("16/20 checks passed\n")
 
 
 def test_dataset_env_override(capsys, tmp_path, monkeypatch):
