@@ -1,5 +1,6 @@
 import contextlib
 import io
+import json
 import math
 import os
 import pathlib
@@ -12,6 +13,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from fanocalc import chow, cli, expr
+from fanocalc.slope import CSV_COLUMNS
 
 GOLDEN = pathlib.Path(__file__).parent / "golden"
 CLI = GOLDEN / "cli"
@@ -62,6 +64,17 @@ def test_pinned_output(capsys, argv, path):
     code, out, err = run(capsys, *argv.split())
     assert (code, err) == (0, "")
     assert out.encode() == path.read_bytes()
+
+
+def test_enumerate_json_mirrors_csv_fields(capsys):
+    # The JSON rows carry the CSV columns, in order, as the code names
+    # them: a renamed column would change both goldens together.
+    code, out, _ = run(capsys, "enumerate", "--type", "C", "--n", "2",
+                       "--format", "json")
+    assert code == 0
+    payload = json.loads(out)
+    assert list(payload["rows"][0]) == list(CSV_COLUMNS)
+    assert payload["rows"][0]["Delta"] == "-12"
 
 
 def test_eval_prints_degree(capsys):
