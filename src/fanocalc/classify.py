@@ -37,7 +37,10 @@ _P_NAMES = {
 }
 
 DEFAULT_N_MAX = 6
-DEFAULT_TAU_PRIME_MAX = 8
+# Printed in the type D header; no option sets it.  Every solvable tau'
+# of type D is at most 3, as the unbounded scan in tests/test_classify.py
+# checks up to n = 50.
+TAU_PRIME_MAX = 8
 
 
 @dataclass(frozen=True)
@@ -64,7 +67,6 @@ class FinAnalysis:
     vanishing_j: int
     rational_cases: Dict[int, Fraction]
     outcomes: Tuple[Tuple[str, str], ...]
-    reports: Tuple[ExclusionReport, ...]
 
 
 @dataclass(frozen=True)
@@ -78,9 +80,19 @@ def _sort_key(t: InvariantTuple):
     return (t.n, t.tau, t.tau_prime)
 
 
-def _c1_for(tau: int) -> int:
-    # Normalized up to a twist: 0 for even tau, -1 for odd.
-    return 0 if tau % 2 == 0 else -1
+def _candidate(n: int, kind: str, tau: int, tau_prime: int,
+               delta: Fraction, **fields) -> InvariantTuple:
+    """The candidate of `kind` with every field the relations fix:
+    mu = mu' = 1, so nu = tau and nu' = tau'; i = tau + lambda and
+    i' = tau' + 2; c1 normalized up to a twist (0 for even tau, -1 for
+    odd) and c2/d = (c1^2 - Delta)/4.  rho is tau unless given."""
+    lam = 2 if kind == "P" else 1
+    c1 = 0 if tau % 2 == 0 else -1
+    fields.setdefault("rho", tau)
+    return InvariantTuple(
+        n=n, kind=kind, lam=lam, mu=1, mu_prime=1, nu=tau, nu_prime=tau_prime,
+        tau=tau, tau_prime=tau_prime, i=tau + lam, i_prime=tau_prime + 2,
+        c1=c1, delta=delta, c2_over_d=Fraction(c1 * c1 - delta, 4), **fields)
 
 
 def _unique_entry(entries: Sequence[FanoEntry]) -> Optional[FanoEntry]:
@@ -91,12 +103,11 @@ def _unique_entry(entries: Sequence[FanoEntry]) -> Optional[FanoEntry]:
 
 def enumerate_type_P(n: int) -> List[InvariantTuple]:
     """Both projections are projective bundles; the product nu*nu' is
-    pinned to 4*cos^2(pi/(n+1)), which is an integer only for n=2,3,5."""
-    cos_sq = exact.cos_sq_pi_over(n + 1)
-    if cos_sq is None or n not in (2, 3, 5):
-        raise ValueError(f"no rational cos^2(pi/{n + 1}); n must be 2, 3 or 5")
+    pinned to 4*cos^2(pi/(n+1)), a positive integer only for n in
+    slope.ADMISSIBLE_N."""
+    slope.require_admissible(n)
     data = dataset.load_dataset()
-    product = 4 * cos_sq
+    product = 4 * exact.cos_sq_pi_over(n + 1)
     assert product.denominator == 1
     product = int(product)
     tan_sq = exact.tan_sq_pi_over(n + 1)
@@ -107,16 +118,11 @@ def enumerate_type_P(n: int) -> List[InvariantTuple]:
         nu_prime = product // nu
         if nu < nu_prime:
             continue  # symmetric pairs emitted once, larger factor first
-        delta = -Fraction(nu) ** 2 * tan_sq
-        c1 = _c1_for(nu)
         names, label = _P_NAMES[n]
         ex = _unique_entry([e for e in data if e.name == names[0]])
         exp = _unique_entry([e for e in data if e.name == names[1]])
-        out.append(InvariantTuple(
-            n=n, kind="P", lam=2, mu=1, mu_prime=1,
-            nu=nu, nu_prime=nu_prime, tau=nu, tau_prime=nu_prime, rho=nu,
-            i=nu + 2, i_prime=nu_prime + 2, c1=c1, delta=delta,
-            c2_over_d=Fraction(c1 * c1 - delta, 4),
+        out.append(_candidate(
+            n, "P", nu, nu_prime, -Fraction(nu) ** 2 * tan_sq,
             d=ex.degree if ex else None,
             deg_x=ex.degree if ex else None,
             deg_x_prime=exp.degree if exp else None,
@@ -138,8 +144,12 @@ _CITE_NO_MANIFOLD = ("no Fano manifold with cyclic cohomology realizes the "
                      "forced dimension and index")
 
 
-def _type_d_candidates(n_max: int, tau_prime_max: int):
-    """All (n, tau, P) with P = B21*d, tau*P < 4 and a solvable tau'."""
+def _type_d_candidates(n_max: int):
+    """All (n, tau, P) with P = B21*d, tau*P < 4 and a solvable tau'.
+
+    arg(tau + sqrt(Delta)) < pi/(n+1) fails for every n past the first
+    that fails it (arg_less_than is antitone in q), so each scan stops
+    there, at n = 5 at the latest, whatever n_max is."""
     for tau in (1, 2, 3):
         for p in (1, 2, 3):
             if tau * p >= 4:
@@ -148,15 +158,13 @@ def _type_d_candidates(n_max: int, tau_prime_max: int):
             z = exact.quad(tau, 1, delta)
             for n in range(2, n_max + 1):
                 if not exact.arg_less_than(z, n + 1):
-                    continue
+                    break
                 tau_prime = slope.solve_nu_prime(n, tau, delta, 1)
-                if tau_prime is None or tau_prime > tau_prime_max:
-                    continue
-                yield n, tau, p, delta, tau_prime
+                if tau_prime is not None:
+                    yield n, tau, p, delta, tau_prime
 
 
-def enumerate_type_D(n_max: int = DEFAULT_N_MAX,
-                     tau_prime_max: int = DEFAULT_TAU_PRIME_MAX) -> TypeDResult:
+def enumerate_type_D(n_max: int = DEFAULT_N_MAX) -> TypeDResult:
     """Second contraction blows down a divisor to a codimension-two
     center; candidates are cut out by the argument bound and the
     integrality of the codimension-two basis change."""
@@ -165,17 +173,11 @@ def enumerate_type_D(n_max: int = DEFAULT_N_MAX,
     data = dataset.load_dataset()
     rows: List[InvariantTuple] = []
     reports: List[ExclusionReport] = []
-    for n, tau, p, delta, tau_prime in _type_d_candidates(n_max, tau_prime_max):
-        d_prime, d = tau, p  # from B21 = tau/d' = 1 and P = B21*d
-        c1 = _c1_for(tau)
-        cand = InvariantTuple(
-            n=n, kind="D", lam=1, mu=1, mu_prime=1,
-            nu=tau, nu_prime=tau_prime, tau=tau, tau_prime=tau_prime,
-            rho=Fraction(tau * tau_prime - 2, tau_prime),
-            i=tau + 1, i_prime=tau_prime + 2, c1=c1, delta=delta,
-            c2_over_d=Fraction(c1 * c1 - delta, 4),
-            d=d, d_prime=d_prime, b=1,
-        )
+    for n, tau, p, delta, tau_prime in _type_d_candidates(n_max):
+        # d' = tau and d = P, from B21 = tau/d' = 1 and P = B21*d.
+        cand = _candidate(n, "D", tau, tau_prime, delta,
+                          rho=Fraction(tau * tau_prime - 2, tau_prime),
+                          d=p, d_prime=tau, b=1)
         x_entries = [e for e in data if e.dim == n and e.index == cand.i]
         xp_entries = [e for e in data
                       if e.dim == n + 1 and e.index == cand.i_prime]
@@ -210,8 +212,7 @@ def enumerate_type_D(n_max: int = DEFAULT_N_MAX,
         if rep.rule != "no_manifold":  # reported, not a row of the table
             rows.append(rep.candidate)
     rows.sort(key=_sort_key)
-    fin = type_D_fin_analysis(tau_prime_max, n_max)
-    return TypeDResult(tuple(rows), tuple(reports), fin)
+    return TypeDResult(tuple(rows), tuple(reports), type_D_fin_analysis(n_max))
 
 
 def type_d_raw_table(result: TypeDResult) -> List[Tuple[int, ...]]:
@@ -225,31 +226,19 @@ def type_d_raw_table(result: TypeDResult) -> List[Tuple[int, ...]]:
     return out
 
 
-def type_D_fin_analysis(tau_prime_max: int = DEFAULT_TAU_PRIME_MAX,
-                        n_max: int = DEFAULT_N_MAX) -> FinAnalysis:
+def type_D_fin_analysis(n_max: int = DEFAULT_N_MAX) -> FinAnalysis:
     """Branch where the exceptional locus maps with finite fibers.
 
     The top Chern class of the restricted bundle has to vanish, which
     factors as a product with factors ((tau'-2j) sqrt(D) + (tau'-2))/2
-    over j; a factor vanishes only when tau' = 2 and j = 1.  With
-    tau' = 2 the thresholds force sqrt(-D) = tan(pi/2n), rational only
-    for n = 2 (D = -1) and n = 3 (D = -1/3).
+    over j; a factor vanishes iff both rational coefficients vanish, so
+    only when tau' = 2 and j = 1.  With tau' = 2 the thresholds force
+    sqrt(-D) = tan(pi/2n), rational only for n = 2 (D = -1) and n = 3
+    (D = -1/3).
     """
-    reports = []
-    for tau_prime in range(1, tau_prime_max + 1):
-        # Factor j of the top Chern class vanishes iff both rational
-        # coefficients (tau'-2j) and (tau'-2) vanish, so some factor
-        # vanishes iff tau' = 2 (at j = 1).
-        if tau_prime != 2:
-            reports.append(ExclusionReport(
-                rule="no_vanishing_factor",
-                witness={"tau_prime": tau_prime,
-                         "tau_prime_minus_2": tau_prime - 2},
-                citation=("a factor of the top Chern class must vanish, "
-                          "which needs tau' = 2"),
-            ))
     rational_cases: Dict[int, Fraction] = {}
-    for n in range(2, n_max + 1):
+    # n = 3 is the largest n with 2n in exact's Niven table.
+    for n in range(2, min(n_max, 3) + 1):
         tan_sq = exact.tan_sq_pi_over(2 * n)
         if tan_sq is not None:
             rational_cases[n] = -tan_sq
@@ -263,7 +252,7 @@ def type_D_fin_analysis(tau_prime_max: int = DEFAULT_TAU_PRIME_MAX,
     return FinAnalysis(
         vanishing_tau_prime=2, vanishing_j=1,
         rational_cases=rational_cases,
-        outcomes=outcomes, reports=tuple(reports),
+        outcomes=outcomes,
     )
 
 
@@ -400,9 +389,9 @@ def c1_prime_int(n: int, tau: int, tau_prime: int) -> Optional[int]:
 def enumerate_type_C(n: int) -> Tuple[List[InvariantTuple],
                                       List[ExclusionReport]]:
     """Second contraction is a conic bundle over a manifold of the same
-    dimension; only n = 2, 3, 5 admit the required rational angle."""
-    if n not in (2, 3, 5):
-        raise ValueError("n must be 2, 3 or 5")
+    dimension; only n in slope.ADMISSIBLE_N admits the required rational
+    angle."""
+    slope.require_admissible(n)
     data = dataset.load_dataset()
     tan_sq = exact.tan_sq_pi_over(n + 1)
     rows: List[InvariantTuple] = []
@@ -412,16 +401,9 @@ def enumerate_type_C(n: int) -> Tuple[List[InvariantTuple],
             c1p = c1_prime_int(n, tau, tau_prime)
             if c1p is None:
                 continue
-            delta = -Fraction(tau * tau) * tan_sq
-            c1 = _c1_for(tau)
-            ydf = slope.y_dot_f(c1p, tau_prime, 1)
-            cand = InvariantTuple(
-                n=n, kind="C", lam=1, mu=1, mu_prime=1,
-                nu=tau, nu_prime=tau_prime, tau=tau, tau_prime=tau_prime,
-                rho=tau, i=tau + 1, i_prime=tau_prime + 2,
-                c1=c1, delta=delta, c2_over_d=Fraction(c1 * c1 - delta, 4),
-                c1_prime=c1p, y_dot_f=ydf,
-            )
+            cand = _candidate(n, "C", tau, tau_prime,
+                              -Fraction(tau * tau) * tan_sq, c1_prime=c1p,
+                              y_dot_f=slope.y_dot_f(c1p, tau_prime, 1))
             # Effectivity of the degeneracy divisor: its pushforward is
             # -c1' times the ample generator.  Then the n = 5 dossiers.
             rep = None

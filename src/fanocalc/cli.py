@@ -102,14 +102,12 @@ def cmd_enumerate(ns: argparse.Namespace) -> int:
         emit(("alpha", "z", "m"), rows, fmt, [f"bounds: m_max={m_max}"])
         return 0
     from . import classify
-    from .slope import CSV_COLUMNS, tuple_to_row
+    from .slope import ADMISSIBLE_N, CSV_COLUMNS, tuple_to_row
     if kind == "D":
         n_max = classify.DEFAULT_N_MAX if ns.n_max is None else ns.n_max
-        tau_prime_max = classify.DEFAULT_TAU_PRIME_MAX \
-            if ns.tau_prime_max is None else ns.tau_prime_max
-        result = classify.enumerate_type_D(n_max, tau_prime_max)
+        result = classify.enumerate_type_D(n_max)
         emit(CSV_COLUMNS, [tuple_to_row(t) for t in result.tuples], fmt,
-             [f"bounds: n_max={n_max} tau_prime_max={tau_prime_max}"])
+             [f"bounds: n_max={n_max} tau_prime_max={classify.TAU_PRIME_MAX}"])
         if fmt == "table":
             print()
             print("raw table (n, i, tau, c1, c2, d, d', tau', i'):")
@@ -123,12 +121,9 @@ def cmd_enumerate(ns: argparse.Namespace) -> int:
             for label, desc in fin.outcomes:
                 print(f"  {label}: {desc}")
         return 0
-    if ns.n is not None and ns.n not in (2, 3, 5):
-        print(f"--n must be 2, 3 or 5 for type {kind}", file=sys.stderr)
-        return 2
     tuples = []
     reports: List[classify.ExclusionReport] = []
-    for n in [ns.n] if ns.n is not None else [2, 3, 5]:
+    for n in ADMISSIBLE_N if ns.n is None else [ns.n]:
         if kind == "P":
             tuples.extend(classify.enumerate_type_P(n))
         else:
@@ -227,7 +222,6 @@ def build_parser() -> argparse.ArgumentParser:
     # enumerator's own default constant: building the parser imports
     # neither classify nor families.
     enum.add_argument("--n-max", type=int)
-    enum.add_argument("--tau-prime-max", type=int)
     enum.add_argument("--m-max", type=int)
     enum.add_argument("--format", dest="fmt", choices=FORMATS, default="table")
     ev = sub.add_parser("eval", help="evaluate a ring expression")

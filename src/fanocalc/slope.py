@@ -14,12 +14,22 @@ from dataclasses import InitVar, dataclass, replace
 from fractions import Fraction
 from typing import Optional, Tuple, Union
 
-from .exact import cos_sq_pi_over, integral_form, zmul, zpow
+from .exact import _COS_SQ, cos_sq_pi_over, integral_form, zmul, zpow
 
 RatLike = Union[Fraction, int]
 
 KINDS = ("P", "D", "C")
 _THRESHOLD_FIELDS = ("n", "tau", "rho", "delta")
+
+# The dimensions n with cos^2(pi/(n+1)) rational and nonzero, read off
+# exact's Niven table: 2, 3 and 5.  Only these admit the rational angles
+# that kinds P and C need.
+ADMISSIBLE_N = tuple(q - 1 for q, c in sorted(_COS_SQ.items()) if c)
+
+
+def require_admissible(n: int) -> None:
+    if n not in ADMISSIBLE_N:
+        raise ValueError("n must be 2, 3 or 5")
 
 
 def _two_pow_cos_pow(n: int) -> int:
@@ -27,8 +37,7 @@ def _two_pow_cos_pow(n: int) -> int:
     the three dimensions where the half-plane argument condition admits
     solutions: the integer 2, 4 and 18 for n = 2, 3 and 5.  At n = 2 the
     exponent is 1/2 and 4*cos^2(pi/3) = 1, so flooring it changes nothing."""
-    if n not in (2, 3, 5):
-        raise ValueError("n must be 2, 3 or 5")
+    require_admissible(n)
     return 2 * int(4 * cos_sq_pi_over(n + 1)) ** ((n - 1) // 2)
 
 

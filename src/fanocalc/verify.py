@@ -116,7 +116,7 @@ def check_norm_multiplicative(rng: random.Random) -> Optional[str]:
 @check("exact angle powers")
 def check_exact_angle(rng: random.Random) -> Optional[str]:
     """(tau + sqrt(-tau^2 tan^2(pi/(n+1))))^(n+1) is a negative real."""
-    for n in (2, 3, 5):
+    for n in slope.ADMISSIBLE_N:
         tan_sq = exact.tan_sq_pi_over(n + 1)
         for tau in (1, 2, 3):
             delta = -Fraction(tau * tau) * tan_sq
@@ -371,9 +371,9 @@ def check_perturbed_thresholds(rng: random.Random) -> Optional[str]:
     """Every row the enumerators emit meets the threshold condition, and
     each perturbation of it (tau and rho one up or one down, or Delta
     doubled) breaks it."""
-    rows = [t for n in (2, 3, 5) for t in classify.enumerate_type_C(n)[0]]
-    rows += [t for n in (2, 3, 5) for t in classify.enumerate_type_P(n)]
-    rows += classify.enumerate_type_D().tuples
+    rows = list(classify.enumerate_type_D().tuples)
+    for n in slope.ADMISSIBLE_N:
+        rows += classify.enumerate_type_C(n)[0] + classify.enumerate_type_P(n)
     total = 0
     for n, tau, rho, delta in sorted({(t.n, t.tau, t.rho, t.delta)
                                       for t in rows}):

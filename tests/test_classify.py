@@ -1,9 +1,8 @@
-import pathlib
 from fractions import Fraction
 
 import pytest
 
-from fanocalc import classify, dataset, families, slope
+from fanocalc import classify, dataset, exact, families, slope
 from fanocalc.classify import (CongruenceTuple, congruence_profile,
                                enumerate_congruences, enumerate_type_C,
                                enumerate_type_D, enumerate_type_P,
@@ -11,11 +10,6 @@ from fanocalc.classify import (CongruenceTuple, congruence_profile,
                                type_D_fin_analysis)
 
 F = Fraction
-GOLDEN = pathlib.Path(__file__).parent / "golden"
-
-
-def golden(name):
-    return (GOLDEN / name).read_text(encoding="utf-8")
 
 
 # -- kind P ------------------------------------------------------------------
@@ -34,13 +28,8 @@ def test_type_P_factorizations():
 
 
 def test_type_P_rejects_other_dimensions():
-    with pytest.raises(ValueError, match="rational cos"):
+    with pytest.raises(ValueError, match="^n must be 2, 3 or 5$"):
         enumerate_type_P(4)
-
-
-def test_type_P_golden():
-    rows = enumerate_type_P(2) + enumerate_type_P(3) + enumerate_type_P(5)
-    assert slope.tuples_to_csv(rows) == golden("type_P.csv")
 
 
 # -- kind D ------------------------------------------------------------------
@@ -76,9 +65,37 @@ def test_fin_analysis():
     assert (fin.vanishing_tau_prime, fin.vanishing_j) == (2, 1)
     assert fin.rational_cases == {2: F(-1), 3: F(-1, 3)}
     assert [label for label, _ in fin.outcomes] == ["(D2)", "(D3)"]
-    assert all(r.rule == "no_vanishing_factor" for r in fin.reports)
-    assert {r.witness["tau_prime"] for r in fin.reports} == \
-        set(range(1, 9)) - {2}
+
+
+def _type_d_full_scan(n_max):
+    """The type D scan before each (tau, P) stopped at its first failing
+    power: every n up to n_max, and no bound on tau'."""
+    out = []
+    for tau in (1, 2, 3):
+        for p in (1, 2, 3):
+            if tau * p >= 4:
+                continue
+            delta = F(tau * tau) - F(4 * tau, p)
+            z = exact.quad(tau, 1, delta)
+            for n in range(2, n_max + 1):
+                if not exact.arg_less_than(z, n + 1):
+                    continue
+                tau_prime = slope.solve_nu_prime(n, tau, delta, 1)
+                if tau_prime is not None:
+                    out.append((n, tau, p, delta, tau_prime))
+    return sorted(out)
+
+
+def test_type_D_early_stop_matches_full_scan():
+    full = _type_d_full_scan(50)
+    result = enumerate_type_D(50)
+    admissible = [t for t in result.tuples if t.status == "admissible"]
+    got = sorted((t.n, int(t.tau), t.d, t.delta, int(t.tau_prime))
+                 for t in admissible + [r.candidate for r in result.reports])
+    assert got == full
+    assert max(tau_prime for *_, tau_prime in full) <= 3 \
+        < classify.TAU_PRIME_MAX
+    assert result == enumerate_type_D()
 
 
 # -- kind C ------------------------------------------------------------------
@@ -116,7 +133,7 @@ def test_type_C_survivor_fields():
 
 
 def test_type_C_rejects_other_dimensions():
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="^n must be 2, 3 or 5$"):
         enumerate_type_C(4)
 
 
@@ -243,11 +260,3 @@ def test_congruence_profile():
         assert prof.deg_z < prof.bound
     with pytest.raises(ValueError):
         congruence_profile(CongruenceTuple(4, 3, 5), 0)
-
-
-def test_csv_golden_congruences():
-    lines = golden("congruences_m19.csv").splitlines()
-    assert lines[0] == "# bounds: m_max=19"
-    assert lines[1] == "alpha,z,m"
-    got = [f"{t.alpha},{t.z},{t.m}" for t in enumerate_congruences(19)]
-    assert lines[2:] == got

@@ -232,6 +232,29 @@ def test_usage_error_exits_2(capsys):
     assert run(capsys, "enumerate")[0] == 2
     assert run(capsys, "enumerate", "--type", "X")[0] == 2
     assert run(capsys, "enumerate", "--type", "C", "--n", "4")[0] == 2
+    for kind, n in (("P", "4"), ("C", "1")):
+        code, out, err = run(capsys, "enumerate", "--type", kind, "--n", n)
+        assert (code, out) == (2, "")
+        assert err == "input error: n must be 2, 3 or 5\n"
+    assert run(capsys, "enumerate", "--type", "D",
+               "--tau-prime-max", "3")[0] == 2
+
+
+def test_enumerate_type_D_time_does_not_depend_on_n_max():
+    # In a child process, so that a scan up to n_max fails the test by
+    # the timeout instead of hanging the suite.
+    n_max = 10 ** 18
+    src = pathlib.Path(cli.__file__).parent.parent
+    proc = subprocess.run(
+        [sys.executable, "-m", "fanocalc", "enumerate", "--type", "D",
+         "--n-max", str(n_max), "--format", "csv"],
+        env=dict(os.environ, PYTHONPATH=str(src)), capture_output=True,
+        text=True, timeout=5)
+    assert (proc.returncode, proc.stderr) == (0, "")
+    header, rows = proc.stdout.split("\n", 1)
+    assert header == f"# bounds: n_max={n_max} tau_prime_max=8"
+    default = (CLI / "enumerate-D.csv.out").read_text(encoding="utf-8")
+    assert rows == default.split("\n", 1)[1]
 
 
 def test_exclusion_cases_are_the_dossiers():
