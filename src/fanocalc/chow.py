@@ -231,13 +231,18 @@ class RingElem:
     def __pow__(self, k: int) -> "RingElem":
         if k < 0:
             raise ValueError("exponent must be nonnegative")
-        result, base = self.ctx.one(), self
-        while k:
+        if not k:
+            return self.ctx.one()
+        # Square up to the lowest set bit of k, and start the product from
+        # that factor rather than from one.
+        base = self
+        while not k & 1:
+            base, k = base * base, k >> 1
+        result = base
+        while k := k >> 1:
+            base = base * base
             if k & 1:
                 result = result * base
-            k >>= 1
-            if k:
-                base = base * base
         return result
 
     def is_zero(self) -> bool:

@@ -92,8 +92,16 @@ def cmd_verify(ns: argparse.Namespace) -> int:
     return 0 if failures == 0 else 1
 
 
+# The types whose enumeration reads each bound; it is refused elsewhere.
+ENUMERATE_BOUNDS = {"n": ("P", "C"), "n_max": ("D",), "m_max": ("congruence",)}
+
+
 def cmd_enumerate(ns: argparse.Namespace) -> int:
     kind, fmt = ns.kind, ns.fmt
+    for dest, kinds in ENUMERATE_BOUNDS.items():
+        if getattr(ns, dest) is not None and kind not in kinds:
+            raise ValueError(f"--{dest.replace('_', '-')} does not apply "
+                             f"to --type {kind}")
     if kind == "congruence":
         from . import families
         m_max = families.DEFAULT_M_MAX if ns.m_max is None else ns.m_max

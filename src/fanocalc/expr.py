@@ -9,12 +9,12 @@ primed symbols never become ambiguous.  Precedence, tightest first:
 
 from __future__ import annotations
 
-import string
+import re
 import sys
 from dataclasses import dataclass, field
 from fractions import Fraction
 from math import gcd
-from typing import Dict, List, Optional, Tuple, Union
+from typing import Dict, List, NamedTuple, Optional, Tuple, Union
 
 from .chow import RingCtx, RingElem, intersection_degree
 
@@ -25,8 +25,10 @@ MAX_TOKENS = 50_000
 # Largest power evaluated, in bits, estimated before computing it.
 MAX_POW_BITS = 1 << 20
 
-_SYMBOL_START = set(string.ascii_letters)
-_SYMBOL_CONT = set(string.ascii_letters + string.digits + "'")
+# One token per match, after any whitespace: a number with its optional
+# "/denominator", a symbol, or one other character.  \s and \d are the
+# Unicode whitespace of str.isspace and the decimal digits that int reads.
+_TOKEN = re.compile(r"\s*((\d+)(/(\d*))?|([A-Za-z][A-Za-z0-9']*)|\S)")
 _SINGLE = {"+": "plus", "-": "minus", "*": "star", "^": "caret",
            "(": "lparen", ")": "rparen"}
 
@@ -39,8 +41,7 @@ class ExprError(ValueError):
         self.pos = pos
 
 
-@dataclass(frozen=True)
-class Token:
+class Token(NamedTuple):
     kind: str  # number, symbol, plus, minus, star, caret, lparen, rparen
     text: str
     pos: int  # 1-based column
@@ -115,66 +116,51 @@ Node = Union[Lit, Sym, Neg, Add, Mul, Pow]
 
 def tokenize(text: str) -> List[Token]:
     tokens: List[Token] = []
-    i = 0
-    while i < len(text):
-        ch = text[i]
-        pos = i + 1
-        if ch.isspace():
-            i += 1
-            continue
-        if ch in _SINGLE:
-            tokens.append(Token(_SINGLE[ch], ch, pos))
-            i += 1
-            continue
-        if ch.isdigit():
-            j = i
-            while j < len(text) and text[j].isdigit():
-                j += 1
-            num = text[i:j]
-            if j < len(text) and text[j] == "/":
-                k = j + 1
-                while k < len(text) and text[k].isdigit():
-                    k += 1
-                if k == j + 1:
-                    raise ExprError("expected digits after '/'", j + 2)
-                denom = text[j + 1:k]
-                if not denom.strip("0"):
-                    raise ExprError("zero denominator", j + 2)
-                tokens.append(Token("number", f"{num}/{denom}", pos))
-                i = k
-            else:
-                tokens.append(Token("number", num, pos))
-                i = j
-            continue
-        if ch in _SYMBOL_START:
-            j = i + 1
-            while j < len(text) and text[j] in _SYMBOL_CONT:
-                j += 1
-            tokens.append(Token("symbol", text[i:j], pos))
-            i = j
-            continue
-        raise ExprError(f"unknown character {ch!r}", pos)
+    for m in _TOKEN.finditer(text):
+        tok, num, slash, denom, symbol = m.groups()
+        pos = m.start(1) + 1
+        if num:
+            # Any decimal zero, such as the Arabic-Indic one, reads as 0.
+            if slash and not any(map(int, denom)):
+                raise ExprError("zero denominator" if denom else
+                                "expected digits after '/'",
+                                pos + len(num) + 1)
+            tokens.append(Token("number", tok, pos))
+        elif symbol:
+            tokens.append(Token("symbol", tok, pos))
+        elif tok in _SINGLE:
+            tokens.append(Token(_SINGLE[tok], tok, pos))
+        else:
+            raise ExprError(f"unknown character {tok!r}", pos)
     if len(tokens) > MAX_TOKENS:
         raise ExprError(f"more than {MAX_TOKENS} tokens",
                         tokens[MAX_TOKENS].pos)
     return tokens
 
 
+def _int(text: str, pos: int) -> int:
+    try:
+        return int(text)
+    except ValueError:
+        # Past the interpreter's limit on decimal-to-int conversion.
+        raise ExprError("number has more than "
+                        f"{sys.get_int_max_str_digits()} digits",
+                        pos) from None
+
+
 class _Parser:
     def __init__(self, tokens: List[Token]):
-        self.tokens = tokens
+        # An end token after the last one, at the column that follows it,
+        # so that reading the next token needs no bounds test.
+        last = tokens[-1]
+        self.tokens = tokens + [Token("end", "", last.pos + len(last.text))]
         self.index = 0
         self.depth = 0
 
-    def peek(self) -> Optional[Token]:
-        return self.tokens[self.index] if self.index < len(self.tokens) else None
-
     def next(self) -> Token:
-        tok = self.peek()
-        if tok is None:
-            last = self.tokens[-1] if self.tokens else None
-            pos = last.pos + len(last.text) if last else 1
-            raise ExprError("unexpected end of input", pos)
+        tok = self.tokens[self.index]
+        if tok.kind == "end":
+            raise ExprError("unexpected end of input", tok.pos)
         self.index += 1
         return tok
 
@@ -184,42 +170,36 @@ class _Parser:
         if self.depth > MAX_DEPTH:
             raise ExprError("expression too deeply nested", tok.pos)
 
-    def _number(self, tok: Token, convert):
-        try:
-            return convert(tok.text)
-        except ValueError:
-            # Past the interpreter's limit on decimal-to-int conversion.
-            raise ExprError("number has more than "
-                            f"{sys.get_int_max_str_digits()} digits",
-                            tok.pos) from None
-
     def parse(self) -> Node:
         node = self.expr()
-        tok = self.peek()
-        if tok is not None:
+        tok = self.tokens[self.index]
+        if tok.kind != "end":
             raise ExprError(f"unexpected {tok.text!r}", tok.pos)
         return node
 
     def expr(self) -> Node:
         terms = [self.term()]
-        while (tok := self.peek()) and tok.kind in ("plus", "minus"):
-            self.next()
+        tokens = self.tokens
+        while (kind := tokens[self.index].kind) in ("plus", "minus"):
+            self.index += 1
             rhs = self.term()
-            terms.append(rhs if tok.kind == "plus" else Neg(rhs))
+            terms.append(rhs if kind == "plus" else Neg(rhs))
         return Add(tuple(terms)) if len(terms) > 1 else terms[0]
 
     def term(self) -> Node:
         factors = [self.factor()]
-        while (tok := self.peek()) and tok.kind == "star":
-            self.next()
+        tokens = self.tokens
+        while tokens[self.index].kind == "star":
+            self.index += 1
             factors.append(self.factor())
         return Mul(tuple(factors)) if len(factors) > 1 else factors[0]
 
     def factor(self) -> Node:
-        tok = self.peek()
-        if not (tok and tok.kind == "minus"):
+        tok = self.tokens[self.index]
+        if tok.kind != "minus":
             return self.power()
-        self._enter(self.next())
+        self.index += 1
+        self._enter(tok)
         node = Neg(self.factor())
         self.depth -= 1
         return node
@@ -227,19 +207,21 @@ class _Parser:
     def power(self) -> Node:
         node = self.atom()
         exponents, pos = [], []
-        while (tok := self.peek()) and tok.kind == "caret":
-            self.next()
+        while self.tokens[self.index].kind == "caret":
+            self.index += 1
             etok = self.next()
             if etok.kind != "number" or "/" in etok.text:
                 raise ExprError("exponent must be an integer literal", etok.pos)
-            exponents.append(self._number(etok, int))
+            exponents.append(_int(etok.text, etok.pos))
             pos.append(etok.pos)
         return Pow(node, tuple(exponents), tuple(pos)) if exponents else node
 
     def atom(self) -> Node:
         tok = self.next()
         if tok.kind == "number":
-            return Lit(self._number(tok, Fraction), tok.pos)
+            p, _, q = tok.text.partition("/")
+            value = Fraction(_int(p, tok.pos), _int(q, tok.pos) if q else 1)
+            return Lit(value, tok.pos)
         if tok.kind == "symbol":
             return Sym(tok.text, tok.pos)
         if tok.kind == "lparen":
@@ -332,9 +314,14 @@ def _pow(base: Value, k: int, pos: int) -> Value:
     return base ** k
 
 
-def _eval(node: Node, ctx: RingCtx, bindings: Bindings) -> Value:
+def _eval(node: Node, ctx: RingCtx, bindings: Bindings,
+          powers: Dict[Pow, Value]) -> Value:
     # A chain is folded left to right in a loop, so its length costs no
-    # recursion depth.
+    # recursion depth.  `powers` holds the value of each power of a symbol
+    # or literal already evaluated; nodes compare without their positions,
+    # so the repeated L^2 of a sum is computed once.  A node that raised
+    # is not in it.  A compound base is not kept: hashing it walks the
+    # whole subtree, once per nesting level above it.
     if isinstance(node, Lit):
         return node.value
     if isinstance(node, Sym):
@@ -343,13 +330,13 @@ def _eval(node: Node, ctx: RingCtx, bindings: Bindings) -> Value:
         v = bindings[node.name]
         return v if isinstance(v, RingElem) else Fraction(v)
     if isinstance(node, Neg):
-        v = _eval(node.child, ctx, bindings)
+        v = _eval(node.child, ctx, bindings, powers)
         return -v
     if isinstance(node, Add):
         first, *rest = node.terms
-        a = _eval(first, ctx, bindings)
+        a = _eval(first, ctx, bindings, powers)
         for term in rest:
-            b = _eval(term, ctx, bindings)
+            b = _eval(term, ctx, bindings, powers)
             if isinstance(a, RingElem) or isinstance(b, RingElem):
                 a = _lift(a, ctx) + _lift(b, ctx)
             else:
@@ -357,9 +344,9 @@ def _eval(node: Node, ctx: RingCtx, bindings: Bindings) -> Value:
         return a
     if isinstance(node, Mul):
         first, *rest = node.factors
-        a = _eval(first, ctx, bindings)
+        a = _eval(first, ctx, bindings, powers)
         for factor in rest:
-            b = _eval(factor, ctx, bindings)
+            b = _eval(factor, ctx, bindings, powers)
             if isinstance(a, RingElem):
                 a = a * b if isinstance(b, RingElem) else a.scale(b)
             elif isinstance(b, RingElem):
@@ -368,9 +355,14 @@ def _eval(node: Node, ctx: RingCtx, bindings: Bindings) -> Value:
                 a = a * b
         return a
     if isinstance(node, Pow):
-        value = _eval(node.base, ctx, bindings)
-        for k, pos in zip(node.exponents, node.pos):
-            value = _pow(value, k, pos)
+        key = node if isinstance(node.base, (Sym, Lit)) else None
+        value = powers.get(key)
+        if value is None:
+            value = _eval(node.base, ctx, bindings, powers)
+            for k, pos in zip(node.exponents, node.pos):
+                value = _pow(value, k, pos)
+            if key is not None:
+                powers[key] = value
         return value
     raise TypeError(f"unknown node {node!r}")
 
@@ -378,7 +370,7 @@ def _eval(node: Node, ctx: RingCtx, bindings: Bindings) -> Value:
 def evaluate(ast: Node, ctx: RingCtx, bindings: Bindings) -> EvalResult:
     """Evaluate to a normal-form ring element; when the result is
     homogeneous of top degree, also report its intersection degree."""
-    value = _eval(ast, ctx, bindings)
+    value = _eval(ast, ctx, bindings, {})
     elem = _lift(value, ctx)
     degree = None
     note = None

@@ -97,13 +97,11 @@ def solve_nu_prime(n: int, tau: RatLike, delta: RatLike,
 def c1_prime(n: int, tau: RatLike, tau_prime: RatLike) -> Fraction:
     """First Chern class of the rank-three bundle in the conic case:
     (8/tau)*cos^2(pi/(n+1)) - 4*tau'."""
+    require_admissible(n)
     tau, tau_prime = Fraction(tau), Fraction(tau_prime)
     if tau == 0:
         raise ValueError("tau must be nonzero")
-    cos_sq = cos_sq_pi_over(n + 1)
-    if cos_sq is None:
-        raise ValueError(f"cos^2(pi/{n + 1}) is irrational; n must be 2, 3 or 5")
-    return 8 / tau * cos_sq - 4 * tau_prime
+    return 8 / tau * cos_sq_pi_over(n + 1) - 4 * tau_prime
 
 
 def base_degree_ratio(n: int, tau: RatLike) -> Fraction:

@@ -238,6 +238,16 @@ def test_usage_error_exits_2(capsys):
         assert err == "input error: n must be 2, 3 or 5\n"
     assert run(capsys, "enumerate", "--type", "D",
                "--tau-prime-max", "3")[0] == 2
+    # A bound that another type reads is refused, by name.
+    for argv, option, kind in (
+            (("--type", "D", "--n", "4"), "--n", "D"),
+            (("--type", "P", "--n-max", "1", "--m-max", "1"), "--n-max", "P"),
+            (("--type", "C", "--m-max", "3"), "--m-max", "C"),
+            (("--type", "congruence", "--n", "2"), "--n", "congruence")):
+        code, out, err = run(capsys, "enumerate", *argv)
+        assert (code, out) == (2, "")
+        assert err == \
+            f"input error: {option} does not apply to --type {kind}\n"
 
 
 def test_enumerate_type_D_time_does_not_depend_on_n_max():
@@ -255,6 +265,24 @@ def test_enumerate_type_D_time_does_not_depend_on_n_max():
     assert header == f"# bounds: n_max={n_max} tau_prime_max=8"
     default = (CLI / "enumerate-D.csv.out").read_text(encoding="utf-8")
     assert rows == default.split("\n", 1)[1]
+
+
+def test_eval_time_is_bounded_at_the_token_limit(capsys):
+    # A flat sum of exactly MAX_TOKENS tokens, in a child process, so that
+    # a slow parse or evaluation fails the test by the timeout.
+    text = "+".join(["1/2*L^2*H", "3*L*H^2"] * 3124
+                    + ["1/2*L^2*H", "-(L^2*H)"])
+    assert len(expr.tokenize(text)) == expr.MAX_TOKENS
+    src = pathlib.Path(cli.__file__).parent.parent
+    proc = subprocess.run(
+        [sys.executable, "-m", "fanocalc", "eval", "--ctx",
+         str(CONTEXTS / "p2.ctx"), text],
+        env=dict(os.environ, PYTHONPATH=str(src)), capture_output=True,
+        text=True, timeout=5)
+    assert (proc.returncode, proc.stderr) == (0, "")
+    assert proc.stdout == run(capsys, "eval", "--ctx",
+                              str(CONTEXTS / "p2.ctx"),
+                              "3123/2*L^2*H + 9372*L*H^2")[1]
 
 
 def test_exclusion_cases_are_the_dossiers():

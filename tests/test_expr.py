@@ -8,6 +8,7 @@ from fanocalc import chow, expr
 from fanocalc.expr import (Add, ExprError, Lit, Mul, Neg, Pow, Sym,
                            evaluate, evaluate_text, parse_text, to_text,
                            tokenize)
+import tokenize_reference
 
 F = Fraction
 
@@ -33,6 +34,40 @@ def test_tokenize_rationals():
         tokenize("2/0")
     with pytest.raises(ExprError, match="column"):
         tokenize("a ? b")
+
+
+def test_tokenize_reads_decimal_digits_only():
+    # '²' is a digit to str.isdigit, which int does not read: an unknown
+    # character at its own column, not a number past the digit limit.
+    for text, pos in (("L^²", 3), ("12²", 3)):
+        with pytest.raises(ExprError, match="unknown character '²'") as err:
+            parse_text(text)
+        assert err.value.pos == pos
+    # Other decimal digits are numbers, and any decimal zero is zero.
+    ctx = lh_ctx()
+    assert evaluate_text("٣*L", ctx, base_bindings(ctx)).element \
+        == ctx.gen1.scale(3)
+    with pytest.raises(ExprError, match="zero denominator") as err:
+        tokenize("L + 1/0٠")
+    assert err.value.pos == 7
+
+
+def outcome(tokenizer, text):
+    try:
+        return [(t.kind, t.text, t.pos) for t in tokenizer(text)]
+    except ExprError as err:
+        return str(err)
+
+
+# Every class of character the tokenizer tells apart, with Unicode
+# whitespace and an Arabic-Indic digit; '²' is pinned above instead.
+TOKEN_ALPHABET = "09/az'Z+-*^() \t\n\xa0\u2003٣@"
+
+
+@given(st.text(TOKEN_ALPHABET, max_size=30))
+def test_tokenize_matches_reference_loop(text):
+    assert outcome(tokenize, text) == \
+        outcome(tokenize_reference.tokenize, text)
 
 
 def test_parse_precedence():
@@ -207,6 +242,44 @@ def test_evaluate_rejects_oversized_power():
         evaluate_text(text, ctx, bindings)
     assert evaluate_text("2^524288", ctx, bindings).element \
         == ctx.scalar(2 ** 524288)
+
+
+def test_evaluate_computes_each_equal_power_once(monkeypatch):
+    calls = []
+    pow_ = chow.RingElem.__pow__
+
+    def counted(self, k):
+        calls.append(k)
+        return pow_(self, k)
+
+    monkeypatch.setattr(chow.RingElem, "__pow__", counted)
+    ctx = lh_ctx()
+    bindings = base_bindings(ctx)
+    result = evaluate_text("L^3*H + 2*L^3 - L^3*H", ctx, bindings)
+    assert calls == [3]
+    assert result.element == evaluate_text("2*L^3", ctx, bindings).element
+
+
+def test_power_memo_lives_for_one_evaluation():
+    # One tree in two contexts: each gets its own value of L^2.
+    ast = parse_text("L^2 + L^2*H")
+    other = chow.RingCtx(5, ("L", "H"), F(2), F(-1), F(7))
+    values = [evaluate(ast, c, base_bindings(c)).element
+              for c in (lh_ctx(), other, lh_ctx())]
+    for c, value in zip((lh_ctx(), other), values):
+        want = c.gen1 ** 2 + c.gen1 ** 2 * c.gen2
+        assert value == want and value.ctx == c
+    assert values[0] == values[2] != values[1]
+
+
+def test_power_errors_keep_their_column():
+    ctx = lh_ctx()
+    bindings = base_bindings(ctx)
+    for text, pos in (("2^3 + 7^9999999", 9), ("2^3 + 7^9999999 + 2^3", 9),
+                      ("7^9999999 + 7^9999999", 3)):
+        with pytest.raises(ExprError, match="power too large") as err:
+            evaluate_text(text, ctx, bindings)
+        assert err.value.pos == pos
 
 
 def test_evaluate_truncation_note():

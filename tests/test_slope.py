@@ -102,8 +102,11 @@ def test_c1_prime_values():
     assert c1_prime(3, 1, 2) == -4
     assert c1_prime(2, 2, 1) == -3
     assert c1_prime(5, 1, 4) == -10
-    with pytest.raises(ValueError):
-        c1_prime(4, 1, 1)
+    # n = 1 and n = 4 alike: cos^2(pi/2) = 0 is rational, but n = 1 is
+    # not admissible either.
+    for n in (1, 4):
+        with pytest.raises(ValueError, match="^n must be 2, 3 or 5$"):
+            c1_prime(n, 1, 1)
     with pytest.raises(ValueError):
         c1_prime(5, 0, 1)
 
