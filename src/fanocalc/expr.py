@@ -28,6 +28,8 @@ MAX_POW_BITS = 1 << 20
 # One token per match, after any whitespace: a number with its optional
 # "/denominator", a symbol, or one other character.  \s and \d are the
 # Unicode whitespace of str.isspace and the decimal digits that int reads.
+# tokenize strips trailing whitespace first, so that every match succeeds:
+# a failed one would back off across the whole run at each start position.
 _TOKEN = re.compile(r"\s*((\d+)(/(\d*))?|([A-Za-z][A-Za-z0-9']*)|\S)")
 _SINGLE = {"+": "plus", "-": "minus", "*": "star", "^": "caret",
            "(": "lparen", ")": "rparen"}
@@ -116,7 +118,7 @@ Node = Union[Lit, Sym, Neg, Add, Mul, Pow]
 
 def tokenize(text: str) -> List[Token]:
     tokens: List[Token] = []
-    for m in _TOKEN.finditer(text):
+    for m in _TOKEN.finditer(text.rstrip()):
         tok, num, slash, denom, symbol = m.groups()
         pos = m.start(1) + 1
         if num:

@@ -1,3 +1,7 @@
+import os
+import pathlib
+import subprocess
+import sys
 import time
 from fractions import Fraction
 
@@ -68,6 +72,21 @@ TOKEN_ALPHABET = "09/az'Z+-*^() \t\n\xa0\u2003٣@"
 def test_tokenize_matches_reference_loop(text):
     assert outcome(tokenize, text) == \
         outcome(tokenize_reference.tokenize, text)
+
+
+def test_tokenize_time_is_linear_in_trailing_whitespace():
+    # In a child process, so that a tokenizer that retries the run of
+    # trailing whitespace at each position fails the test by the timeout
+    # (100,000 blanks took minutes that way) instead of hanging the suite.
+    src = pathlib.Path(expr.__file__).parent.parent
+    code = ("from fanocalc.expr import tokenize\n"
+            "print(tokenize('L' + ' ' * 100_000),"
+            " tokenize('\\xa0\\t' * 100_000))")
+    proc = subprocess.run([sys.executable, "-c", code],
+                          env=dict(os.environ, PYTHONPATH=str(src)),
+                          capture_output=True, text=True, timeout=5)
+    assert (proc.returncode, proc.stderr) == (0, "")
+    assert proc.stdout == "[Token(kind='symbol', text='L', pos=1)] []\n"
 
 
 def test_parse_precedence():
