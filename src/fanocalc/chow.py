@@ -486,10 +486,10 @@ def loads_context(text: str) -> RingCtx:
 
 
 def load_context(path) -> RingCtx:
-    """Read a context file; a ValueError from its text names the file."""
+    """Read a context file; a ValueError from its text, or text that is
+    not UTF-8, names the file."""
     with open(path, "r", encoding="utf-8") as fh:
-        text = fh.read()
-    try:
-        return loads_context(text)
-    except ValueError as err:
-        raise ValueError(f"{path}: {err}") from None
+        try:
+            return loads_context(fh.read())
+        except ValueError as err:  # UnicodeDecodeError is one
+            raise ValueError(f"{path}: {err}") from None

@@ -104,33 +104,25 @@ def _unique_entry(entries: Sequence[FanoEntry]) -> Optional[FanoEntry]:
 def enumerate_type_P(n: int) -> List[InvariantTuple]:
     """Both projections are projective bundles; the product nu*nu' is
     pinned to 4*cos^2(pi/(n+1)), a positive integer only for n in
-    slope.ADMISSIBLE_N."""
+    slope.ADMISSIBLE_N.  There it is 1, 2 or 3, a prime or one, so the
+    only factorization with nu >= nu' is nu = product, nu' = 1: one row,
+    labelled by _P_NAMES."""
     slope.require_admissible(n)
     data = dataset.load_dataset()
     product = 4 * exact.cos_sq_pi_over(n + 1)
     assert product.denominator == 1
-    product = int(product)
-    tan_sq = exact.tan_sq_pi_over(n + 1)
-    out = []
-    for nu in range(product, 0, -1):
-        if product % nu:
-            continue
-        nu_prime = product // nu
-        if nu < nu_prime:
-            continue  # symmetric pairs emitted once, larger factor first
-        names, label = _P_NAMES[n]
-        ex = _unique_entry([e for e in data if e.name == names[0]])
-        exp = _unique_entry([e for e in data if e.name == names[1]])
-        out.append(_candidate(
-            n, "P", nu, nu_prime, -Fraction(nu) ** 2 * tan_sq,
-            d=ex.degree if ex else None,
-            deg_x=ex.degree if ex else None,
-            deg_x_prime=exp.degree if exp else None,
-            name_x=names[0], name_x_prime=names[1], label=label,
-            status="admissible",
-        ))
-    out.sort(key=_sort_key)
-    return out
+    nu = int(product)
+    names, label = _P_NAMES[n]
+    ex = _unique_entry([e for e in data if e.name == names[0]])
+    exp = _unique_entry([e for e in data if e.name == names[1]])
+    return [_candidate(
+        n, "P", nu, 1, -Fraction(nu) ** 2 * exact.tan_sq_pi_over(n + 1),
+        d=ex.degree if ex else None,
+        deg_x=ex.degree if ex else None,
+        deg_x_prime=exp.degree if exp else None,
+        name_x=names[0], name_x_prime=names[1], label=label,
+        status="admissible",
+    )]
 
 
 # -- kind D ------------------------------------------------------------------
@@ -177,7 +169,7 @@ def enumerate_type_D(n_max: int = DEFAULT_N_MAX) -> TypeDResult:
         # d' = tau and d = P, from B21 = tau/d' = 1 and P = B21*d.
         cand = _candidate(n, "D", tau, tau_prime, delta,
                           rho=Fraction(tau * tau_prime - 2, tau_prime),
-                          d=p, d_prime=tau, b=1)
+                          d=p, d_prime=tau)
         x_entries = [e for e in data if e.dim == n and e.index == cand.i]
         xp_entries = [e for e in data
                       if e.dim == n + 1 and e.index == cand.i_prime]
@@ -212,7 +204,7 @@ def enumerate_type_D(n_max: int = DEFAULT_N_MAX) -> TypeDResult:
         if rep.rule != "no_manifold":  # reported, not a row of the table
             rows.append(rep.candidate)
     rows.sort(key=_sort_key)
-    return TypeDResult(tuple(rows), tuple(reports), type_D_fin_analysis(n_max))
+    return TypeDResult(tuple(rows), tuple(reports), type_D_fin_analysis())
 
 
 def type_d_raw_table(result: TypeDResult) -> List[Tuple[int, ...]]:
@@ -226,7 +218,7 @@ def type_d_raw_table(result: TypeDResult) -> List[Tuple[int, ...]]:
     return out
 
 
-def type_D_fin_analysis(n_max: int = DEFAULT_N_MAX) -> FinAnalysis:
+def type_D_fin_analysis() -> FinAnalysis:
     """Branch where the exceptional locus maps with finite fibers.
 
     The top Chern class of the restricted bundle has to vanish, which
@@ -234,11 +226,12 @@ def type_D_fin_analysis(n_max: int = DEFAULT_N_MAX) -> FinAnalysis:
     over j; a factor vanishes iff both rational coefficients vanish, so
     only when tau' = 2 and j = 1.  With tau' = 2 the thresholds force
     sqrt(-D) = tan(pi/2n), rational only for n = 2 (D = -1) and n = 3
-    (D = -1/3).
+    (D = -1/3).  The branch is closed in n, so no bound of the blow-down
+    scan applies to it.
     """
     rational_cases: Dict[int, Fraction] = {}
     # n = 3 is the largest n with 2n in exact's Niven table.
-    for n in range(2, min(n_max, 3) + 1):
+    for n in (2, 3):
         tan_sq = exact.tan_sq_pi_over(2 * n)
         if tan_sq is not None:
             rational_cases[n] = -tan_sq
@@ -312,25 +305,18 @@ def exclude_1_4() -> ExclusionReport:
 
     The would-be rank-three bundle on projective five-space has even
     first Chern class but odd third-Chern-class functional, violating
-    the parity condition.  The functional is evaluated two independent
-    ways: directly in the (L, H) ring and in the derived (-K', H') ring.
+    the parity condition.  The degrees K'^a H'^(6-a) are expanded in the
+    (L, H) ring; verify's cross-basis check recomputes them in the
+    derived (-K', H') ring of kprime_context_1_4.
     """
     from . import chow
     c1p = Fraction(c1_prime_int(5, 1, 4))
-    # Direct (L, H) expansion: K' = 4L + 3H, H' = L + H.
+    # K' = 4L + 3H, H' = L + H.
     ctx = _w36_context()
     kp = ctx.element({(1, 0): Fraction(4), (0, 1): Fraction(3)})
     hp = ctx.element({(1, 0): Fraction(1), (0, 1): Fraction(1)})
-    ctx_p = kprime_context_1_4()
-    mk, hh = ctx_p.gen1, ctx_p.gen2  # mk is -K'
-    monomials = {}
-    for a in range(1, 5):
-        b = 6 - a
-        direct = chow.intersection_degree(kp ** a * hp ** b)
-        derived = (-1) ** a * chow.intersection_degree(mk ** a * hh ** b)
-        if direct != derived:
-            raise AssertionError(f"ring disagreement on K'^{a}H'^{b}")
-        monomials[(a, b)] = direct
+    monomials = {(a, 6 - a): chow.intersection_degree(kp ** a * hp ** (6 - a))
+                 for a in range(1, 5)}
     value = (Fraction(1, 2) * monomials[(4, 2)]
              - c1p / 4 * monomials[(3, 3)]
              + c1p ** 2 / 8 * monomials[(2, 4)]

@@ -51,35 +51,38 @@ def dataset_path() -> str:
 DATASET_COLUMNS = ("dim", "index", "degree", "name", "b4_rank", "source_note")
 
 
+def _entry(row: Dict[str, str]) -> FanoEntry:
+    b4_rank = row["b4_rank"]
+    return FanoEntry(dim=int(row["dim"]), index=int(row["index"]),
+                     degree=int(row["degree"]), name=row["name"],
+                     b4_rank=int(b4_rank) if b4_rank else None,
+                     source_note=row["source_note"])
+
+
 def load_dataset() -> List[FanoEntry]:
     """Read the manifold table at dataset_path().  A file that lacks a
     column of DATASET_COLUMNS raises ValueError naming the file and the
-    columns; a row that does not convert, one naming the file and the
-    line."""
+    columns; a row that does not parse or convert, one naming the file
+    and the line; text that is not UTF-8, one naming the file."""
     path = dataset_path()
-    entries = []
     with open(path, "r", encoding="utf-8", newline="") as fh:
         # A short row reads "" for its missing cells, which int() rejects
         # with ValueError, not None, which it rejects with TypeError.
         reader = csv.DictReader(fh, restval="")
-        missing = [c for c in DATASET_COLUMNS
-                   if c not in (reader.fieldnames or ())]
-        if missing:
-            raise ValueError(f"{path}: missing column(s) "
-                             f"{', '.join(missing)}")
-        for row in reader:
-            try:
-                entries.append(FanoEntry(
-                    dim=int(row["dim"]),
-                    index=int(row["index"]),
-                    degree=int(row["degree"]),
-                    name=row["name"],
-                    b4_rank=int(row["b4_rank"]) if row["b4_rank"] else None,
-                    source_note=row["source_note"],
-                ))
-            except ValueError as err:
-                raise ValueError(f"{path}: line {reader.line_num}: {err}") \
-                    from None
+        try:
+            missing = [c for c in DATASET_COLUMNS
+                       if c not in (reader.fieldnames or ())]
+            entries = [] if missing else [_entry(row) for row in reader]
+        except UnicodeDecodeError as err:
+            # Decoding runs a block ahead of the reader: no line to name.
+            raise ValueError(f"{path}: {err}") from None
+        except (ValueError, csv.Error) as err:
+            # The DictReader updates its own line_num only after a row
+            # parses; that of the csv.reader under it counts this one.
+            raise ValueError(f"{path}: line {reader.reader.line_num}: "
+                             f"{err}") from None
+    if missing:
+        raise ValueError(f"{path}: missing column(s) {', '.join(missing)}")
     return entries
 
 

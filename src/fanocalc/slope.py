@@ -167,7 +167,6 @@ class InvariantTuple:
     y_dot_f: Optional[Fraction] = None
     d: Optional[int] = None
     d_prime: Optional[int] = None
-    b: Optional[int] = None
     name_x: Optional[str] = None
     name_x_prime: Optional[str] = None
     label: Optional[str] = None
@@ -214,11 +213,8 @@ class InvariantTuple:
         if self.c2_over_d != Fraction(self.c1 ** 2 - self.delta, 4):
             raise InvariantError("c2_discriminant",
                                  "c2/d must equal (c1^2 - delta)/4")
-        if self.kind != "P":
-            if (self.c1 - self.i) % 2 == 0:
-                raise InvariantError("parity", "c1 - i must be odd")
-            if self.mu % 2 == 0:
-                raise InvariantError("parity", "mu must be odd")
+        if self.kind != "P" and (self.c1 - self.i) % 2 == 0:
+            raise InvariantError("parity", "c1 - i must be odd")
         if self.kind in ("P", "C"):
             if self.rho != self.tau:
                 raise InvariantError("rho_value", "rho must equal tau for kinds P, C")
@@ -260,11 +256,8 @@ def _cell(value) -> str:
 
 
 def tuple_to_row(t: InvariantTuple) -> Tuple[str, ...]:
-    return tuple(_cell(v) for v in (
-        t.n, t.kind, t.tau, t.i, t.d, t.deg_x, t.tau_prime, t.i_prime,
-        t.deg_x_prime, t.c1, t.delta, t.c2_over_d, t.name_x, t.name_x_prime,
-        t.c1_prime, t.y_dot_f, t.status, t.reason,
-    ))
+    # Each column is its field's name lower-cased.
+    return tuple(_cell(getattr(t, c.lower())) for c in CSV_COLUMNS)
 
 
 def tuples_to_csv(tuples, header: bool = True) -> str:

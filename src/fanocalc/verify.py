@@ -193,12 +193,21 @@ def check_basis_roundtrip(rng: random.Random) -> Optional[str]:
 
 @check("cross-basis degrees")
 def check_cross_basis_degrees(rng: random.Random) -> Optional[str]:
-    """exclude_1_4 computes K'^a H'^(6-a) in both the (L, H) and (-K', H')
-    rings; they agree, with the values below, and give the value -395."""
+    """K'^a H'^(6-a) for a = 4..1, as exclude_1_4 expands them in the
+    (L, H) ring and as (-1)^a (-K')^a H'^(6-a) in the derived (-K', H')
+    ring, are the values below in both, and the functional is -395."""
     witness = classify.exclude_1_4().witness
-    got = witness["monomials"], witness["value"]
-    if got != ((-110, -36, -10, -2), -395):
-        raise CheckFailed(f"K'^aH'^(6-a) for a = 4..1, value: {got}")
+    ctx_p = classify.kprime_context_1_4()
+    mk, hp = ctx_p.gen1, ctx_p.gen2  # mk is -K'
+    rings = (witness["monomials"], tuple(
+        (-1) ** a * chow.intersection_degree(mk ** a * hp ** (6 - a))
+        for a in range(4, 0, -1)))
+    if any(got != (-110, -36, -10, -2) for got in rings):
+        raise CheckFailed("K'^aH'^(6-a) for a = 4..1 in the (L, H) and "
+                          "(-K', H') rings: " + "; ".join(
+                              " ".join(map(str, got)) for got in rings))
+    if witness["value"] != -395:
+        raise CheckFailed(f"functional: {witness['value']}")
 
 
 @check("codimension-two basis")
@@ -237,6 +246,8 @@ def check_conic_rows(rng: random.Random) -> Optional[str]:
 def check_kprime_consistency(rng: random.Random) -> Optional[str]:
     for n, tau, taup, delta, c1p, ydf, dx, dxp in CONIC_ROWS:
         first, second = slope.kprime_degree_formulas(n, tau, taup, 1, 2 * dx)
+        if not type(first) is type(second) is Fraction:
+            raise CheckFailed(f"not a Fraction at n={n} ({tau},{taup})")
         if first != 2 * dxp:
             raise CheckFailed(f"-K'H'^n at n={n} ({tau},{taup})")
         if 2 * second / first != c1p:
@@ -260,6 +271,8 @@ def check_tuple_rejections(rng: random.Random) -> Optional[str]:
                 tau=2, tau_prime=1, rho=2, i=3, i_prime=3, c1=0,
                 delta=Fraction(-12), c2_over_d=Fraction(3))
     bad = [
+        ("kind", dict(base, kind="Z")),
+        ("lambda_kind", dict(base, lam=2)),
         ("mu_mismatch", dict(base, mu_prime=2)),
         ("index_relation", dict(base, i=4)),
         ("delta_sign", dict(base, delta=Fraction(4), c2_over_d=Fraction(-1))),
@@ -397,8 +410,8 @@ def run_all(seed: int = SEED) -> List[CheckResult]:
         try:
             note = fn(random.Random(seed))
         except Exception as err:
-            # Any other exception, such as the AssertionError of a
-            # dossier whose two rings disagree, is a failure too.
+            # Any other exception, such as an AssertionError raised by
+            # an enumerator or a dossier the check calls, is a failure too.
             detail = str(err) if isinstance(err, CheckFailed) \
                 else f"{type(err).__name__}: {err}"
             results.append(CheckResult(fn.check_name, False, detail))

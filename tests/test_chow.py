@@ -43,13 +43,6 @@ def ctx_and_elems(draw, count=1):
     return (ctx, *elems)
 
 
-def test_reduce_square_of_canonical_class():
-    # K = -2L in the context with c1 = 0, c2/d = 1: K^2 = -4 H^2.
-    ctx = lh_ctx(3, 0, 1, 2)
-    k = ctx.element({(1, 0): F(-2)})
-    assert k * k == ctx.element({(0, 2): F(-4)})
-
-
 def test_reduce_truncates_top_power():
     ctx = lh_ctx(3, 0, 1, 2)
     assert (ctx.gen2 ** 4).is_zero()

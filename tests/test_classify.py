@@ -53,13 +53,6 @@ def test_type_D_pre_table_exclusion():
     assert pre[0].witness == {"dim": 2, "index": 2}
 
 
-def test_type_D_rows_pass_threshold_condition():
-    result = enumerate_type_D()
-    for t in result.tuples:
-        assert t.rho == t.tau - F(2, int(t.tau_prime))
-        assert slope.check_rho_tau(t.n, t.tau, t.rho, t.delta)
-
-
 def test_fin_analysis():
     fin = type_D_fin_analysis()
     assert (fin.vanishing_tau_prime, fin.vanishing_j) == (2, 1)
@@ -183,11 +176,6 @@ def test_family_table():
 
 
 # -- congruences -------------------------------------------------------------
-
-def test_congruences_m6():
-    got = {(t.alpha, t.z, t.m) for t in enumerate_congruences(6)}
-    assert got == {(3, 2, 4), (4, 3, 5), (5, 4, 6)}
-
 
 def _congruences_quadratic(m_max):
     """The O(m_max^2) scan over every z, kept as the reference for the

@@ -44,6 +44,8 @@ PINNED = {
     "enumerate --type D --format table": CLI / "enumerate-D.table.out",
     "enumerate --type D --format json": CLI / "enumerate-D.json.out",
     "enumerate --type D --format csv": CLI / "enumerate-D.csv.out",
+    "enumerate --type D --n-max 2 --format table":
+        CLI / "enumerate-D-n-max-2.table.out",
     "enumerate --type congruence --format table":
         CLI / "enumerate-congruence.table.out",
     "enumerate --type congruence --format json":
@@ -75,21 +77,6 @@ def test_enumerate_json_mirrors_csv_fields(capsys):
     payload = json.loads(out)
     assert list(payload["rows"][0]) == list(CSV_COLUMNS)
     assert payload["rows"][0]["Delta"] == "-12"
-
-
-def test_eval_prints_degree(capsys):
-    code, out, _ = run(capsys, "eval", "--ctx", str(CONTEXTS / "w36.ctx"),
-                       "(4*L+3*H)*(L+H)^5")
-    assert code == 0
-    assert out.strip() == "-2"
-
-
-def test_eval_chern_wu_in_every_shipped_context(capsys):
-    for path in sorted(CONTEXTS.glob("*.ctx")):
-        code, out, _ = run(capsys, "eval", "--ctx", str(path),
-                           "K^2 - D*H^2")
-        assert code == 0
-        assert out.splitlines()[0] == "0"
 
 
 def test_eval_output_matches_golden(capsys):
@@ -194,10 +181,14 @@ def test_eval_oversized_power_exits_2_fast():
     ("n=3\ngen_names=L,\nrel_a=0\nrel_b=-3\ndegree_s=1\n",
      "line 2: field gen_names must hold exactly two distinct non-empty "
      "labels"),
+    # Written as Latin-1, \xff is a byte that UTF-8 does not allow.
+    ("n=3\ngen_names=L,H\nrel_a=0\nrel_b=-3\ndegree_s=1\n\xff\n",
+     "'utf-8' codec can't decode byte 0xff in position 46: invalid start "
+     "byte"),
 ])
 def test_eval_bad_context_value_exits_2(capsys, tmp_path, text, message):
     path = tmp_path / "bad.ctx"
-    path.write_text(text)
+    path.write_text(text, encoding="latin-1")
     code, out, err = run(capsys, "eval", "--ctx", str(path), "L*H")
     assert code == 2
     assert out == ""
@@ -302,17 +293,17 @@ def test_verify_reports_a_failed_check(capsys, monkeypatch):
 
 
 def test_verify_reports_an_exception_as_a_failed_check(capsys, monkeypatch):
-    # A dossier whose two rings disagree raises AssertionError, inside
-    # four checks; each is a [FAIL] line, and the run goes on.
+    # A dossier that raises AssertionError does so inside the four checks
+    # that call it; each is a [FAIL] line, and the run goes on.
     from fanocalc import classify
 
     def broken():
-        raise AssertionError("ring disagreement on K'^1H'^5")
+        raise AssertionError("broken dossier")
 
     monkeypatch.setattr(classify, "exclude_1_4", broken)
     code, out, err = run(capsys, "verify")
     assert code == 1 and "Traceback" not in err
-    detail = "       AssertionError: ring disagreement on K'^1H'^5\n"
+    detail = "       AssertionError: broken dossier\n"
     for name in ("cross-basis degrees", "classification tables",
                  "deterministic output", "perturbed thresholds fail"):
         assert f"[FAIL] {name}\n{detail}" in out
@@ -347,11 +338,19 @@ def test_dataset_env_override(capsys, tmp_path, monkeypatch):
      "line 3: invalid literal for int() with base 10: ''"),
     ("dim,index,degree,name,b4_rank,source_note\n2,4,1,P2,,plane\n",
      "line 2: index must lie between 1 and dim+1"),
-], ids=["missing-columns", "short-row", "bad-index"])
+    ("dim,index,degree,name,b4_rank,source_note\n2,3,1,P2,,plane\n"
+     "2,3,1,P2,," + "x" * 131073 + "\n",
+     "line 3: field larger than field limit (131072)"),
+    # Written as Latin-1, \xff is a byte that UTF-8 does not allow.
+    ("dim,index,degree,name,b4_rank,source_note\n2,3,1,P\xff,,plane\n",
+     "'utf-8' codec can't decode byte 0xff in position 49: invalid start "
+     "byte"),
+], ids=["missing-columns", "short-row", "bad-index", "oversized-field",
+        "not-utf-8"])
 def test_dataset_bad_file_exits_2(capsys, tmp_path, monkeypatch, text,
                                   message):
     path = tmp_path / "manifolds.csv"
-    path.write_text(text)
+    path.write_text(text, encoding="latin-1")
     monkeypatch.setenv("FANOCALC_DATA", str(path))
     code, out, err = run(capsys, "enumerate", "--type", "C", "--n", "5")
     assert code == 2

@@ -210,18 +210,6 @@ def base_bindings(ctx):
     }
 
 
-def test_evaluate_chern_wu_identity():
-    ctx = lh_ctx()
-    result = evaluate_text("K^2 - D*H^2", ctx, base_bindings(ctx))
-    assert result.element.is_zero()
-
-
-def test_evaluate_cross_basis_degree():
-    ctx = lh_ctx()
-    result = evaluate_text("(4*L+3*H)*(L+H)^5", ctx, base_bindings(ctx))
-    assert result.degree == -2
-
-
 def test_evaluate_parity_functional():
     # The third-Chern-class functional in the derived (-K', H') ring.
     ctx_p = chow.RingCtx(5, ("-K'", "H'"), F(-5), F(-7), F(2))

@@ -6,9 +6,8 @@ from hypothesis import example, given, strategies as st
 
 from fanocalc import slope
 from fanocalc.slope import (InvariantError, InvariantTuple, base_degree_ratio,
-                            c1_prime, check_rho_tau, kprime_degree_formulas,
-                            pushforward_R, solve_nu_prime, tuple_to_row,
-                            tuples_to_csv, y_dot_f)
+                            c1_prime, check_rho_tau, pushforward_R,
+                            solve_nu_prime, tuple_to_row, tuples_to_csv)
 from quad_reference import fraction_is_negative_real, fraction_mul
 
 F = Fraction
@@ -119,31 +118,10 @@ def test_base_degree_ratio_values():
         base_degree_ratio(4, 1)
 
 
-def test_y_dot_f_values():
-    assert y_dot_f(-3, 1, 1) == 1
-    assert y_dot_f(-4, 2, 1) == 0
-    assert y_dot_f(-6, 3, 1) == 0
-
-
 def test_pushforward_R_values():
     assert pushforward_R(1, 2, 8) == 0
     assert pushforward_R(1, 2, 17) == -9
     assert pushforward_R(1, 2, 0) == 8  # first term alone
-
-
-def test_kprime_degree_formulas():
-    assert kprime_degree_formulas(5, 1, 3, 1, 72) == (4, -12)
-    first, _ = kprime_degree_formulas(3, 2, 1, 1, 4)
-    assert first == 2 * base_degree_ratio(3, 2) * 2  # 2 deg X' from deg X = 2
-
-
-def test_kprime_consistency_with_c1_prime():
-    rows = ((2, 2, 1, 1), (3, 1, 2, 4), (3, 2, 1, 2), (5, 1, 3, 36),
-            (5, 3, 1, 4))
-    for n, tau, taup, deg_x in rows:
-        first, second = kprime_degree_formulas(n, tau, taup, 1, 2 * deg_x)
-        assert 2 * second / first == c1_prime(n, tau, taup)
-        assert type(first) is Fraction and type(second) is Fraction
 
 
 def test_scaled_cosine_power_follows_from_cos_sq():
@@ -166,24 +144,6 @@ def test_tuple_accepts_valid_row():
                      name_x_prime="P2", c1_prime=F(-3), y_dot_f=F(1),
                      status="admissible")
     assert t.c2 == 3
-
-
-@pytest.mark.parametrize("reason,overrides", [
-    ("kind", dict(kind="Z")),
-    ("lambda_kind", dict(lam=2)),
-    ("mu_mismatch", dict(mu_prime=2)),
-    ("index_relation", dict(i=4)),
-    ("delta_sign", dict(delta=F(4), c2_over_d=F(-1))),
-    ("c2_discriminant", dict(c2_over_d=F(1))),
-    ("parity", dict(c1=-1, c2_over_d=F(13, 4))),
-    ("rho_value", dict(rho=F(3, 2))),
-    ("rhotau", dict(delta=F(-8), c2_over_d=F(2))),
-    ("c2_integrality", dict(d=3, delta=F(-13, 3), c2_over_d=F(13, 12))),
-])
-def test_tuple_rejections_have_reason_codes(reason, overrides):
-    with pytest.raises(InvariantError) as err:
-        sample_tuple(**overrides)
-    assert err.value.reason == reason
 
 
 def test_tuple_rho_for_blowdown_kind():
