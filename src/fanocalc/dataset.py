@@ -14,7 +14,6 @@ import csv
 import os
 from dataclasses import dataclass
 from fractions import Fraction
-from importlib import resources
 from typing import Dict, List, Optional
 
 DATA_ENV_VAR = "FANOCALC_DATA"
@@ -37,7 +36,9 @@ class FanoEntry:
 
 
 def _default_path(filename: str) -> str:
-    return str(resources.files("fanocalc").joinpath("data", filename))
+    # The data files are installed as plain files next to this module; a
+    # zipped install is not supported.
+    return os.path.join(os.path.dirname(__file__), "data", filename)
 
 
 def dataset_path() -> str:
@@ -52,6 +53,9 @@ DATASET_COLUMNS = ("dim", "index", "degree", "name", "b4_rank", "source_note")
 
 
 def _entry(row: Dict[str, str]) -> FanoEntry:
+    # csv.DictReader files the cells past the header under the key None.
+    if None in row:
+        raise ValueError(f"{len(row[None])} cell(s) more than the header")
     b4_rank = row["b4_rank"]
     return FanoEntry(dim=int(row["dim"]), index=int(row["index"]),
                      degree=int(row["degree"]), name=row["name"],
@@ -62,8 +66,9 @@ def _entry(row: Dict[str, str]) -> FanoEntry:
 def load_dataset() -> List[FanoEntry]:
     """Read the manifold table at dataset_path().  A file that lacks a
     column of DATASET_COLUMNS raises ValueError naming the file and the
-    columns; a row that does not parse or convert, one naming the file
-    and the line; text that is not UTF-8, one naming the file."""
+    columns; a row that does not parse or convert, or has more cells than
+    the header, one naming the file and the line; text that is not UTF-8,
+    one naming the file."""
     path = dataset_path()
     with open(path, "r", encoding="utf-8", newline="") as fh:
         # A short row reads "" for its missing cells, which int() rejects

@@ -37,14 +37,6 @@ class CongruenceTuple(namedtuple("CongruenceTuple", "alpha z m")):
         return super().__new__(cls, alpha, z, m)
 
 
-class CongruenceProfile(NamedTuple):
-    index: int
-    vmrt_components: int
-    vmrt_dim: int
-    deg_z: Fraction
-    bound: int
-
-
 class FamilyRow(NamedTuple):
     x_prime: str
     moduli: str
@@ -98,25 +90,3 @@ def enumerate_congruences(m_max: int = DEFAULT_M_MAX) -> List[CongruenceTuple]:
     out.sort()  # by (alpha, z, m), the tuple order
     return out
 
-
-def congruence_profile(t: CongruenceTuple, lzh) -> CongruenceProfile:
-    """Numeric profile of a congruence solution.
-
-    The fundamental locus Z has degree alpha^(m-z) - L^z*H^(m-z), with
-    the mixed intersection number supplied by the caller; it is strictly
-    below alpha^(m-z), so Z is never a complete intersection of the
-    expected multidegree.
-    """
-    from fractions import Fraction
-    lzh = Fraction(lzh)
-    if lzh <= 0:
-        raise ValueError("L^z*H^(m-z) must be positive")
-    index = t.m - t.z
-    bound = t.alpha ** index
-    return CongruenceProfile(
-        index=index,
-        vmrt_components=t.alpha,
-        vmrt_dim=index - 2,
-        deg_z=Fraction(bound) - lzh,
-        bound=bound,
-    )

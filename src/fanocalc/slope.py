@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import csv
 import io
-from dataclasses import InitVar, dataclass, replace
+from dataclasses import dataclass, replace
 from fractions import Fraction
 from typing import Optional, Tuple, Union
 
@@ -19,7 +19,9 @@ from .exact import _COS_SQ, cos_sq_pi_over, integral_form, zmul, zpow
 RatLike = Union[Fraction, int]
 
 KINDS = ("P", "D", "C")
-_THRESHOLD_FIELDS = ("n", "tau", "rho", "delta")
+# The rational fields of InvariantTuple; the last four are optional.
+_RATIONAL_FIELDS = ("nu", "nu_prime", "tau", "tau_prime", "rho", "delta",
+                    "c2_over_d", "deg_x", "deg_x_prime", "c1_prime", "y_dot_f")
 
 # The dimensions n with cos^2(pi/(n+1)) rational and nonzero, read off
 # exact's Niven table: 2, 3 and 5.  Only these admit the rational angles
@@ -172,21 +174,14 @@ class InvariantTuple:
     label: Optional[str] = None
     status: str = "candidate"
     reason: Optional[str] = None
-    # Set by with_status when n, tau, rho and delta keep values that
-    # already passed check_rho_tau; not a field, so not compared.
-    _thresholds_checked: InitVar[bool] = False
 
-    def __post_init__(self, _thresholds_checked: bool = False):
-        for f in ("nu", "nu_prime", "tau", "tau_prime", "rho", "delta",
-                  "c2_over_d"):
-            object.__setattr__(self, f, Fraction(getattr(self, f)))
-        for f in ("deg_x", "deg_x_prime", "c1_prime", "y_dot_f"):
+    def __post_init__(self):
+        for f in _RATIONAL_FIELDS:
             v = getattr(self, f)
-            if v is not None:
+            if v is not None and type(v) is not Fraction:
                 object.__setattr__(self, f, Fraction(v))
         self._validate()
-        if not _thresholds_checked and not check_rho_tau(
-                self.n, self.tau, self.rho, self.delta):
+        if not check_rho_tau(self.n, self.tau, self.rho, self.delta):
             raise InvariantError("rhotau", "thresholds fail the argument condition")
 
     def _validate(self) -> None:
@@ -200,9 +195,11 @@ class InvariantTuple:
             raise InvariantError("mu_mismatch", "mu and mu' must be equal")
         if self.kind in ("D", "C") and self.mu != 1:
             raise InvariantError("mu_one", "mu must be 1 for kinds D and C")
-        if self.tau != Fraction(self.nu, self.mu):
+        # Each ratio is compared cross-multiplied, so a zero denominator
+        # fails its rule instead of dividing by zero.
+        if self.tau * self.mu != self.nu:
             raise InvariantError("tau_def", "tau must equal nu/mu")
-        if self.tau_prime != Fraction(self.nu_prime, self.mu_prime):
+        if self.tau_prime * self.mu_prime != self.nu_prime:
             raise InvariantError("tau_def", "tau' must equal nu'/mu'")
         if self.i * self.mu - self.nu != self.lam:
             raise InvariantError("index_relation", "i*mu - nu must equal lambda")
@@ -210,7 +207,7 @@ class InvariantTuple:
             raise InvariantError("index_relation", "i'*mu' - nu' must equal 2")
         if self.delta >= 0:
             raise InvariantError("delta_sign", "discriminant must be negative")
-        if self.c2_over_d != Fraction(self.c1 ** 2 - self.delta, 4):
+        if 4 * self.c2_over_d != self.c1 ** 2 - self.delta:
             raise InvariantError("c2_discriminant",
                                  "c2/d must equal (c1^2 - delta)/4")
         if self.kind != "P" and (self.c1 - self.i) % 2 == 0:
@@ -218,12 +215,10 @@ class InvariantTuple:
         if self.kind in ("P", "C"):
             if self.rho != self.tau:
                 raise InvariantError("rho_value", "rho must equal tau for kinds P, C")
-        else:
-            expected = Fraction(self.nu * self.nu_prime - 2,
-                                self.mu * self.nu_prime)
-            if self.rho != expected:
-                raise InvariantError("rho_value",
-                                     "rho must equal (nu*nu'-2)/(mu*nu') for kind D")
+        elif (self.rho * self.mu * self.nu_prime
+              != self.nu * self.nu_prime - 2):
+            raise InvariantError("rho_value",
+                                 "rho must equal (nu*nu'-2)/(mu*nu') for kind D")
         if self.d is not None and (self.c2_over_d * self.d).denominator != 1:
             raise InvariantError("c2_integrality", "c2 = (c2/d)*d must be an integer")
 
@@ -235,13 +230,9 @@ class InvariantTuple:
 
     def with_status(self, status: str, reason: Optional[str] = None,
                     **kwargs) -> "InvariantTuple":
-        """Copy with a new status and any changed fields, validated again.
-        The threshold test depends on n, tau, rho and delta alone, so it
-        is re-run only when one of them changes value."""
-        unchanged = all(kwargs.get(f, getattr(self, f)) == getattr(self, f)
-                        for f in _THRESHOLD_FIELDS)
-        return replace(self, status=status, reason=reason,
-                       _thresholds_checked=unchanged, **kwargs)
+        """Copy with a new status and any changed fields, validated in
+        full like every other row."""
+        return replace(self, status=status, reason=reason, **kwargs)
 
 
 CSV_COLUMNS = (

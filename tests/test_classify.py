@@ -3,10 +3,9 @@ from fractions import Fraction
 import pytest
 
 from fanocalc import classify, dataset, exact, families, slope
-from fanocalc.classify import (CongruenceTuple, congruence_profile,
-                               enumerate_congruences, enumerate_type_C,
-                               enumerate_type_D, enumerate_type_P,
-                               exclude_2_1, family_table,
+from fanocalc.classify import (CongruenceTuple, enumerate_congruences,
+                               enumerate_type_C, enumerate_type_D,
+                               enumerate_type_P, exclude_2_1, family_table,
                                type_D_fin_analysis)
 
 F = Fraction
@@ -151,7 +150,10 @@ def test_exclusion_scripts_standalone():
     # exclude_1_4's witness is verify.check_cross_basis_degrees.
     rep = exclude_2_1()
     assert rep.witness["degrees"] == (18, 16)
+    # The degree pair matches the conic factor at (n, tau) = (5, 2).
+    assert slope.base_degree_ratio(5, 2) * 18 == 16
     assert rep.witness["bound"] == 22
+    assert rep.witness["d_z"] == 1
     assert rep.witness["m"] == F(4, 3)
 
 
@@ -229,22 +231,7 @@ def test_congruence_tuple_value_semantics():
 
 
 @pytest.mark.parametrize("name", [
-    "CongruenceTuple", "CongruenceProfile", "enumerate_congruences",
-    "congruence_profile", "DEFAULT_M_MAX", "FamilyRow", "_FAMILY_ROWS",
-    "family_table"])
+    "CongruenceTuple", "enumerate_congruences", "DEFAULT_M_MAX", "FamilyRow",
+    "_FAMILY_ROWS", "family_table"])
 def test_families_names_reexported_by_classify(name):
     assert getattr(classify, name) is getattr(families, name)
-
-
-def test_congruence_profile():
-    prof = congruence_profile(CongruenceTuple(4, 3, 5), 1)
-    assert (prof.index, prof.vmrt_components, prof.vmrt_dim) == (2, 4, 0)
-    assert (prof.deg_z, prof.bound) == (15, 16)
-    for k in range(1, 5):
-        t = CongruenceTuple(3, 2 * k, 3 * k + 1)
-        prof = congruence_profile(t, 1)
-        assert prof.vmrt_components == 3
-        assert prof.vmrt_dim == k - 1
-        assert prof.deg_z < prof.bound
-    with pytest.raises(ValueError):
-        congruence_profile(CongruenceTuple(4, 3, 5), 0)

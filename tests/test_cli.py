@@ -341,12 +341,15 @@ def test_dataset_env_override(capsys, tmp_path, monkeypatch):
     ("dim,index,degree,name,b4_rank,source_note\n2,3,1,P2,,plane\n"
      "2,3,1,P2,," + "x" * 131073 + "\n",
      "line 3: field larger than field limit (131072)"),
+    ("dim,index,degree,name,b4_rank,source_note\n2,3,1,P2,,plane\n"
+     "5,4,4,V_4^5,,note,EXTRA,MORE\n",
+     "line 3: 2 cell(s) more than the header"),
     # Written as Latin-1, \xff is a byte that UTF-8 does not allow.
     ("dim,index,degree,name,b4_rank,source_note\n2,3,1,P\xff,,plane\n",
      "'utf-8' codec can't decode byte 0xff in position 49: invalid start "
      "byte"),
 ], ids=["missing-columns", "short-row", "bad-index", "oversized-field",
-        "not-utf-8"])
+        "extra-cells", "not-utf-8"])
 def test_dataset_bad_file_exits_2(capsys, tmp_path, monkeypatch, text,
                                   message):
     path = tmp_path / "manifolds.csv"
@@ -361,7 +364,8 @@ def test_dataset_bad_file_exits_2(capsys, tmp_path, monkeypatch, text,
 # Each command imports only the modules it runs: with no cached bytecode
 # every module loaded is compiled from source on each start.  The probe
 # prints the exit code, whether dataclasses (and with it inspect) was
-# loaded, and the fanocalc modules loaded.
+# loaded, the fanocalc modules loaded, and whether importlib.resources
+# was loaded.
 _IMPORT_PROBE = """\
 import contextlib, io, sys
 from fanocalc import cli
@@ -370,6 +374,7 @@ with contextlib.redirect_stdout(io.StringIO()):
 print(code, "dataclasses" in sys.modules)
 print(*sorted(m.partition(".")[2] for m in sys.modules
               if m.startswith("fanocalc.")))
+print("importlib.resources" in sys.modules)
 """
 _ENUMERATE = "classify cli dataset exact families slope"
 _DOSSIERS = "chow " + _ENUMERATE
@@ -403,10 +408,17 @@ _DOSSIERS = "chow " + _ENUMERATE
 def test_commands_import_only_what_they_run(argv, modules):
     src = pathlib.Path(cli.__file__).parent.parent
     env = dict(os.environ, PYTHONPATH=str(src))
-    proc = subprocess.run([sys.executable, "-c", _IMPORT_PROBE, *argv],
-                          env=env, capture_output=True, text=True, timeout=120)
     dataclasses = not set(modules.split()) <= {"cli", "families"}
-    assert proc.stdout == f"0 {dataclasses}\n{modules}\n", proc.stderr
+    # A site hook may load importlib.resources before fanocalc does; under
+    # -S none runs, so there no command may load it.
+    for flags in ((), ("-S",)):
+        proc = subprocess.run([sys.executable, *flags, "-c", _IMPORT_PROBE,
+                               *argv], env=env, capture_output=True,
+                              text=True, timeout=120)
+        lines = proc.stdout.splitlines()
+        assert lines[:2] == [f"0 {dataclasses}", modules], proc.stderr
+        if flags:
+            assert lines[2] == "False"
 
 
 def test_closed_stdout_is_a_quiet_exit():

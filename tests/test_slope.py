@@ -1,4 +1,5 @@
-from dataclasses import replace
+import inspect
+from dataclasses import fields, replace
 from fractions import Fraction
 
 import pytest
@@ -224,19 +225,23 @@ def test_with_status_copies_equal_replace(changes):
     assert type(copy.delta) is Fraction
 
 
-def test_with_status_reruns_threshold_test_only_on_change(monkeypatch):
-    calls = []
+def test_constructor_takes_exactly_the_fields():
+    # No argument outside the fields can bypass a rule.
+    params = list(inspect.signature(InvariantTuple).parameters)
+    assert params == [f.name for f in fields(InvariantTuple)]
 
-    def counting(*args):
-        calls.append(args)
-        return check_rho_tau(*args)
 
-    monkeypatch.setattr(slope, "check_rho_tau", counting)
-    t = sample_tuple()
-    assert len(calls) == 1
-    t.with_status("excluded", "why", d=1, tau=2, rho=F(2))
-    assert len(calls) == 1
-    # (1 + sqrt(-3))^3 = -8.
-    t.with_status("candidate", tau=1, nu=1, i=2, rho=1, c1=-1, delta=-3,
-                  c2_over_d=1)
-    assert len(calls) == 2
+@pytest.mark.parametrize("row, reason", [
+    # tau = nu/mu has no value at mu = 0.
+    (dict(kind="P", lam=2, mu=0, mu_prime=0, nu=1, nu_prime=1, tau=1,
+          tau_prime=1, rho=1, i=3, i_prime=3, c1=0, delta=F(-3),
+          c2_over_d=F(3, 4)), "tau_def"),
+    # rho = (nu*nu' - 2)/(mu*nu') has no value at nu' = 0.
+    (dict(kind="D", lam=1, mu=1, mu_prime=1, nu=2, nu_prime=0, tau=2,
+          tau_prime=0, rho=1, i=3, i_prime=2, c1=0, delta=F(-4),
+          c2_over_d=F(1)), "rho_value"),
+])
+def test_zero_denominator_fails_its_rule(row, reason):
+    with pytest.raises(InvariantError) as err:
+        InvariantTuple(n=2, **row)
+    assert err.value.reason == reason
