@@ -8,7 +8,7 @@ __version__ = "0.1.0"
 # so that a command loads only the modules it runs.
 _EXPORTS = {
     "QuadNum": "exact", "quad": "exact", "quad_pow": "exact",
-    "is_negative_real": "exact", "arg_less_than": "exact",
+    "arg_less_than": "exact",
     "RingCtx": "chow", "RingElem": "chow", "BasisMap": "chow",
     "reduce": "chow", "intersection_degree": "chow",
     "InvariantTuple": "slope", "check_rho_tau": "slope",

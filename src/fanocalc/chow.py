@@ -112,17 +112,12 @@ def _convolve(out: List[int], at: int, xs, ys, top: int, scale: int) -> None:
             out[at + i + j] += c * d
 
 
-def reduce(raw: Union[Coeffs, "RingElem"], ctx: RingCtx) -> "RingElem":
-    """Normal form of a formal polynomial in G1, G2.
+def reduce(raw: Coeffs, ctx: RingCtx) -> "RingElem":
+    """Normal form of a raw polynomial {(i, j): coefficient of G1^i*G2^j}.
 
     Substitutes G1^i -> alpha_i*G1*G2^(i-1) + beta_i*G2^i, kills G2^(n+1)
-    and all monomials of total degree above n+1.  A RingElem of ctx is
-    already in normal form and is returned as it is.
+    and all monomials of total degree above n+1.
     """
-    if isinstance(raw, RingElem):
-        if raw.ctx is not ctx and raw.ctx != ctx:
-            raise ContextMismatchError("element belongs to a different context")
-        return raw
     n = ctx.n
     m = n + 1
     r, pa, pb = ctx._rel
@@ -190,15 +185,12 @@ class RingElem:
             d1 = den
         return _lowest(self.ctx, vec, d1)
 
-    def __sub__(self, other: "RingElem") -> "RingElem":
-        return self + (-other)
-
     def __neg__(self) -> "RingElem":
         return RingElem(self.ctx, [-v for v in self.vec], self.den)
 
-    def __mul__(self, other: Union["RingElem", RatLike]) -> "RingElem":
-        if isinstance(other, (int, Fraction)):
-            return self.scale(other)
+    def __mul__(self, other: "RingElem") -> "RingElem":
+        if not isinstance(other, RingElem):
+            return NotImplemented
         self._check(other)
         ctx = self.ctx
         n = ctx.n
@@ -216,9 +208,6 @@ class RingElem:
         _convolve(out, m + 1, xb, yb, n - 1, pa)
         _convolve(out, 2, xb, yb, n - 2, pb)
         return _lowest(ctx, out, self.den * other.den * r)
-
-    def __rmul__(self, other: RatLike) -> "RingElem":
-        return self.scale(other)
 
     def scale(self, s: RatLike) -> "RingElem":
         s = Fraction(s)
@@ -310,14 +299,10 @@ class BasisMap:
         return BasisMap(((a * e + b * g, a * f + b * h),
                          (c * e + d * g, c * f + d * h)))
 
-    def is_identity(self) -> bool:
-        return self.entries == ((Fraction(1), Fraction(0)),
-                                (Fraction(0), Fraction(1)))
-
 
 def basis_map_A(nu: int, nu_prime: int, mu: int, mu_prime: int,
-                lam: int) -> Tuple[BasisMap, BasisMap]:
-    """Matrix A expressing (-K, H) in the (-K', H') basis, and its inverse.
+                lam: int) -> BasisMap:
+    """Matrix A expressing (-K, H) in the (-K', H') basis.
 
     Row convention: (-K, H)^T = A * (-K', H')^T.
     """
@@ -330,7 +315,7 @@ def basis_map_A(nu: int, nu_prime: int, mu: int, mu_prime: int,
          (Fraction(mu, lam), Fraction(mu * nu_prime, mu_prime * lam))))
     if lam == 1 and abs(a.det()) != 2:
         raise ValueError(f"det(A) must be +-2 for lambda=1, got {a.det()}")
-    return a, a.inverse()
+    return a
 
 
 def convert_element(e: RingElem, m: BasisMap, dst: RingCtx) -> RingElem:
@@ -341,7 +326,7 @@ def convert_element(e: RingElem, m: BasisMap, dst: RingCtx) -> RingElem:
     g2 = dst.gen1.scale(c) + dst.gen2.scale(d)
     out = dst.zero()
     for (i, j), coeff in e.coeffs.items():
-        out = out + (g1 ** i) * (g2 ** j) * coeff
+        out = out + ((g1 ** i) * (g2 ** j)).scale(coeff)
     return out
 
 

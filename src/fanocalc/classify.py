@@ -304,10 +304,11 @@ def exclude_1_4() -> ExclusionReport:
     """
     from . import chow
     c1p = Fraction(c1_prime_int(5, 1, 4))
-    # K' = 4L + 3H, H' = L + H.
+    # The rows of the inverse map write -K' and H' in (L, H).
+    (a, b), (c, d) = _kprime_map_1_4().inverse().entries
     ctx = _w36_context()
-    kp = ctx.element({(1, 0): Fraction(4), (0, 1): Fraction(3)})
-    hp = ctx.element({(1, 0): Fraction(1), (0, 1): Fraction(1)})
+    kp = ctx.element({(1, 0): -a, (0, 1): -b})
+    hp = ctx.element({(1, 0): c, (0, 1): d})
     monomials = {(a, 6 - a): chow.intersection_degree(kp ** a * hp ** (6 - a))
                  for a in range(1, 5)}
     value = (Fraction(1, 2) * monomials[(4, 2)]

@@ -69,10 +69,6 @@ def _witness_str(value) -> str:
 
 def _print_report(rep: classify.ExclusionReport) -> None:
     print(f"rule: {rep.rule}")
-    if rep.candidate is not None:
-        c = rep.candidate
-        print(f"candidate: n={c.n} kind={c.kind} tau={c.tau} "
-              f"tau'={c.tau_prime}")
     for key, value in rep.witness.items():
         print(f"  {key} = {_witness_str(value)}")
     print(f"why: {rep.citation}")
@@ -170,26 +166,17 @@ def _eval_bindings(ctx: chow.RingCtx) -> Dict[str, object]:
 
 def cmd_eval(ns: argparse.Namespace) -> int:
     from . import chow, expr
-    try:
-        ctx = chow.load_context(ns.ctx_path)
-    except OSError as err:
-        print(f"cannot read context {ns.ctx_path}: {err}", file=sys.stderr)
-        return 2
-    try:
-        result = expr.evaluate_text(ns.expression, ctx, _eval_bindings(ctx))
-    except expr.ExprError as err:
-        print(f"error: {err}", file=sys.stderr)
-        return 2
+    ctx = chow.load_context(ns.ctx_path)
+    result = expr.evaluate_text(ns.expression, ctx, _eval_bindings(ctx))
     value = result.element if result.degree is None else result.degree
     try:
         text = str(value)
     except ValueError:
         # The interpreter's limit on int-to-decimal conversion, which is
         # far below expr.MAX_POW_BITS.
-        print("error: the result has too many digits to print (limit: "
-              f"{sys.get_int_max_str_digits()} digits per integer)",
-              file=sys.stderr)
-        return 2
+        raise ValueError("the result has too many digits to print (limit: "
+                         f"{sys.get_int_max_str_digits()} digits per "
+                         "integer)") from None
     print(text)
     if result.note:
         print(f"note: {result.note}")
@@ -255,8 +242,8 @@ def _dispatch(argv: Optional[List[str]]) -> int:
     except BrokenPipeError:
         raise  # not an input error; see run
     except (OSError, ValueError) as err:
-        # Unreadable files, and contexts, bounds or datasets the library
-        # rejects.
+        # Unreadable files, and contexts, bounds, datasets, expressions or
+        # results the library rejects.
         print(f"input error: {err}", file=sys.stderr)
         return 2
 

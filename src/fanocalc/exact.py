@@ -74,11 +74,6 @@ class QuadNum:
         x, y = zmul((self.A, self.B), (other.A, other.B), self.D)
         return _lowest(x, y, self.s * other.s, self)
 
-    def norm(self) -> Fraction:
-        """a^2 - delta*b^2; nonnegative, zero only at zero (delta < 0)."""
-        return Fraction(self.A * self.A - self.D * self.B * self.B,
-                        self.s * self.s)
-
     def is_zero(self) -> bool:
         return self.A == 0 and self.B == 0
 
@@ -137,11 +132,6 @@ def quad_pow(z: QuadNum, m: int) -> QuadNum:
         raise ValueError("exponent must be nonnegative")
     x, y = zpow((z.A, z.B), m, z.D)
     return _lowest(x, y, z.s ** m, z)
-
-
-def is_negative_real(z: QuadNum) -> bool:
-    """True iff z lies on the strictly negative real axis."""
-    return z.B == 0 and z.A < 0
 
 
 def arg_less_than(z: QuadNum, q: int) -> bool:

@@ -106,11 +106,15 @@ def check_quad_pow_multiplicative(rng: random.Random) -> Optional[str]:
 
 @check("norm multiplicative")
 def check_norm_multiplicative(rng: random.Random) -> Optional[str]:
+    """A^2 - D*B^2 of integral_form pairs is multiplicative under zmul."""
     for _ in range(300):
         delta = -_rand_pos(rng, 20)
-        z, w = _rand_quad(rng, delta), _rand_quad(rng, delta)
-        if (z * w).norm() != z.norm() * w.norm():
-            raise CheckFailed(f"z={z} w={w}")
+        (a, b, _, d), (c, e, _, _) = [
+            exact.integral_form(_rand_frac(rng, 10), _rand_frac(rng, 10),
+                                delta) for _ in range(2)]
+        x, y = exact.zmul((a, b), (c, e), d)
+        if x * x - d * y * y != (a * a - d * b * b) * (c * c - d * e * e):
+            raise CheckFailed(f"z={a}+{b}*sqrt({d}) w={c}+{e}*sqrt({d})")
 
 
 @check("exact angle powers")
@@ -120,8 +124,9 @@ def check_exact_angle(rng: random.Random) -> Optional[str]:
         tan_sq = exact.tan_sq_pi_over(n + 1)
         for tau in (1, 2, 3):
             delta = -Fraction(tau * tau) * tan_sq
-            z = exact.quad_pow(exact.quad(tau, 1, delta), n + 1)
-            if not exact.is_negative_real(z):
+            a, b, _, d = exact.integral_form(tau, 1, delta)
+            x, y = exact.zpow((a, b), n + 1, d)
+            if not (y == 0 and x < 0):
                 raise CheckFailed(f"n={n} tau={tau}")
 
 
@@ -142,7 +147,7 @@ def check_reduce_properties(rng: random.Random) -> Optional[str]:
     for _ in range(300):
         ctx = _rand_ctx(rng)
         x, y = _rand_elem(rng, ctx), _rand_elem(rng, ctx)
-        if chow.reduce(dict(x.coeffs), ctx) != x or chow.reduce(x, ctx) != x:
+        if chow.reduce(dict(x.coeffs), ctx) != x:
             raise CheckFailed(f"idempotent: {x!r}")
         s = _rand_frac(rng)
         if chow.reduce({m: c * s for m, c in x.coeffs.items()}, ctx) != x.scale(s):
@@ -153,7 +158,7 @@ def check_reduce_properties(rng: random.Random) -> Optional[str]:
                 m = (i1 + i2, j1 + j2)
                 raw[m] = raw.get(m, Fraction(0)) + c1 * c2
         prod = x * y
-        if chow.reduce(raw, ctx) != prod or chow.reduce(prod, ctx) != prod:
+        if chow.reduce(raw, ctx) != prod:
             raise CheckFailed(f"multiplicative: {x!r} * {y!r}")
 
 
@@ -176,8 +181,8 @@ def check_basis_roundtrip(rng: random.Random) -> Optional[str]:
     cases = [(1, 4, 1, 1, 1), (1, 2, 1, 1, 1), (2, 1, 1, 1, 1),
              (3, 1, 1, 1, 2), (1, 1, 1, 1, 2)]
     for nu, nup, mu, mup, lam in cases:
-        a, ainv = chow.basis_map_A(nu, nup, mu, mup, lam)
-        if not (a @ ainv).is_identity():
+        a = chow.basis_map_A(nu, nup, mu, mup, lam)
+        if a @ a.inverse() != chow.BasisMap(((1, 0), (0, 1))):
             raise CheckFailed(f"A={a.entries}")
     # Element roundtrip between a context and a derived context, where
     # the conversion is an honest ring isomorphism.
@@ -295,14 +300,19 @@ def check_tuple_rejections(rng: random.Random) -> Optional[str]:
 
 @check("classification tables")
 def check_enumerations(rng: random.Random) -> Optional[str]:
+    """Admissible C rows and raw D rows are CONIC_ROWS and BLOWDOWN_ROWS."""
     for n in sorted({row[0] for row in CONIC_ROWS}):
         rows, _ = classify.enumerate_type_C(n)
-        admissible = [t for t in rows if t.status == "admissible"]
-        if len(admissible) != sum(row[0] == n for row in CONIC_ROWS):
-            raise CheckFailed(f"type C n={n}: {len(admissible)} survivors")
+        got = [(t.n, t.tau, t.tau_prime, t.delta, t.c1_prime, t.y_dot_f,
+                t.deg_x, t.deg_x_prime)
+               for t in rows if t.status == "admissible"]
+        if got != [row for row in CONIC_ROWS if row[0] == n]:
+            raise CheckFailed(f"type C n={n} survivors: {got}")
     result = classify.enumerate_type_D()
-    if len(result.tuples) != len(BLOWDOWN_ROWS):
-        raise CheckFailed(f"type D raw rows: {len(result.tuples)}")
+    got = [(t.n, t.tau, t.tau_prime, t.delta, t.c1, t.d, t.d_prime)
+           for t in result.tuples]
+    if got != list(BLOWDOWN_ROWS):
+        raise CheckFailed(f"type D raw rows: {got}")
     survivors = [t for t in result.tuples if t.status == "admissible"]
     if [t.label for t in survivors] != ["(D1)"]:
         raise CheckFailed(f"type D survivors: {survivors}")

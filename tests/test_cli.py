@@ -7,7 +7,9 @@ import pathlib
 import shutil
 import subprocess
 import sys
+import tempfile
 import time
+from unittest import mock
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -92,14 +94,30 @@ def test_eval_output_matches_golden(capsys):
     assert "".join(printed) == (CLI / "eval.out").read_text()
 
 
+def run_quietly(*argv):
+    """Exit code and stderr of cli.run, with both streams captured.  For
+    hypothesis tests, which cannot take the function-scoped capsys."""
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = cli.run(list(argv))
+    return code, err.getvalue()
+
+
+@contextlib.contextmanager
+def input_file(data: bytes):
+    """A fresh file holding `data`, for one hypothesis example."""
+    with tempfile.TemporaryDirectory() as tmp:
+        path = pathlib.Path(tmp) / "input"
+        path.write_bytes(data)
+        yield path
+
+
 @settings(max_examples=300, deadline=None)
 @given(st.text("LHKDx'0123456789/+-*^() ", max_size=40))
 def test_eval_fuzz_exits_0_or_2_and_round_trips(text):
-    out, err = io.StringIO(), io.StringIO()
-    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
-        code = cli.run(["eval", "--ctx", str(CONTEXTS / "w36.ctx"), "--",
-                        text])
-    assert code in (0, 2) and "Traceback" not in err.getvalue()
+    code, err = run_quietly("eval", "--ctx", str(CONTEXTS / "w36.ctx"), "--",
+                            text)
+    assert code in (0, 2) and "Traceback" not in err
     try:
         ast = expr.parse_text(text)
     except expr.ExprError:
@@ -107,18 +125,95 @@ def test_eval_fuzz_exits_0_or_2_and_round_trips(text):
     assert expr.parse_text(expr.to_text(ast)) == ast
 
 
+@st.composite
+def mutated(draw, lines, line):
+    """`lines` with up to three of them replaced by, or followed by, a
+    line drawn from `line`, as UTF-8; or else any bytes."""
+    lines = list(lines)
+    for k, new in draw(st.lists(st.tuples(st.integers(0, len(lines)), line),
+                                max_size=3)):
+        lines[k:k + 1] = [new]
+    text = "\n".join(lines).encode("utf-8")
+    return draw(st.just(text) | st.binary(max_size=60))
+
+
+_CTX_LINE = st.one_of(
+    st.builds("{}={}".format,
+              st.sampled_from(("n", "gen_names", "rel_a", "rel_b",
+                               "degree_s", " n ", "x", "")),
+              st.text("0123456789-/LH,. x#=", max_size=8)),
+    st.text(max_size=12))
+_NAMES = st.sampled_from(("L,H", "H,L", "L,L", "L,", "K',H"))
+_RATIONAL = st.fractions(-9, 9, max_denominator=9)
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.builds("n={}\ngen_names={}\nrel_a={}\nrel_b={}\ndegree_s={}\n"
+                 .format, st.integers(0, 1001), _NAMES, _RATIONAL,
+                 _RATIONAL, _RATIONAL).map(str.encode)
+       | mutated((CONTEXTS / "w36.ctx").read_text().splitlines(), _CTX_LINE))
+def test_eval_context_fuzz_exits_0_or_2(data):
+    with input_file(data) as path:
+        code, err = run_quietly("eval", "--ctx", str(path), "L*H")
+    assert code in (0, 2) and "Traceback" not in err
+
+
+_DATASET = CONTEXTS.parent / "fano_manifolds.csv"
+_CELLS = ("", "0", "1", "2", "3", "4", "5", "6", "18", "-1", "x", "P2", "Q4",
+          "V_4^5", "K(G2)_H", '"a,b"', '"')
+_CSV_LINE = st.one_of(
+    st.lists(st.sampled_from(_CELLS), max_size=8).map(",".join),
+    st.text(max_size=12))
+
+
+@settings(max_examples=100, deadline=None)
+@given(mutated(_DATASET.read_text().splitlines(), _CSV_LINE),
+       st.sampled_from((("C", "--n", "5"), ("D",), ("P",))),
+       st.sampled_from(cli.FORMATS))
+def test_dataset_fuzz_exits_0_or_2(data, kind, fmt):
+    with input_file(data) as path, \
+            mock.patch.dict(os.environ, {"FANOCALC_DATA": str(path)}):
+        code, err = run_quietly("enumerate", "--type", *kind, "--format", fmt)
+    assert code in (0, 2) and "Traceback" not in err
+
+
+# Every command but verify, every option, format and case, and small
+# numbers only, so that each example runs in milliseconds.
+_OPTIONS = ("--type", "--n", "--n-max", "--m-max", "--format", "--case",
+            "--ctx", "--help", "--")
+_VALUES = ("P", "C", "D", "congruence", "table", "csv", "json", "1-2", "1-4",
+           "2-1", str(CONTEXTS / "w36.ctx"), str(CONTEXTS), "L*H", "L^H",
+           "-1", "0", "1", "2", "3", "4", "5", "20")
+_COMMANDS = ("enumerate", "eval", "exclusions", "family-table")
+_WORD = st.sampled_from(_COMMANDS + _OPTIONS + _VALUES)
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.builds(
+    lambda command, options, noise: [command, *sum(options, ()), *noise],
+    st.sampled_from(_COMMANDS),
+    st.lists(st.tuples(st.sampled_from(_OPTIONS), st.sampled_from(_VALUES)),
+             max_size=3),
+    st.lists(_WORD, max_size=2)) | st.lists(_WORD, max_size=8))
+def test_argv_fuzz_exits_0_1_or_2(argv):
+    code, err = run_quietly(*argv)
+    assert code in (0, 1, 2) and "Traceback" not in err
+
+
 def test_eval_bad_expression_exits_2(capsys):
-    code, _, err = run(capsys, "eval", "--ctx", str(CONTEXTS / "w36.ctx"),
-                       "L^H")
-    assert code == 2
+    code, out, err = run(capsys, "eval", "--ctx", str(CONTEXTS / "w36.ctx"),
+                         "L^H")
+    assert (code, out) == (2, "")
+    assert err.startswith("input error: column 3: ")
     assert "integer literal" in err
 
 
 def test_eval_missing_context_exits_2(capsys, tmp_path):
     missing = tmp_path / "nope.ctx"
-    code, _, err = run(capsys, "eval", "--ctx", str(missing), "H")
-    assert code == 2
-    assert str(missing) in err
+    code, out, err = run(capsys, "eval", "--ctx", str(missing), "H")
+    assert (code, out) == (2, "")
+    assert err == ("input error: [Errno 2] No such file or directory: "
+                   f"{str(missing)!r}\n")
 
 
 def test_eval_power_far_beyond_nilpotency_is_fast_and_binomial(capsys):
@@ -132,7 +227,7 @@ def test_eval_power_far_beyond_nilpotency_is_fast_and_binomial(capsys):
     ctx = chow.load_context(path)
     want = ctx.zero()
     for j in range(ctx.n + 2):
-        want = want + ctx.gen1 ** j * math.comb(k, j)
+        want = want + (ctx.gen1 ** j).scale(math.comb(k, j))
     assert out == f"{want!r}\n"
     assert elapsed < 10.0
 
@@ -145,7 +240,7 @@ def test_eval_result_past_the_print_limit_exits_2(capsys):
     assert out == f"({2 ** 14000})*1\n"
     code, out, err = run(capsys, "eval", "--ctx", path, "2^20000")
     assert (code, out) == (2, "")
-    assert err == ("error: the result has too many digits to print "
+    assert err == ("input error: the result has too many digits to print "
                    f"(limit: {limit} digits per integer)\n")
 
 
@@ -159,7 +254,7 @@ def test_eval_oversized_power_exits_2_fast():
     elapsed = time.perf_counter() - start
     assert proc.returncode == 2
     assert proc.stdout == ""
-    assert proc.stderr.startswith("error: column 3: power too large")
+    assert proc.stderr.startswith("input error: column 3: power too large")
     assert "Traceback" not in proc.stderr
     assert elapsed < 1.0
 
@@ -283,8 +378,16 @@ def test_exclusion_cases_are_the_dossiers():
 
 
 def test_verify_reports_a_failed_check(capsys, monkeypatch):
-    from fanocalc import exact
-    monkeypatch.setattr(exact, "is_negative_real", lambda z: False)
+    # A stand-in under the name of one check fails in its place.
+    from fanocalc import verify
+
+    def failing(rng):
+        raise verify.CheckFailed("n=2 tau=1")
+
+    failing.check_name = verify.check_exact_angle.check_name
+    monkeypatch.setattr(verify, "CHECKS", tuple(
+        failing if fn is verify.check_exact_angle else fn
+        for fn in verify.CHECKS))
     code, out, _ = run(capsys, "verify")
     assert code == 1
     assert "[ok] norm multiplicative\n[FAIL] exact angle powers\n" \
@@ -456,7 +559,7 @@ def test_eval_past_the_token_cap_exits_2(capsys):
     code, out, err = run(capsys, "eval", "--ctx", str(CONTEXTS / "w36.ctx"),
                          text)
     assert (code, out) == (2, "")
-    assert err == (f"error: column {MAX_TOKENS + 1}: "
+    assert err == (f"input error: column {MAX_TOKENS + 1}: "
                    f"more than {MAX_TOKENS} tokens\n")
 
 

@@ -5,15 +5,12 @@ from hypothesis import example, given, strategies as st
 
 from fanocalc import exact
 from fanocalc.exact import (DeltaMismatchError, arg_less_than, cos_sq_pi_over,
-                            integral_form, is_negative_real, quad, quad_pow,
-                            tan_sq_pi_over)
+                            integral_form, quad, quad_pow, tan_sq_pi_over)
 from quad_reference import (fraction_arg_less_than, fraction_mul,
                             fraction_pow, triple)
 
 rationals = st.fractions(min_value=-10, max_value=10,
                          max_denominator=6)
-deltas = st.fractions(max_value=Fraction(-1, 6), min_value=-20,
-                      max_denominator=6)
 # Denominators above one make the scale s of integral_form exceed one.
 fractional_deltas = st.fractions(
     min_value=-40, max_value=Fraction(-1, 12),
@@ -38,13 +35,6 @@ def test_quad_pow_cube_with_delta_minus_three():
     # (3+s)^3 with s^2 = -3: 27 + 27s + 9s^2 + s^3 = 27 + 27s - 27 - 3s.
     z = quad(3, 1, -3)
     assert quad_pow(z, 3) == quad(0, 24, -3)
-
-
-def test_is_negative_real():
-    assert is_negative_real(quad(-64, 0, -12))
-    assert not is_negative_real(quad(0, 24, -3))
-    assert is_negative_real(quad(-4, 0, -1))
-    assert not is_negative_real(quad(1, 0, -1))
 
 
 def test_arg_less_than_exact_third():
@@ -119,13 +109,6 @@ def test_quadnum_rejects_float(args):
         exact.QuadNum(*args)
 
 
-@given(rationals, rationals, deltas)
-def test_norm_positive_definite(a, b, delta):
-    z = quad(a, b, delta)
-    assert z.norm() >= 0
-    assert (z.norm() == 0) == z.is_zero()
-
-
 @given(rationals, rationals, fractional_deltas)
 def test_integral_form_scales_into_z_sqrt_d(re, im, delta):
     a, b, s, d = integral_form(re, im, delta)
@@ -159,7 +142,6 @@ def test_quadnum_matches_fraction_reference(a, b, c, d, delta):
     assert all(type(x) is Fraction for x in triple(z))
     want = fraction_mul((a, b, delta), (c, d, delta))
     assert triple(z * w) == want
-    assert z.norm() == a * a - delta * b * b
     assert (z == w) == ((a, b) == (c, d))
     # One value built three ways: equal, with equal hashes.
     built = quad(*want)

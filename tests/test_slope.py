@@ -9,7 +9,8 @@ from fanocalc import slope
 from fanocalc.slope import (InvariantError, InvariantTuple, base_degree_ratio,
                             c1_prime, check_rho_tau, pushforward_R,
                             solve_nu_prime, tuple_to_row, tuples_to_csv)
-from quad_reference import fraction_is_negative_real, fraction_mul
+from quad_reference import (fraction_is_negative_real, fraction_mul,
+                            fraction_pow)
 
 F = Fraction
 
@@ -21,26 +22,18 @@ fractional_deltas = st.fractions(
     max_denominator=12).filter(lambda d: d.denominator > 1)
 
 
-def fraction_power(tau, delta, n):
-    """(tau + sqrt(delta))^n as a product of (a, b, delta) triples."""
-    w = (F(1), F(0), delta)
-    for _ in range(n):
-        w = fraction_mul(w, (tau, F(1), delta))
-    return w
-
-
 def fraction_check_rho_tau(n, tau, rho, delta):
     """Reference: check_rho_tau on Fraction triples, before the integer
     kernel."""
-    return fraction_is_negative_real(
-        fraction_mul((rho, F(1), delta), fraction_power(tau, delta, n)))
+    return fraction_is_negative_real(fraction_mul(
+        (rho, F(1), delta), fraction_pow((tau, F(1), delta), n)))
 
 
 def fraction_solve_nu_prime(n, tau, delta, mu):
     """Reference: solve_nu_prime on Fraction triples, before the integer
     kernel."""
-    b_n = fraction_power(tau, delta, n)[1]
-    b_n1 = fraction_power(tau, delta, n + 1)[1]
+    b_n = fraction_pow((tau, F(1), delta), n)[1]
+    b_n1 = fraction_pow((tau, F(1), delta), n + 1)[1]
     if b_n1 == 0:
         return None
     ratio = 2 * b_n / (mu * b_n1)
