@@ -29,13 +29,15 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from math import gcd, lcm
 from types import MappingProxyType
-from typing import Dict, List, Mapping, Optional, Tuple, Union
+from typing import Dict, List, Mapping, Optional, Sequence, Tuple, Union
 
 RatLike = Union[Fraction, int]
 Monomial = Tuple[int, int]  # (G1 exponent, G2 exponent)
 Coeffs = Dict[Monomial, Fraction]
 # Every element holds 2n+2 ints, so n is bounded like any other input size.
 MAX_N = 1000
+# Largest power computed, in bits, estimated before computing it.
+MAX_POW_BITS = 1 << 20
 
 
 class ContextMismatchError(ValueError):
@@ -99,6 +101,43 @@ def _lowest(ctx: RingCtx, vec: List[int], den: int) -> "RingElem":
             vec = [v // g for v in vec]
             den //= g
     return RingElem(ctx, vec, den)
+
+
+def _check(ctx: RingCtx, e: "RingElem") -> None:
+    if e.ctx is not ctx and e.ctx != ctx:
+        raise ContextMismatchError("elements belong to different contexts")
+
+
+def check_pow_size(p: int, q: int, k: int) -> None:
+    """Refuse (p/q)^k past MAX_POW_BITS with ValueError.  It is about k
+    times as long as p/q; for p/q in {0, 1, -1} the size grows only
+    polynomially in k, and is not capped."""
+    if p and abs(p) != q:
+        g = gcd(p, q)
+        bits = k * max((p // g).bit_length(), (q // g).bit_length())
+        if bits > MAX_POW_BITS:
+            raise ValueError(f"power too large: about {bits} bits, "
+                             f"above the limit of {MAX_POW_BITS}")
+
+
+def linear_combination(
+        ctx: RingCtx,
+        terms: Sequence[Tuple[RatLike, Optional[RingElem]]]) -> RingElem:
+    """The sum of c*e over (c, e) pairs, c rational and e an element of
+    ctx or None for the unit: one lcm of the denominators, one
+    multiply-add per term into one int vector, and one reduction."""
+    den = lcm(*(c.denominator * (1 if e is None else e.den) for c, e in terms))
+    vec = [0] * (2 * ctx.n + 2)
+    for c, e in terms:
+        if e is None:
+            vec[0] += c.numerator * (den // c.denominator)
+            continue
+        _check(ctx, e)
+        s = c.numerator * (den // (c.denominator * e.den))
+        for k, x in enumerate(e.vec):
+            if x:
+                vec[k] += s * x
+    return _lowest(ctx, vec, den)
 
 
 def _convolve(out: List[int], at: int, xs, ys, top: int, scale: int) -> None:
@@ -169,21 +208,8 @@ class RingElem:
                 for k, v in enumerate(self.vec) if v})
         return self._coeffs
 
-    def _check(self, other: "RingElem") -> None:
-        if self.ctx is not other.ctx and self.ctx != other.ctx:
-            raise ContextMismatchError("elements belong to different contexts")
-
     def __add__(self, other: "RingElem") -> "RingElem":
-        self._check(other)
-        d1, d2 = self.den, other.den
-        if d1 == d2:
-            vec = [x + y for x, y in zip(self.vec, other.vec)]
-        else:
-            den = lcm(d1, d2)
-            s1, s2 = den // d1, den // d2
-            vec = [x * s1 + y * s2 for x, y in zip(self.vec, other.vec)]
-            d1 = den
-        return _lowest(self.ctx, vec, d1)
+        return linear_combination(self.ctx, ((1, self), (1, other)))
 
     def __neg__(self) -> "RingElem":
         return RingElem(self.ctx, [-v for v in self.vec], self.den)
@@ -191,8 +217,8 @@ class RingElem:
     def __mul__(self, other: "RingElem") -> "RingElem":
         if not isinstance(other, RingElem):
             return NotImplemented
-        self._check(other)
         ctx = self.ctx
+        _check(ctx, other)
         n = ctx.n
         m = n + 1
         r, pa, pb = ctx._rel
@@ -210,16 +236,13 @@ class RingElem:
         return _lowest(ctx, out, self.den * other.den * r)
 
     def scale(self, s: RatLike) -> "RingElem":
-        s = Fraction(s)
-        if not s:
-            return self.ctx.zero()
-        p = s.numerator
-        return _lowest(self.ctx, [v * p for v in self.vec],
-                       self.den * s.denominator)
+        return linear_combination(self.ctx, ((s, self),))
 
     def __pow__(self, k: int) -> "RingElem":
         if k < 0:
             raise ValueError("exponent must be nonnegative")
+        # The rest of the element is nilpotent.
+        check_pow_size(self.vec[0], self.den, k)
         if not k:
             return self.ctx.one()
         # Square up to the lowest set bit of k, and start the product from
@@ -318,16 +341,19 @@ def basis_map_A(nu: int, nu_prime: int, mu: int, mu_prime: int,
     return a
 
 
+def _images(m: BasisMap, ctx: RingCtx) -> Tuple[RingElem, RingElem]:
+    """p*G1 + q*G2 in ctx for each row (p, q) of m."""
+    x, y = ctx.gen1, ctx.gen2
+    return tuple(linear_combination(ctx, ((p, x), (q, y)))
+                 for p, q in m.entries)
+
+
 def convert_element(e: RingElem, m: BasisMap, dst: RingCtx) -> RingElem:
     """Rewrite e in the generators of dst, where the generators of e's
     context equal m applied to the generators of dst."""
-    (a, b), (c, d) = m.entries
-    g1 = dst.gen1.scale(a) + dst.gen2.scale(b)
-    g2 = dst.gen1.scale(c) + dst.gen2.scale(d)
-    out = dst.zero()
-    for (i, j), coeff in e.coeffs.items():
-        out = out + ((g1 ** i) * (g2 ** j)).scale(coeff)
-    return out
+    g1, g2 = _images(m, dst)
+    return linear_combination(dst, [(coeff, (g1 ** i) * (g2 ** j))
+                                    for (i, j), coeff in e.coeffs.items()])
 
 
 def derived_context(ctx: RingCtx, m: BasisMap,
@@ -335,10 +361,7 @@ def derived_context(ctx: RingCtx, m: BasisMap,
     """Context on the generators (G1', G2') defined by
     (G1, G2)^T = m * (G1', G2')^T, with relation and degree functional
     recomputed so that all intersection numbers agree with ctx."""
-    minv = m.inverse()
-    (a, b), (c, d) = minv.entries
-    g1p = ctx.gen1.scale(a) + ctx.gen2.scale(b)
-    g2p = ctx.gen1.scale(c) + ctx.gen2.scale(d)
+    g1p, g2p = _images(m.inverse(), ctx)
     slots = (ctx.n + 2, 2)  # G1*G2 and G2^2
 
     def in_deg2_basis(e: RingElem) -> Tuple[Fraction, Fraction]:

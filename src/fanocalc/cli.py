@@ -150,13 +150,15 @@ def cmd_enumerate(ns: argparse.Namespace) -> int:
 
 
 def _eval_bindings(ctx: chow.RingCtx) -> Dict[str, object]:
+    from .chow import linear_combination
     bindings: Dict[str, object] = {}
     g1, g2 = ctx.gen_names
     bindings[g1] = ctx.gen1
     bindings[g2] = ctx.gen2
     # Canonical divisor and discriminant for (L, H)-style contexts,
     # where the relation encodes c1 and -c2/d.
-    bindings.setdefault("K", ctx.gen1.scale(-2) + ctx.gen2.scale(ctx.rel_a))
+    bindings.setdefault("K", linear_combination(
+        ctx, ((-2, ctx.gen1), (ctx.rel_a, ctx.gen2))))
     bindings.setdefault("D", ctx.rel_a ** 2 + 4 * ctx.rel_b)
     for name in list(bindings):
         if "'" in name:
@@ -173,7 +175,7 @@ def cmd_eval(ns: argparse.Namespace) -> int:
         text = str(value)
     except ValueError:
         # The interpreter's limit on int-to-decimal conversion, which is
-        # far below expr.MAX_POW_BITS.
+        # far below chow.MAX_POW_BITS.
         raise ValueError("the result has too many digits to print (limit: "
                          f"{sys.get_int_max_str_digits()} digits per "
                          "integer)") from None

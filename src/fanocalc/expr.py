@@ -13,17 +13,15 @@ import re
 import sys
 from dataclasses import dataclass, field
 from fractions import Fraction
-from math import gcd
 from typing import Dict, List, NamedTuple, Optional, Tuple, Union
 
-from .chow import RingCtx, RingElem, intersection_degree
+from .chow import (RingCtx, RingElem, check_pow_size, intersection_degree,
+                   linear_combination)
 
 MAX_DEPTH = 64
 # Longest expression, in tokens.  A flat sum, product or power chain adds
 # no nesting level, and evaluation walks it without recursion.
 MAX_TOKENS = 50_000
-# Largest power evaluated, in bits, estimated before computing it.
-MAX_POW_BITS = 1 << 20
 
 # One token per match, after any whitespace: a number with its optional
 # "/denominator", a symbol, or one other character.  \s and \d are the
@@ -283,6 +281,10 @@ def to_text(node: Node) -> str:
 
 Value = Union[Fraction, RingElem]
 Bindings = Dict[str, Value]
+# A value during evaluation is a pair (c, e) for c*e: a Fraction c and a
+# RingElem e, or c alone when e is None.
+Pair = Tuple[Fraction, Optional[RingElem]]
+_ONE = Fraction(1)
 
 
 @dataclass(frozen=True)
@@ -292,94 +294,78 @@ class EvalResult:
     note: Optional[str] = None
 
 
-def _lift(v: Value, ctx: RingCtx) -> RingElem:
-    if isinstance(v, RingElem):
-        return v
-    return ctx.scalar(Fraction(v))
-
-
-def _pow(base: Value, k: int, pos: int) -> Value:
-    # The scalar s = p/q, or the scalar part of a ring element (the
-    # rest is nilpotent), makes s^k about k times as long as s.  For
-    # s in {0, 1, -1} the size grows only polynomially in k.
-    if isinstance(base, RingElem):
-        p, q = base.vec[0], base.den
-    else:
-        p, q = base.numerator, base.denominator
-    if p and abs(p) != q:
-        g = gcd(p, q)
-        bits = k * max((p // g).bit_length(), (q // g).bit_length())
-        if bits > MAX_POW_BITS:
-            raise ExprError(f"power too large: about {bits} bits, "
-                            f"above the limit of {MAX_POW_BITS}",
-                            pos)
-    return base ** k
-
-
 def _eval(node: Node, ctx: RingCtx, bindings: Bindings,
-          powers: Dict[Pow, Value]) -> Value:
-    # A chain is folded left to right in a loop, so its length costs no
-    # recursion depth.  `powers` holds the value of each power of a symbol
-    # or literal already evaluated; nodes compare without their positions,
-    # so the repeated L^2 of a sum is computed once.  A node that raised
-    # is not in it.  A compound base is not kept: hashing it walks the
-    # whole subtree, once per nesting level above it.
-    if isinstance(node, Lit):
-        return node.value
-    if isinstance(node, Sym):
+          powers: Dict[tuple, Pair]) -> Pair:
+    # A chain is evaluated left to right in a loop, so its length costs no
+    # recursion depth, and a sum is reduced once, by linear_combination.
+    # `powers` holds the value of each power of a symbol or literal already
+    # evaluated, keyed by the name or value and the exponents, so the
+    # repeated L^2 of a sum is computed once.  A power that raised is not
+    # in it, and neither is a power of a compound base, whose key would
+    # walk its whole subtree.
+    kind = type(node)
+    if kind is Pow:
+        base = node.base
+        key = ((base.name if type(base) is Sym else base.value, node.exponents)
+               if type(base) in (Sym, Lit) else None)
+        pair = powers.get(key)
+        if pair is None:
+            c, e = _eval(base, ctx, bindings, powers)
+            try:
+                if e is None:
+                    for k, pos in zip(node.exponents, node.pos):
+                        check_pow_size(c.numerator, c.denominator, k)
+                        c **= k
+                else:
+                    # Fold c into e, so that the power sees the scalar part
+                    # and (2*L)^k stays bounded by nilpotency.
+                    if c != 1:
+                        e, c = e.scale(c), _ONE
+                    for k, pos in zip(node.exponents, node.pos):
+                        e **= k
+            except ValueError as err:
+                raise ExprError(str(err), pos) from None
+            pair = c, e
+            if key is not None:
+                powers[key] = pair
+        return pair
+    if kind is Mul:
+        c, e = _eval(node.factors[0], ctx, bindings, powers)
+        for factor in node.factors[1:]:
+            c2, e2 = _eval(factor, ctx, bindings, powers)
+            if c2 is not _ONE:  # as an element's symbol, power or sum has
+                c *= c2
+            if e2 is not None:
+                e = e2 if e is None else e * e2
+        return c, e
+    if kind is Sym:
         if node.name not in bindings:
             raise ExprError(f"unbound symbol {node.name!r}", node.pos)
         v = bindings[node.name]
-        return v if isinstance(v, RingElem) else Fraction(v)
-    if isinstance(node, Neg):
-        v = _eval(node.child, ctx, bindings, powers)
-        return -v
-    if isinstance(node, Add):
-        first, *rest = node.terms
-        a = _eval(first, ctx, bindings, powers)
-        for term in rest:
-            b = _eval(term, ctx, bindings, powers)
-            if isinstance(a, RingElem) or isinstance(b, RingElem):
-                a = _lift(a, ctx) + _lift(b, ctx)
-            else:
-                a = a + b
-        return a
-    if isinstance(node, Mul):
-        first, *rest = node.factors
-        a = _eval(first, ctx, bindings, powers)
-        for factor in rest:
-            b = _eval(factor, ctx, bindings, powers)
-            if isinstance(a, RingElem):
-                a = a * b if isinstance(b, RingElem) else a.scale(b)
-            elif isinstance(b, RingElem):
-                a = b.scale(a)
-            else:
-                a = a * b
-        return a
-    if isinstance(node, Pow):
-        key = node if isinstance(node.base, (Sym, Lit)) else None
-        value = powers.get(key)
-        if value is None:
-            value = _eval(node.base, ctx, bindings, powers)
-            for k, pos in zip(node.exponents, node.pos):
-                value = _pow(value, k, pos)
-            if key is not None:
-                powers[key] = value
-        return value
+        return (_ONE, v) if isinstance(v, RingElem) else (Fraction(v), None)
+    if kind is Lit:
+        return node.value, None
+    if kind is Neg:
+        c, e = _eval(node.child, ctx, bindings, powers)
+        return -c, e
+    if kind is Add:
+        pairs = [_eval(term, ctx, bindings, powers) for term in node.terms]
+        if all(e is None for _, e in pairs):
+            return sum(c for c, _ in pairs), None
+        return _ONE, linear_combination(ctx, pairs)
     raise TypeError(f"unknown node {node!r}")
 
 
 def evaluate(ast: Node, ctx: RingCtx, bindings: Bindings) -> EvalResult:
     """Evaluate to a normal-form ring element; when the result is
     homogeneous of top degree, also report its intersection degree."""
-    value = _eval(ast, ctx, bindings, {})
-    elem = _lift(value, ctx)
+    c, e = _eval(ast, ctx, bindings, {})
+    elem = ctx.scalar(c) if e is None else e if c == 1 else e.scale(c)
     degree = None
     note = None
-    top = ctx.n + 1
-    if not elem.is_zero() and elem.is_homogeneous(top):
+    if not elem.is_zero() and elem.is_homogeneous(ctx.n + 1):
         degree = intersection_degree(elem)
-    if elem.is_zero() and isinstance(value, RingElem):
+    if elem.is_zero() and e is not None:
         note = "result vanishes in the truncated ring"
     return EvalResult(elem, degree, note)
 

@@ -1,3 +1,4 @@
+import time
 from fractions import Fraction
 
 import pytest
@@ -6,7 +7,7 @@ from hypothesis import given, strategies as st
 from fanocalc.chow import (BasisMap, ContextMismatchError, RingCtx,
                            basis_map_A, basis_map_B, convert_element,
                            derived_context, dumps_context, intersection_degree,
-                           loads_context)
+                           linear_combination, loads_context)
 
 F = Fraction
 
@@ -60,6 +61,42 @@ def test_reduce_rejects_mixed_contexts():
     a, b = lh_ctx(3, 0, 1, 2), lh_ctx(3, 0, 1, 4)
     with pytest.raises(ContextMismatchError):
         a.gen1 + b.gen1
+
+
+@given(st.data())
+def test_linear_combination_equals_the_fold_of_scale_and_add(data):
+    # Mixed denominators, zero coefficients, None for the unit, and the
+    # empty input.
+    ctx, *elems = data.draw(ctx_and_elems(count=data.draw(st.integers(0, 5))))
+    coeffs = st.one_of(st.just(F(0)), st.fractions(
+        min_value=-9, max_value=9, max_denominator=12))
+    terms = [(data.draw(coeffs), data.draw(st.sampled_from((e, None))))
+             for e in elems]
+    want = ctx.zero()
+    for c, e in terms:
+        want = want + (ctx.one() if e is None else e).scale(c)
+    assert linear_combination(ctx, terms) == want
+
+
+def test_linear_combination_rejects_mixed_contexts():
+    a, b = lh_ctx(3, 0, 1, 2), lh_ctx(3, 0, 1, 4)
+    for terms in ([(F(2), b.gen1)], [(F(1), a.gen1), (F(0), b.gen2)],
+                  [(F(1), None), (F(1, 2), b.one())]):
+        with pytest.raises(ContextMismatchError):
+            linear_combination(a, terms)
+
+
+def test_power_refuses_a_scalar_part_past_the_bit_limit():
+    # Library callers get the bound too, before any multiplication.
+    ctx = w36_ctx()
+    start = time.perf_counter()
+    with pytest.raises(ValueError, match="power too large"):
+        (ctx.gen1 + ctx.scalar(3)) ** 10 ** 9
+    assert time.perf_counter() - start < 1.0
+    # A scalar part of 0 or +-1 grows only polynomially, and is not capped.
+    k = 3_000_000
+    power = (ctx.one() + ctx.gen1) ** k
+    assert (power.coeffs[0, 0], power.coeffs[1, 0]) == (1, k)
 
 
 def test_product_with_a_number_is_a_type_error():

@@ -12,7 +12,8 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from fanocalc.chow import RingCtx, intersection_degree, reduce
+from fanocalc.chow import (RingCtx, intersection_degree, linear_combination,
+                           reduce)
 
 F = Fraction
 
@@ -77,6 +78,22 @@ def test_reduce_matches_worklist(data):
     raw = data.draw(raw_polys(ctx))
     elem = reduce(raw, ctx)
     assert dict(elem.coeffs) == ref_reduce(raw, ctx)
+
+
+@given(st.data())
+def test_linear_combination_matches_worklist(data):
+    # The reduction is linear: the sum of c times each reduced polynomial
+    # is the reduction of the summed coefficients.  None is the unit.
+    ctx = data.draw(contexts())
+    terms, total = [], {}
+    for _ in range(data.draw(st.integers(0, 5))):
+        c = data.draw(coeff_values)
+        raw = data.draw(st.one_of(st.none(), raw_polys(ctx)))
+        terms.append((c, None if raw is None else reduce(raw, ctx)))
+        for m, x in ({(0, 0): 1} if raw is None else raw).items():
+            total[m] = total.get(m, F(0)) + c * x
+    assert dict(linear_combination(ctx, terms).coeffs) \
+        == ref_reduce(total, ctx)
 
 
 @given(st.data())

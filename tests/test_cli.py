@@ -232,6 +232,17 @@ def test_eval_power_far_beyond_nilpotency_is_fast_and_binomial(capsys):
     assert elapsed < 10.0
 
 
+def test_eval_folds_a_scalar_factor_into_the_power(capsys):
+    # 2 is folded into L before the power, so (2*L)^k vanishes by
+    # nilpotency and 2^k is never computed.
+    start = time.perf_counter()
+    code, out, err = run(capsys, "eval", "--ctx", str(CONTEXTS / "w36.ctx"),
+                         "(2*L)^1000000000")
+    assert (code, out, err) == (
+        0, "0\nnote: result vanishes in the truncated ring\n", "")
+    assert time.perf_counter() - start < 10.0
+
+
 def test_eval_result_past_the_print_limit_exits_2(capsys):
     limit = sys.get_int_max_str_digits()
     path = str(CONTEXTS / "w36.ctx")

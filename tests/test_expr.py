@@ -283,17 +283,23 @@ def test_power_errors_keep_their_column():
     ctx = lh_ctx()
     bindings = base_bindings(ctx)
     for text, pos in (("2^3 + 7^9999999", 9), ("2^3 + 7^9999999 + 2^3", 9),
-                      ("7^9999999 + 7^9999999", 3)):
+                      ("7^9999999 + 7^9999999", 3),
+                      # Terms are evaluated left to right: the power fails
+                      # before the unbound symbol is read.
+                      ("7^9999999 + Q", 3)):
         with pytest.raises(ExprError, match="power too large") as err:
             evaluate_text(text, ctx, bindings)
         assert err.value.pos == pos
 
 
 def test_evaluate_truncation_note():
+    # A zero with a ring part gets the note; a zero scalar does not.
     ctx = lh_ctx()
-    result = evaluate_text("H^7", ctx, base_bindings(ctx))
-    assert result.element.is_zero()
-    assert result.note is not None
+    for text, noted in (("H^7", True), ("0*L", True), ("L - L", True),
+                        ("0", False), ("2*3", False), ("1 - 1", False)):
+        result = evaluate_text(text, ctx, base_bindings(ctx))
+        assert (result.note is not None) == noted, text
+        assert result.element.is_zero() == (text != "2*3")
 
 
 def test_roundtrip_corpus():
