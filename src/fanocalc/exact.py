@@ -45,13 +45,12 @@ class QuadNum:
     D: int = field(compare=False)
 
     def __init__(self, re: RatLike, im_coeff: RatLike, delta: RatLike):
-        if isinstance(re, float) or isinstance(im_coeff, float) \
-                or isinstance(delta, float):
-            raise TypeError("QuadNum takes exact numbers, not float")
-        delta = Fraction(delta)
-        if delta >= 0:
+        re, im_coeff, delta = rational(re), rational(im_coeff), rational(delta)
+        if delta.numerator >= 0:
             raise ValueError(f"delta must be negative, got {delta}")
-        a, b, s, d = integral_form(Fraction(re), Fraction(im_coeff), delta)
+        if type(delta) is int:
+            delta = Fraction(delta)
+        a, b, s, d = integral_form(re, im_coeff, delta)
         # The class is frozen; fill its fields in one call, as _lowest does.
         self.__dict__.update(A=a, B=b, s=s, D=d, delta=delta)
 
@@ -79,6 +78,16 @@ class QuadNum:
 
     def __repr__(self) -> str:
         return f"QuadNum({self.re}, {self.im_coeff}, delta={self.delta})"
+
+
+def rational(x) -> RatLike:
+    """x itself when an int or a Fraction; anything else as a Fraction,
+    except a float, which is refused."""
+    if type(x) is int or type(x) is Fraction:
+        return x
+    if isinstance(x, float):
+        raise TypeError("exact numbers only, not float")
+    return Fraction(x)
 
 
 def _lowest(x: int, y: int, s: int, like: QuadNum) -> QuadNum:
@@ -116,6 +125,8 @@ def zmul(x: IntPair, y: IntPair, d: int) -> IntPair:
 
 def zpow(x: IntPair, m: int, d: int) -> IntPair:
     """m-th power of x in Z[sqrt(d)], m >= 0, by square-and-multiply."""
+    if m < 0:
+        raise ValueError("exponent must be nonnegative")
     result = (1, 0)
     while m:
         if m & 1:
@@ -128,8 +139,6 @@ def zpow(x: IntPair, m: int, d: int) -> IntPair:
 
 def quad_pow(z: QuadNum, m: int) -> QuadNum:
     """Exact m-th power of z, m >= 0."""
-    if m < 0:
-        raise ValueError("exponent must be nonnegative")
     x, y = zpow((z.A, z.B), m, z.D)
     return _lowest(x, y, z.s ** m, z)
 

@@ -14,7 +14,8 @@ from dataclasses import dataclass, replace
 from fractions import Fraction
 from typing import Optional, Tuple, Union
 
-from .exact import _COS_SQ, cos_sq_pi_over, integral_form, zmul, zpow
+from .exact import (_COS_SQ, cos_sq_pi_over, integral_form, rational, zmul,
+                    zpow)
 
 RatLike = Union[Fraction, int]
 
@@ -55,12 +56,13 @@ def check_rho_tau(n: int, tau: RatLike, rho: RatLike, delta: RatLike) -> bool:
     """True iff (rho + sqrt(delta)) * (tau + sqrt(delta))^n is a strictly
     negative real number, i.e. the two cone thresholds are compatible.
 
-    Decided on the scaled integer forms of both factors (exact.integral_form):
-    a positive scale keeps a negative real negative and real."""
-    tau, rho, delta = Fraction(tau), Fraction(rho), Fraction(delta)
-    if delta >= 0:
+    Decided on integers alone: signs on the numerators, and both factors
+    scaled into Z[sqrt(D)] by exact.integral_form (a positive scale keeps
+    a negative real negative and real).  A float raises TypeError."""
+    tau, rho, delta = rational(tau), rational(rho), rational(delta)
+    if delta.numerator >= 0:
         raise ValueError("delta must be negative")
-    if tau <= 0:
+    if tau.numerator <= 0:
         raise ValueError("tau must be positive")
     a, b, _, d = integral_form(tau, 1, delta)
     c, e, _, _ = integral_form(rho, 1, delta)
@@ -77,8 +79,8 @@ def solve_nu_prime(n: int, tau: RatLike, delta: RatLike,
     thresholds tau, rho = tau - 2/(mu*nu') pass check_rho_tau; None
     otherwise.
     """
-    tau, delta = Fraction(tau), Fraction(delta)
-    if delta >= 0 or tau <= 0:
+    tau, delta = rational(tau), rational(delta)
+    if delta.numerator >= 0 or tau.numerator <= 0:
         raise ValueError("need delta < 0 and tau > 0")
     a, b, s, d = integral_form(tau, 1, delta)
     # s^k * (a_k + b_k*sqrt(delta)) = X_k + Y_k*sqrt(D) with b_k = q*Y_k/s^k,
@@ -90,7 +92,8 @@ def solve_nu_prime(n: int, tau: RatLike, delta: RatLike,
     nu_prime, rest = divmod(2 * s * y_n, mu * y_n1)
     if rest or nu_prime <= 0:
         return None
-    rho = tau - Fraction(2, mu * nu_prime)
+    rho = Fraction(tau.numerator * mu * nu_prime - 2 * tau.denominator,
+                   tau.denominator * mu * nu_prime)  # tau - 2/(mu*nu')
     if not check_rho_tau(n, tau, rho, delta):
         return None
     return nu_prime
@@ -179,7 +182,7 @@ class InvariantTuple:
         for f in _RATIONAL_FIELDS:
             v = getattr(self, f)
             if v is not None and type(v) is not Fraction:
-                object.__setattr__(self, f, Fraction(v))
+                object.__setattr__(self, f, Fraction(rational(v)))
         self._validate()
         if not check_rho_tau(self.n, self.tau, self.rho, self.delta):
             raise InvariantError("rhotau", "thresholds fail the argument condition")
@@ -195,31 +198,38 @@ class InvariantTuple:
             raise InvariantError("mu_mismatch", "mu and mu' must be equal")
         if self.kind in ("D", "C") and self.mu != 1:
             raise InvariantError("mu_one", "mu must be 1 for kinds D and C")
-        # Each ratio is compared cross-multiplied, so a zero denominator
-        # fails its rule instead of dividing by zero.
-        if self.tau * self.mu != self.nu:
+        # Every rational field is a Fraction with a positive denominator, so
+        # each ratio rule compares integer cross-products, and a zero mu or
+        # nu' fails its rule instead of dividing by zero.
+        nu, nu_d = self.nu.numerator, self.nu.denominator
+        nup, nup_d = self.nu_prime.numerator, self.nu_prime.denominator
+        tau, tau_p, rho, delta = self.tau, self.tau_prime, self.rho, self.delta
+        if tau.numerator * self.mu * nu_d != nu * tau.denominator:
             raise InvariantError("tau_def", "tau must equal nu/mu")
-        if self.tau_prime * self.mu_prime != self.nu_prime:
+        if tau_p.numerator * self.mu_prime * nup_d != nup * tau_p.denominator:
             raise InvariantError("tau_def", "tau' must equal nu'/mu'")
-        if self.i * self.mu - self.nu != self.lam:
+        if (self.i * self.mu - self.lam) * nu_d != nu:
             raise InvariantError("index_relation", "i*mu - nu must equal lambda")
-        if self.i_prime * self.mu_prime - self.nu_prime != 2:
+        if (self.i_prime * self.mu_prime - 2) * nup_d != nup:
             raise InvariantError("index_relation", "i'*mu' - nu' must equal 2")
-        if self.delta >= 0:
+        if delta.numerator >= 0:
             raise InvariantError("delta_sign", "discriminant must be negative")
-        if 4 * self.c2_over_d != self.c1 ** 2 - self.delta:
+        c2d, c2d_d = self.c2_over_d.numerator, self.c2_over_d.denominator
+        if 4 * c2d * delta.denominator != \
+                (self.c1 ** 2 * delta.denominator - delta.numerator) * c2d_d:
             raise InvariantError("c2_discriminant",
                                  "c2/d must equal (c1^2 - delta)/4")
         if self.kind != "P" and (self.c1 - self.i) % 2 == 0:
             raise InvariantError("parity", "c1 - i must be odd")
         if self.kind in ("P", "C"):
-            if self.rho != self.tau:
+            if rho.numerator * tau.denominator != tau.numerator * rho.denominator:
                 raise InvariantError("rho_value", "rho must equal tau for kinds P, C")
-        elif (self.rho * self.mu * self.nu_prime
-              != self.nu * self.nu_prime - 2):
+        # rho*mu*nu' = nu*nu' - 2, times the denominators of rho, nu and nu'.
+        elif (rho.numerator * self.mu * nup * nu_d
+              != (nu * nup - 2 * nu_d * nup_d) * rho.denominator):
             raise InvariantError("rho_value",
                                  "rho must equal (nu*nu'-2)/(mu*nu') for kind D")
-        if self.d is not None and (self.c2_over_d * self.d).denominator != 1:
+        if self.d is not None and c2d * self.d % c2d_d:
             raise InvariantError("c2_integrality", "c2 = (c2/d)*d must be an integer")
 
     @property

@@ -109,6 +109,22 @@ def test_quadnum_rejects_float(args):
         exact.QuadNum(*args)
 
 
+def test_rational_passes_int_and_fraction_through():
+    half = Fraction(1, 2)
+    assert exact.rational(half) is half
+    assert type(exact.rational(3)) is int
+    assert exact.rational("2/4") == half and type(exact.rational(True)) is Fraction
+    with pytest.raises(TypeError, match="^exact numbers only, not float$"):
+        exact.rational(0.5)
+
+
+def test_negative_exponent_is_refused():
+    for call in (lambda: exact.zpow((1, 1), -1, -3),
+                 lambda: quad_pow(quad(1, 1, -3), -2)):
+        with pytest.raises(ValueError, match="^exponent must be nonnegative$"):
+            call()
+
+
 @given(rationals, rationals, fractional_deltas)
 def test_integral_form_scales_into_z_sqrt_d(re, im, delta):
     a, b, s, d = integral_form(re, im, delta)

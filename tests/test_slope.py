@@ -43,6 +43,176 @@ def fraction_solve_nu_prime(n, tau, delta, mu):
     return int(ratio) if fraction_check_rho_tau(n, tau, rho, delta) else None
 
 
+# The rules of InvariantTuple in Fraction arithmetic, in the order and
+# with the reason codes of slope.InvariantTuple, as they read before the
+# rules became integer cross-products.
+RATIONAL_FIELDS = ("nu", "nu_prime", "tau", "tau_prime", "rho", "delta",
+                   "c2_over_d", "deg_x", "deg_x_prime", "c1_prime", "y_dot_f")
+FIELD_DEFAULTS = dict(deg_x=None, deg_x_prime=None, c1_prime=None,
+                      y_dot_f=None, d=None)
+
+
+def fraction_outcome(row):
+    """Reference: what InvariantTuple(**row) gives, decided on Fractions:
+    None when the row is accepted, else the reason of the first failing
+    rule, or "ValueError: <message>" when check_rho_tau refuses it."""
+    r = {**FIELD_DEFAULTS, **row}
+    for f in RATIONAL_FIELDS:
+        if r[f] is not None:
+            r[f] = F(r[f])
+    kind, lam, mu, mu_p = r["kind"], r["lam"], r["mu"], r["mu_prime"]
+    tau, nu, nu_p, rho, delta = (r["tau"], r["nu"], r["nu_prime"], r["rho"],
+                                 r["delta"])
+    if kind not in ("P", "D", "C"):
+        return "kind"
+    if (kind == "P") != (lam == 2) or (kind != "P" and lam != 1):
+        return "lambda_kind"
+    if mu != mu_p:
+        return "mu_mismatch"
+    if kind in ("D", "C") and mu != 1:
+        return "mu_one"
+    if tau * mu != nu or r["tau_prime"] * mu_p != nu_p:
+        return "tau_def"
+    if r["i"] * mu - nu != lam or r["i_prime"] * mu_p - nu_p != 2:
+        return "index_relation"
+    if delta >= 0:
+        return "delta_sign"
+    if 4 * r["c2_over_d"] != r["c1"] ** 2 - delta:
+        return "c2_discriminant"
+    if kind != "P" and (r["c1"] - r["i"]) % 2 == 0:
+        return "parity"
+    if kind in ("P", "C") and rho != tau:
+        return "rho_value"
+    if kind == "D" and rho * mu * nu_p != nu * nu_p - 2:
+        return "rho_value"
+    if r["d"] is not None and (r["c2_over_d"] * r["d"]).denominator != 1:
+        return "c2_integrality"
+    if tau <= 0:
+        return "ValueError: tau must be positive"
+    if not fraction_check_rho_tau(r["n"], tau, rho, delta):
+        return "rhotau"
+    return None
+
+
+def outcome(build):
+    """What a call that builds an InvariantTuple gives, in the terms of
+    fraction_outcome."""
+    try:
+        build()
+    except InvariantError as err:
+        return err.reason
+    except ValueError as err:
+        return f"ValueError: {err}"
+    return None
+
+
+TAN_SQ = {2: F(3), 3: F(1), 5: F(1, 3)}  # tan^2(pi/(n+1))
+
+
+@st.composite
+def valid_rows(draw):
+    """A row that passes every rule: kind C or P on the angle pi/(n+1),
+    or kind D on a blow-down solution of the Fraction reference."""
+    kind = draw(st.sampled_from("PCD"))
+    if kind == "D":
+        n, tau, delta, nu_p = draw(st.sampled_from(BLOWDOWN_ROWS))
+        mu, lam, rho = 1, 1, tau - F(2, nu_p)
+    else:
+        n = draw(st.sampled_from((2, 3, 5)))
+        lam, mu = (2, draw(st.integers(1, 3))) if kind == "P" else (1, 1)
+        # i = (nu + lam)/mu and i' = (nu' + 2)/mu' are integers.
+        nu, nu_p = (draw(st.integers(1, 6).map(lambda k: k * mu - m)
+                         .filter(lambda x: x > 0)) for m in (lam, 2))
+        tau = rho = F(nu, mu)
+        delta = -tau * tau * TAN_SQ[n]
+    i = (tau * mu + lam) / mu
+    # c1 - i odd for kinds C and D; any c1 for kind P.
+    c1 = draw(st.integers(-3, 3).map(
+        lambda k: k if kind == "P" else 2 * k + 1 + int(i)))
+    c2_over_d = (c1 * c1 - delta) / 4
+    return dict(n=n, kind=kind, lam=lam, mu=mu, mu_prime=mu,
+                nu=tau * mu, nu_prime=nu_p, tau=tau, tau_prime=F(nu_p, mu),
+                rho=rho, i=int(i), i_prime=(nu_p + 2) // mu, c1=c1,
+                delta=delta, c2_over_d=c2_over_d,
+                d=draw(st.sampled_from((None, c2_over_d.denominator))))
+
+
+# (n, tau, delta, nu') with nu' from the Fraction reference, over the
+# delta = tau^2 - 4*tau/p of the type D enumeration.
+BLOWDOWN_ROWS = [
+    (n, tau, delta, nu_p)
+    for n in range(2, 9) for tau, p in ((1, 1), (1, 2), (1, 3), (2, 1), (3, 1))
+    for delta in [F(tau * tau) - F(4 * tau, p)]
+    for nu_p in [fraction_solve_nu_prime(n, F(tau), delta, 1)]
+    if nu_p is not None]
+
+
+def rationals_in_any_form():
+    """Rationals as an int, a Fraction, an integral Fraction built from a
+    numerator and denominator that share a factor, and "p/q" text whose
+    p and q share a factor."""
+    values = st.fractions(min_value=-6, max_value=6, max_denominator=6)
+    return values | st.integers(-6, 6) | st.builds(
+        lambda v, k: F(v * k, k), st.integers(-6, 6), st.integers(1, 4)) | \
+        st.builds(lambda v, k: f"{v.numerator * k}/{v.denominator * k}",
+                  values, st.integers(2, 4))
+
+
+SAMPLE_ROW = dict(n=2, kind="C", lam=1, mu=1, mu_prime=1, nu=2, nu_prime=1,
+                  tau=2, tau_prime=1, rho=2, i=3, i_prime=3, c1=0,
+                  delta=F(-12), c2_over_d=F(3))
+small_ints = st.integers(-3, 6)
+one_change = st.one_of(
+    st.just({}),
+    st.builds(lambda k, v: {k: v}, st.sampled_from(RATIONAL_FIELDS[:7]),
+              rationals_in_any_form()),
+    st.builds(lambda k, v: {k: v}, st.sampled_from(
+        ("lam", "mu", "mu_prime", "i", "i_prime", "c1", "d")), small_ints),
+    st.builds(lambda v: {"n": v}, st.integers(0, 8)),
+    st.builds(lambda v: {"kind": v}, st.sampled_from(("P", "D", "C", "X"))),
+    # Zero or another mu on both sides, zero nu' with its tau'.
+    st.builds(lambda v: {"mu": v, "mu_prime": v}, st.integers(0, 3)),
+    st.builds(lambda v: {"nu_prime": v, "tau_prime": v}, st.integers(0, 3)),
+)
+
+
+@st.composite
+def rows_and_changes(draw):
+    """A valid row and a change to it: one field, or c1 or delta together
+    with the c2/d they imply, so that the later rules are reached too."""
+    row = draw(valid_rows())
+    if draw(st.booleans()):
+        return row, draw(one_change)
+    c1, delta = row["c1"], row["delta"]
+    if draw(st.booleans()):
+        c1 = draw(small_ints)
+    else:
+        delta = F(draw(rationals_in_any_form()))
+    return row, dict(c1=c1, delta=delta, c2_over_d=(c1 * c1 - delta) / 4)
+
+
+@given(rows_and_changes())
+@example((dict(n=2, kind="P", lam=2, mu=0, mu_prime=0, nu=1, nu_prime=1,
+               tau=1, tau_prime=1, rho=1, i=3, i_prime=3, c1=0,
+               delta=F(-3), c2_over_d=F(3, 4)), {}))
+@example((dict(n=2, kind="D", lam=1, mu=1, mu_prime=1, nu=2, nu_prime=1,
+               tau=2, tau_prime=1, rho=0, i=3, i_prime=3, c1=0, delta=F(-4),
+               c2_over_d=F(1)), {"nu_prime": 0, "tau_prime": 0}))
+# A fractional nu or nu' with the numerator of its tau: tau_def needs the
+# denominator of nu on its side of the cross-product.
+@example((SAMPLE_ROW, {"nu": F(2, 3)}))
+@example((SAMPLE_ROW, {"nu_prime": F(1, 2)}))
+def test_rules_match_fraction_reference(row_and_changes):
+    row, changes = row_and_changes
+    changed = {**row, **changes}
+    expected = fraction_outcome(changed)
+    assert outcome(lambda: InvariantTuple(**changed)) == expected
+    if fraction_outcome(row) is None:
+        t = InvariantTuple(**row)
+        assert outcome(lambda: t.with_status("admissible", **changes)) \
+            == expected
+
+
 def test_check_rho_tau_examples():
     assert check_rho_tau(2, 2, 2, -12)
     assert check_rho_tau(2, 2, 0, -4)
@@ -54,6 +224,61 @@ def test_check_rho_tau_rejects_bad_delta():
         check_rho_tau(2, 2, 2, 1)
     with pytest.raises(ValueError):
         check_rho_tau(2, 0, 0, -1)
+
+
+def as_str(x):
+    return str(F(x))
+
+
+@pytest.mark.parametrize("form", [int, F, as_str], ids=["int", "F", "str"])
+@pytest.mark.parametrize("n, tau, rho, delta, mu", [
+    (2, 2, 2, -12, 1), (2, 2, 0, -4, 1), (3, 1, 1, -3, 1), (4, 3, 1, -3, 1),
+    (2, 1, 0, -1, 1), (5, 1, 1, -3, 2)])
+def test_threshold_answers_do_not_depend_on_the_number_type(
+        form, n, tau, rho, delta, mu):
+    assert check_rho_tau(n, form(tau), form(rho), form(delta)) == \
+        check_rho_tau(n, F(tau), F(rho), F(delta))
+    assert solve_nu_prime(n, form(tau), form(delta), mu) == \
+        solve_nu_prime(n, F(tau), F(delta), mu)
+
+
+@pytest.mark.parametrize("form", [int, F, as_str], ids=["int", "F", "str"])
+def test_threshold_errors_keep_their_messages(form):
+    for delta in (0, 1):
+        with pytest.raises(ValueError, match="^delta must be negative$"):
+            check_rho_tau(2, form(2), form(2), form(delta))
+        with pytest.raises(ValueError, match="^need delta < 0 and tau > 0$"):
+            solve_nu_prime(2, form(2), form(delta), 1)
+    for tau in (0, -1):
+        with pytest.raises(ValueError, match="^tau must be positive$"):
+            check_rho_tau(2, form(tau), form(2), form(-4))
+        with pytest.raises(ValueError, match="^need delta < 0 and tau > 0$"):
+            solve_nu_prime(2, form(tau), form(-4), 1)
+
+
+@pytest.mark.parametrize("call", [
+    lambda: check_rho_tau(2, 2.0, 2, -12),
+    lambda: check_rho_tau(2, 2, 2.0, -12),
+    lambda: check_rho_tau(2, 2, 2, -12.0),
+    lambda: solve_nu_prime(2, 2.0, -4, 1),
+    lambda: solve_nu_prime(2, 2, -4.0, 1),
+    lambda: sample_tuple(tau=2.0),
+    lambda: sample_tuple(delta=-12.0),
+    lambda: sample_tuple(d=1, deg_x=1.0),
+])
+def test_float_is_refused(call):
+    with pytest.raises(TypeError, match="^exact numbers only, not float$"):
+        call()
+
+
+@pytest.mark.parametrize("call", [
+    lambda: check_rho_tau(-1, 1, 1, -3),
+    lambda: solve_nu_prime(-2, 1, -3, 1),
+    lambda: sample_tuple(n=-1),
+])
+def test_negative_n_raises_instead_of_hanging(call):
+    with pytest.raises(ValueError, match="^exponent must be nonnegative$"):
+        call()
 
 
 def test_solve_nu_prime_table_values():
@@ -126,11 +351,7 @@ def test_scaled_cosine_power_follows_from_cos_sq():
 
 
 def sample_tuple(**overrides):
-    base = dict(n=2, kind="C", lam=1, mu=1, mu_prime=1, nu=2, nu_prime=1,
-                tau=2, tau_prime=1, rho=2, i=3, i_prime=3, c1=0,
-                delta=F(-12), c2_over_d=F(3))
-    base.update(overrides)
-    return InvariantTuple(**base)
+    return InvariantTuple(**{**SAMPLE_ROW, **overrides})
 
 
 def test_tuple_accepts_valid_row():
