@@ -12,12 +12,12 @@ witness values.  The congruence enumerator and the family table live in
 
 from __future__ import annotations
 
+from collections import defaultdict
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import TYPE_CHECKING, Dict, List, Optional, Sequence, Tuple
 
 from . import dataset, exact, slope
-from .dataset import FanoEntry
 # Re-exported as part of classify's public names; the benchmark traces
 # classify.enumerate_congruences.
 from .families import (DEFAULT_M_MAX, _FAMILY_ROWS,  # noqa: F401
@@ -50,11 +50,11 @@ class ExclusionReport:
     candidate: Optional[InvariantTuple] = None
 
 
-def _exclude(cand: InvariantTuple, rule: str, witness: Dict[str, object],
+def _exclude(cand: Dict[str, object], rule: str, witness: Dict[str, object],
              citation: str) -> ExclusionReport:
-    """The report excluding `cand` by `rule`, with its excluded row."""
-    return ExclusionReport(rule, witness, citation,
-                           cand.with_status("excluded", rule))
+    """The report excluding the candidate fields `cand` by `rule`."""
+    row = InvariantTuple(**cand, status="excluded", reason=rule)
+    return ExclusionReport(rule, witness, citation, row)
 
 
 @dataclass(frozen=True)
@@ -80,22 +80,36 @@ def _sort_key(t: InvariantTuple):
 
 
 def _candidate(n: int, kind: str, tau: int, tau_prime: int,
-               delta: Fraction, **fields) -> InvariantTuple:
-    """The candidate of `kind` with every field the relations fix:
+               delta: Fraction, **fields) -> Dict[str, object]:
+    """The fields of the candidate of `kind` that the relations fix:
     mu = mu' = 1, so nu = tau and nu' = tau'; i = tau + lambda and
     i' = tau' + 2; c1 normalized up to a twist (0 for even tau, -1 for
     odd) and c2/d = (c1^2 - Delta)/4.  rho is tau unless given."""
     lam = 2 if kind == "P" else 1
     c1 = 0 if tau % 2 == 0 else -1
     fields.setdefault("rho", tau)
-    return InvariantTuple(
+    return dict(
         n=n, kind=kind, lam=lam, mu=1, mu_prime=1, nu=tau, nu_prime=tau_prime,
         tau=tau, tau_prime=tau_prime, i=tau + lam, i_prime=tau_prime + 2,
         c1=c1, delta=delta, c2_over_d=Fraction(c1 * c1 - delta, 4), **fields)
 
 
-def _unique_entry(entries: Sequence[FanoEntry]) -> Optional[FanoEntry]:
-    return entries[0] if len(entries) == 1 else None
+def _manifolds() -> Dict[Tuple[int, int], List[dataset.FanoEntry]]:
+    """The dataset's entries by (dim, index) in file order, [] for none."""
+    by_dim_index = defaultdict(list)
+    for e in dataset.load_dataset():
+        by_dim_index[e.dim, e.index].append(e)
+    return by_dim_index
+
+
+def _cyclic_h4(entry: dataset.FanoEntry) -> bool:
+    """Fourth Betti rank one, or blank: the dataset's cyclic H^4."""
+    return entry.b4_rank in (None, 1)
+
+
+def _only(entries: Sequence[dataset.FanoEntry], attr: str):
+    """`attr` of the one entry in `entries`; None unless there is one."""
+    return getattr(entries[0], attr) if len(entries) == 1 else None
 
 
 # -- kind P ------------------------------------------------------------------
@@ -109,23 +123,21 @@ def enumerate_type_P(n: int) -> List[InvariantTuple]:
     slope.require_admissible(n)
     data = dataset.load_dataset()
     nu = int(4 * exact.cos_sq_pi_over(n + 1))
-    names, label = _P_NAMES[n]
-    ex = _unique_entry([e for e in data if e.name == names[0]])
-    exp = _unique_entry([e for e in data if e.name == names[1]])
-    return [_candidate(
-        n, "P", nu, 1, -Fraction(nu) ** 2 * exact.tan_sq_pi_over(n + 1),
-        d=ex.degree if ex else None,
-        deg_x=ex.degree if ex else None,
-        deg_x_prime=exp.degree if exp else None,
-        name_x=names[0], name_x_prime=names[1], label=label,
-        status="admissible",
-    )]
+    (name, name_prime), label = _P_NAMES[n]
+    x = [e for e in data if e.name == name]
+    xp = [e for e in data if e.name == name_prime]
+    return [InvariantTuple(
+        **_candidate(n, "P", nu, 1,
+                     -Fraction(nu) ** 2 * exact.tan_sq_pi_over(n + 1)),
+        d=_only(x, "degree"), deg_x=_only(x, "degree"),
+        deg_x_prime=_only(xp, "degree"), name_x=name, name_x_prime=name_prime,
+        label=label, status="admissible")]
 
 
 # -- kind D ------------------------------------------------------------------
 
-_CITE_B4 = ("the fourth Betti number of a four-dimensional quadric is two, "
-            "so its middle cohomology is not cyclic")
+_CITE_B4 = ("the fourth Betti number of the matched manifold (two for a "
+            "four-dimensional quadric) is not one, so H^4 is not cyclic")
 _CITE_KG2H = ("an index-two fourfold of degree 18 is a hyperplane section of "
               "the Pluecker-embedded G2 fivefold, which carries no rank-two "
               "bundle with these invariants")
@@ -159,7 +171,7 @@ def enumerate_type_D(n_max: int = DEFAULT_N_MAX) -> TypeDResult:
     integrality of the codimension-two basis change."""
     if n_max < 2:
         raise ValueError("n_max must be at least 2")
-    data = dataset.load_dataset()
+    manifolds = _manifolds()
     rows: List[InvariantTuple] = []
     reports: List[ExclusionReport] = []
     for n, tau, p, delta, tau_prime in _type_d_candidates(n_max):
@@ -167,34 +179,28 @@ def enumerate_type_D(n_max: int = DEFAULT_N_MAX) -> TypeDResult:
         cand = _candidate(n, "D", tau, tau_prime, delta,
                           rho=Fraction(tau * tau_prime - 2, tau_prime),
                           d=p, d_prime=tau)
-        x_entries = [e for e in data if e.dim == n and e.index == cand.i]
-        xp_entries = [e for e in data
-                      if e.dim == n + 1 and e.index == cand.i_prime]
+        x, xp = manifolds[n, cand["i"]], manifolds[n + 1, cand["i_prime"]]
         # The first rule that applies decides; a candidate that reaches
         # the raw table meets the geometric filters.
-        if not x_entries or not xp_entries:
-            dim, index = ((n, cand.i) if not x_entries
-                          else (n + 1, cand.i_prime))
+        if not x or not xp:
+            dim, index = (n, cand["i"]) if not x else (n + 1, cand["i_prime"])
             rep = _exclude(cand, "no_manifold", {"dim": dim, "index": index},
                            _CITE_NO_MANIFOLD)
-        elif all(e.name == "K(G2)_H" for e in x_entries):
+        elif all(e.name == "K(G2)_H" for e in x):
             rep = _exclude(cand, "hyperplane_section_KG2",
-                           {"dim": n, "index": cand.i, "degree": 18},
-                           _CITE_KG2H)
-        elif all(e.name == "Q4" for e in x_entries):
-            rep = _exclude(cand, "b4_quadric", {"side": "X", "b4_rank": 2},
-                           _CITE_B4)
-        elif all(e.name == "Q4" for e in xp_entries):
-            rep = _exclude(cand, "b4_quadric", {"side": "X'", "b4_rank": 2},
-                           _CITE_B4)
+                           {"dim": n, "index": cand["i"],
+                            "degree": x[0].degree}, _CITE_KG2H)
+        elif not any(map(_cyclic_h4, x)):
+            rep = _exclude(cand, "b4_quadric",
+                           {"side": "X", "b4_rank": x[0].b4_rank}, _CITE_B4)
+        elif not any(map(_cyclic_h4, xp)):
+            rep = _exclude(cand, "b4_quadric",
+                           {"side": "X'", "b4_rank": xp[0].b4_rank}, _CITE_B4)
         else:
-            ex, exp = _unique_entry(x_entries), _unique_entry(xp_entries)
-            rows.append(cand.with_status(
-                "admissible", label="(D1)",
-                name_x=ex.name if ex else None,
-                name_x_prime=exp.name if exp else None,
-                deg_x=ex.degree if ex else None,
-                deg_x_prime=exp.degree if exp else None,
+            rows.append(InvariantTuple(
+                **cand, status="admissible", label="(D1)",
+                name_x=_only(x, "name"), name_x_prime=_only(xp, "name"),
+                deg_x=_only(x, "degree"), deg_x_prime=_only(xp, "degree"),
             ))
             continue
         reports.append(rep)
@@ -235,11 +241,8 @@ def type_D_fin_analysis() -> FinAnalysis:
                  "blown-down family is the trisecant congruence of a "
                  "projected Veronese surface"),
     )
-    return FinAnalysis(
-        vanishing_tau_prime=2, vanishing_j=1,
-        rational_cases=rational_cases,
-        outcomes=outcomes,
-    )
+    return FinAnalysis(vanishing_tau_prime=2, vanishing_j=1,
+                       rational_cases=rational_cases, outcomes=outcomes)
 
 
 # -- kind C ------------------------------------------------------------------
@@ -367,7 +370,7 @@ def enumerate_type_C(n: int) -> Tuple[List[InvariantTuple],
     dimension; only n in slope.ADMISSIBLE_N admits the required rational
     angle."""
     slope.require_admissible(n)
-    data = dataset.load_dataset()
+    manifolds = _manifolds()
     tan_sq = exact.tan_sq_pi_over(n + 1)
     rows: List[InvariantTuple] = []
     reports: List[ExclusionReport] = []
@@ -394,22 +397,17 @@ def enumerate_type_C(n: int) -> Tuple[List[InvariantTuple],
                 rows.append(rep.candidate)
                 continue
             ratio = slope.base_degree_ratio(n, tau)
-            x_entries = [e for e in data
-                         if e.dim == n and e.index == cand.i
-                         and e.b4_rank in (None, 1)]
-            xp_entries = [e for e in data
-                          if e.dim == n and e.index == cand.i_prime
-                          and e.b4_rank in (None, 1)]
-            matched = [(ex, exp) for ex in x_entries for exp in xp_entries
+            x = [e for e in manifolds[n, cand["i"]] if _cyclic_h4(e)]
+            xp = [e for e in manifolds[n, cand["i_prime"]] if _cyclic_h4(e)]
+            matched = [(ex, exp) for ex in x for exp in xp
                        if Fraction(exp.degree) == ratio * ex.degree]
             if not matched:
                 continue  # unrealizable numerics; dropped silently
             ex, exp = matched[0]
-            c2 = Fraction(cand.c2_over_d * ex.degree)
-            if c2.denominator != 1:
-                continue
-            rows.append(cand.with_status(
-                "admissible", d=ex.degree,
+            if (cand["c2_over_d"] * ex.degree).denominator != 1:
+                continue  # c2 = (c2/d)*d is not an integer
+            rows.append(InvariantTuple(
+                **cand, status="admissible", d=ex.degree,
                 deg_x=ex.degree, deg_x_prime=exp.degree,
                 name_x=ex.name, name_x_prime=exp.name,
             ))

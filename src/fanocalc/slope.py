@@ -82,6 +82,8 @@ def solve_nu_prime(n: int, tau: RatLike, delta: RatLike,
     tau, delta = rational(tau), rational(delta)
     if delta.numerator >= 0 or tau.numerator <= 0:
         raise ValueError("need delta < 0 and tau > 0")
+    if mu <= 0:
+        raise ValueError("mu must be positive")
     a, b, s, d = integral_form(tau, 1, delta)
     # s^k * (a_k + b_k*sqrt(delta)) = X_k + Y_k*sqrt(D) with b_k = q*Y_k/s^k,
     # so b_n/b_{n+1} = s*Y_n/Y_{n+1}.
@@ -101,9 +103,9 @@ def solve_nu_prime(n: int, tau: RatLike, delta: RatLike,
 
 def c1_prime(n: int, tau: RatLike, tau_prime: RatLike) -> Fraction:
     """First Chern class of the rank-three bundle in the conic case:
-    (8/tau)*cos^2(pi/(n+1)) - 4*tau'."""
+    (8/tau)*cos^2(pi/(n+1)) - 4*tau'.  A float raises TypeError."""
     require_admissible(n)
-    tau, tau_prime = Fraction(tau), Fraction(tau_prime)
+    tau, tau_prime = Fraction(rational(tau)), Fraction(rational(tau_prime))
     if tau == 0:
         raise ValueError("tau must be nonzero")
     return 8 / tau * cos_sq_pi_over(n + 1) - 4 * tau_prime
@@ -112,7 +114,7 @@ def c1_prime(n: int, tau: RatLike, tau_prime: RatLike) -> Fraction:
 def base_degree_ratio(n: int, tau: RatLike) -> Fraction:
     """Factor carrying deg(X) to deg(X') in the conic case:
     tau^(n-1) / (2^n * cos^(n-1)(pi/(n+1)))."""
-    tau = Fraction(tau)
+    tau = Fraction(rational(tau))
     if tau <= 0:
         raise ValueError("tau must be positive")
     return tau ** (n - 1) / _two_pow_cos_pow(n)
@@ -121,7 +123,7 @@ def base_degree_ratio(n: int, tau: RatLike) -> Fraction:
 def y_dot_f(c1p: RatLike, tau_prime: RatLike, mu: int) -> Fraction:
     """Intersection of the hypersurface class of Y in the ambient
     projective bundle with a fiber of the first projection."""
-    return -(Fraction(c1p) * mu + 2 * Fraction(tau_prime))
+    return -(Fraction(rational(c1p)) * mu + 2 * Fraction(rational(tau_prime)))
 
 
 def pushforward_R(nu: int, nu_prime: int, c2_push_coeff: RatLike) -> Fraction:
@@ -129,14 +131,13 @@ def pushforward_R(nu: int, nu_prime: int, c2_push_coeff: RatLike) -> Fraction:
     degeneracy divisor to the base:
     (nu'+2)(nu*nu'-1) + 2(nu+1) - c2_push_coeff."""
     first = (nu_prime + 2) * (nu * nu_prime - 1) + 2 * (nu + 1)
-    return Fraction(first) - Fraction(c2_push_coeff)
+    return Fraction(first) - Fraction(rational(c2_push_coeff))
 
 
 def kprime_degree_formulas(n: int, tau: RatLike, nu_prime: int, mu: int,
                            minus_khn: RatLike) -> Tuple[Fraction, Fraction]:
     """Closed forms for (-K'*H'^n, K'^2*H'^(n-1)) given -K*H^n."""
-    tau = Fraction(tau)
-    minus_khn = Fraction(minus_khn)
+    tau, minus_khn = Fraction(rational(tau)), Fraction(rational(minus_khn))
     scale = _two_pow_cos_pow(n)  # 2^n * cos^(n-1)(pi/(n+1))
     cos_sq = cos_sq_pi_over(n + 1)
     first = (mu * tau) ** (n - 1) / scale * minus_khn

@@ -1,3 +1,4 @@
+import pathlib
 from fractions import Fraction
 
 import pytest
@@ -50,6 +51,69 @@ def test_type_D_pre_table_exclusion():
     cand = pre[0].candidate
     assert (cand.n, cand.tau, cand.tau_prime, cand.delta) == (2, 1, 2, -1)
     assert pre[0].witness == {"dim": 2, "index": 2}
+
+
+def test_type_D_h4_rule_and_witnesses_follow_the_dataset(tmp_path,
+                                                         monkeypatch):
+    shipped = pathlib.Path(dataset._default_path("fano_manifolds.csv"))
+    path = tmp_path / "manifolds.csv"
+    monkeypatch.setenv(dataset.DATA_ENV_VAR, str(path))
+
+    def run(*edits):
+        text = shipped.read_text()
+        for old, new in edits:
+            assert old in text
+            text = text.replace(old, new)
+        path.write_text(text)
+        result = enumerate_type_D()
+        return ({(t.n, t.tau, t.tau_prime): t.status for t in result.tuples},
+                {r.rule: r.witness for r in result.reports})
+
+    # A blank b4_rank reads as cyclic H^4, so Q4 no longer excludes.
+    status, witness = run(("Q4,2,", "Q4,,"),
+                          ("4,2,18,K(G2)_H", "4,2,19,K(G2)_H"))
+    assert status[3, 1, 2] == status[4, 3, 1] == "admissible"
+    assert "b4_quadric" not in witness
+    assert witness["hyperplane_section_KG2"] == \
+        {"dim": 4, "index": 2, "degree": 19}
+    # The b4_quadric witness is the matched entry's rank.
+    status, witness = run(("Q4,2,", "Q4,3,"))
+    assert status[3, 1, 2] == status[4, 3, 1] == "excluded"
+    assert witness["b4_quadric"]["b4_rank"] == 3
+
+
+def _emitted(out):
+    """The ids of every row an enumerator returns, report rows included."""
+    if isinstance(out, classify.TypeDResult):
+        rows, reports = out.tuples, out.reports
+    elif isinstance(out, tuple):
+        rows, reports = out
+    else:
+        rows, reports = out, []
+    return {id(t) for t in rows} | {id(r.candidate) for r in reports}
+
+
+@pytest.mark.parametrize("call, built", [
+    (lambda: enumerate_type_C(2), 1),
+    (lambda: enumerate_type_C(3), 2),
+    (lambda: enumerate_type_C(5), 6),
+    (lambda: enumerate_type_P(2), 1),
+    (lambda: enumerate_type_P(3), 1),
+    (lambda: enumerate_type_P(5), 1),
+    (lambda: enumerate_type_D(), 5),
+], ids=["C2", "C3", "C5", "P2", "P3", "P5", "D"])
+def test_each_row_is_built_and_validated_once(monkeypatch, call, built):
+    validated = []
+    post_init = slope.InvariantTuple.__post_init__
+
+    def counted(self):
+        validated.append(self)
+        post_init(self)
+
+    monkeypatch.setattr(slope.InvariantTuple, "__post_init__", counted)
+    out = call()
+    assert len(validated) == built
+    assert {id(t) for t in validated} == _emitted(out)
 
 
 def test_fin_analysis():

@@ -265,6 +265,14 @@ def test_threshold_errors_keep_their_messages(form):
     lambda: sample_tuple(tau=2.0),
     lambda: sample_tuple(delta=-12.0),
     lambda: sample_tuple(d=1, deg_x=1.0),
+    lambda: c1_prime(5, 3.0, 1),
+    lambda: c1_prime(5, 3, 1.0),
+    lambda: base_degree_ratio(5, 2.0),
+    lambda: slope.y_dot_f(-2.0, 1, 1),
+    lambda: slope.y_dot_f(-2, 1.0, 1),
+    lambda: pushforward_R(1, 2, 3.0),
+    lambda: slope.kprime_degree_formulas(5, 1.0, 4, 1, 36),
+    lambda: slope.kprime_degree_formulas(5, 1, 4, 1, 36.0),
 ])
 def test_float_is_refused(call):
     with pytest.raises(TypeError, match="^exact numbers only, not float$"):
@@ -279,6 +287,21 @@ def test_float_is_refused(call):
 def test_negative_n_raises_instead_of_hanging(call):
     with pytest.raises(ValueError, match="^exponent must be nonnegative$"):
         call()
+
+
+@pytest.mark.parametrize("mu", [0, -1])
+def test_solve_nu_prime_refuses_nonpositive_mu(mu):
+    # mu = 0 divided by zero, and mu = -1 answered None.
+    with pytest.raises(ValueError, match="^mu must be positive$"):
+        solve_nu_prime(2, 1, -1, mu)
+
+
+def test_formula_helpers_answer_fractions():
+    # rational() passes an int through, and 8/tau of an int is a float.
+    values = [c1_prime(5, 3, 1), base_degree_ratio(5, 2),
+              slope.y_dot_f(-2, 1, 1), pushforward_R(1, 2, 3),
+              *slope.kprime_degree_formulas(5, 1, 4, 1, 36)]
+    assert all(type(v) is F for v in values)
 
 
 def test_solve_nu_prime_table_values():
