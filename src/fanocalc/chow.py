@@ -44,6 +44,13 @@ class ContextMismatchError(ValueError):
     """Elements of different ring contexts were combined."""
 
 
+def _exact(x) -> Fraction:
+    """x as a Fraction; a float is refused."""
+    if isinstance(x, float):
+        raise TypeError("exact numbers only, not float")
+    return Fraction(x)
+
+
 @dataclass(frozen=True)
 class RingCtx:
     n: int
@@ -55,9 +62,8 @@ class RingCtx:
     _rel: Tuple[int, int, int] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        object.__setattr__(self, "rel_a", Fraction(self.rel_a))
-        object.__setattr__(self, "rel_b", Fraction(self.rel_b))
-        object.__setattr__(self, "degree_s", Fraction(self.degree_s))
+        for name in ("rel_a", "rel_b", "degree_s"):
+            object.__setattr__(self, name, _exact(getattr(self, name)))
         object.__setattr__(self, "gen_names", tuple(self.gen_names))
         if not 2 <= self.n <= MAX_N:
             raise ValueError(f"base dimension n must be from 2 to {MAX_N}")
@@ -302,7 +308,7 @@ class BasisMap:
     entries: Tuple[Tuple[Fraction, Fraction], Tuple[Fraction, Fraction]]
 
     def __post_init__(self):
-        rows = tuple(tuple(Fraction(x) for x in row) for row in self.entries)
+        rows = tuple(tuple(_exact(x) for x in row) for row in self.entries)
         object.__setattr__(self, "entries", rows)
         if self.det() == 0:
             raise ValueError("basis map must be invertible")

@@ -15,6 +15,7 @@ from __future__ import annotations
 from collections import defaultdict
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cache
 from typing import TYPE_CHECKING, Dict, List, Optional, Sequence, Tuple
 
 from . import dataset, exact, slope
@@ -119,17 +120,17 @@ def enumerate_type_P(n: int) -> List[InvariantTuple]:
     pinned to 4*cos^2(pi/(n+1)), a positive integer only for n in
     slope.ADMISSIBLE_N.  There it is 1, 2 or 3, a prime or one, so the
     only factorization with nu >= nu' is nu = product, nu' = 1: one row,
-    labelled by _P_NAMES."""
+    labelled by _P_NAMES, whose manifolds sit at (n, i) and (n, i')."""
     slope.require_admissible(n)
-    data = dataset.load_dataset()
+    manifolds = _manifolds()
     nu = int(4 * exact.cos_sq_pi_over(n + 1))
     (name, name_prime), label = _P_NAMES[n]
-    x = [e for e in data if e.name == name]
-    xp = [e for e in data if e.name == name_prime]
+    cand = _candidate(n, "P", nu, 1,
+                      -Fraction(nu) ** 2 * exact.tan_sq_pi_over(n + 1))
+    x = [e for e in manifolds[n, cand["i"]] if e.name == name]
+    xp = [e for e in manifolds[n, cand["i_prime"]] if e.name == name_prime]
     return [InvariantTuple(
-        **_candidate(n, "P", nu, 1,
-                     -Fraction(nu) ** 2 * exact.tan_sq_pi_over(n + 1)),
-        d=_only(x, "degree"), deg_x=_only(x, "degree"),
+        **cand, d=_only(x, "degree"), deg_x=_only(x, "degree"),
         deg_x_prime=_only(xp, "degree"), name_x=name, name_x_prime=name_prime,
         label=label, status="admissible")]
 
@@ -145,24 +146,28 @@ _CITE_NO_MANIFOLD = ("no Fano manifold with cyclic cohomology realizes the "
                      "forced dimension and index")
 
 
-def _type_d_candidates(n_max: int):
-    """All (n, tau, P) with P = B21*d, tau*P < 4 and a solvable tau'.
+@cache
+def _type_d_candidates() -> Tuple[Tuple[int, int, int, Fraction, int], ...]:
+    """All (n, tau, P, Delta, tau') with P = B21*d, tau*P < 4 and a
+    solvable tau', over every n; computed once per process.
 
     arg(tau + sqrt(Delta)) < pi/(n+1) fails for every n past the first
     that fails it (arg_less_than is antitone in q), so each scan stops
-    there, at n = 5 at the latest, whatever n_max is."""
+    there, at n = 5 at the latest."""
+    out = []
     for tau in (1, 2, 3):
         for p in (1, 2, 3):
             if tau * p >= 4:
                 continue
             delta = Fraction(tau * tau) - Fraction(4 * tau, p)
             z = exact.quad(tau, 1, delta)
-            for n in range(2, n_max + 1):
-                if not exact.arg_less_than(z, n + 1):
-                    break
+            n = 2
+            while exact.arg_less_than(z, n + 1):
                 tau_prime = slope.solve_nu_prime(n, tau, delta, 1)
                 if tau_prime is not None:
-                    yield n, tau, p, delta, tau_prime
+                    out.append((n, tau, p, delta, tau_prime))
+                n += 1
+    return tuple(out)
 
 
 def enumerate_type_D(n_max: int = DEFAULT_N_MAX) -> TypeDResult:
@@ -174,7 +179,9 @@ def enumerate_type_D(n_max: int = DEFAULT_N_MAX) -> TypeDResult:
     manifolds = _manifolds()
     rows: List[InvariantTuple] = []
     reports: List[ExclusionReport] = []
-    for n, tau, p, delta, tau_prime in _type_d_candidates(n_max):
+    for n, tau, p, delta, tau_prime in _type_d_candidates():
+        if n > n_max:
+            continue
         # d' = tau and d = P, from B21 = tau/d' = 1 and P = B21*d.
         cand = _candidate(n, "D", tau, tau_prime, delta,
                           rho=Fraction(tau * tau_prime - 2, tau_prime),
@@ -296,6 +303,19 @@ def _exclude_1_2() -> ExclusionReport:
     )
 
 
+@cache
+def _monomials_1_4() -> Tuple[Fraction, ...]:
+    """K'^a H'^(6-a), a = 4, 3, 2, 1, in the (L, H) ring; once a process."""
+    from . import chow
+    # The rows of the inverse map write -K' and H' in (L, H).
+    (a, b), (c, d) = _kprime_map_1_4().inverse().entries
+    ctx = _w36_context()
+    kp = ctx.element({(1, 0): -a, (0, 1): -b})
+    hp = ctx.element({(1, 0): c, (0, 1): d})
+    return tuple(chow.intersection_degree(kp ** a * hp ** (6 - a))
+                 for a in (4, 3, 2, 1))
+
+
 def exclude_1_4() -> ExclusionReport:
     """Parity obstruction for the tau = 1, tau' = 4 candidate at n = 5.
 
@@ -305,25 +325,15 @@ def exclude_1_4() -> ExclusionReport:
     (L, H) ring; verify's cross-basis check recomputes them in the
     derived (-K', H') ring of kprime_context_1_4.
     """
-    from . import chow
     c1p = Fraction(c1_prime_int(5, 1, 4))
-    # The rows of the inverse map write -K' and H' in (L, H).
-    (a, b), (c, d) = _kprime_map_1_4().inverse().entries
-    ctx = _w36_context()
-    kp = ctx.element({(1, 0): -a, (0, 1): -b})
-    hp = ctx.element({(1, 0): c, (0, 1): d})
-    monomials = {(a, 6 - a): chow.intersection_degree(kp ** a * hp ** (6 - a))
-                 for a in range(1, 5)}
-    value = (Fraction(1, 2) * monomials[(4, 2)]
-             - c1p / 4 * monomials[(3, 3)]
-             + c1p ** 2 / 8 * monomials[(2, 4)]
-             - c1p ** 3 / 16 * monomials[(1, 5)])
+    monomials = _monomials_1_4()
+    # K'^4H'^2/2 - c1'K'^3H'^3/4 + c1'^2K'^2H'^4/8 - c1'^3K'H'^5/16.
+    value = sum(m * (-c1p / 2) ** k for k, m in enumerate(monomials)) / 2
     odd = value.denominator == 1 and value.numerator % 2 == 1
     return ExclusionReport(
         rule="schwarzenberger",
         witness={"value": value, "odd": odd, "c1_prime": c1p,
-                 "monomials": (monomials[(4, 2)], monomials[(3, 3)],
-                               monomials[(2, 4)], monomials[(1, 5)])},
+                 "monomials": monomials},
         citation=_CITE_SCHWARZ,
     )
 
@@ -360,8 +370,18 @@ _DOSSIERS = {(5, 1, 2): "_exclude_1_2", (5, 2, 1): "exclude_2_1",
 
 
 def c1_prime_int(n: int, tau: int, tau_prime: int) -> Optional[int]:
-    value = slope.c1_prime(n, tau, tau_prime)
-    return int(value) if value.denominator == 1 else None
+    """slope.c1_prime, 8p/(q*tau) - 4*tau' with p/q = cos^2, if integral."""
+    slope.require_admissible(n)
+    cos_sq = exact.cos_sq_pi_over(n + 1)
+    k, rest = divmod(8 * cos_sq.numerator, cos_sq.denominator * tau)
+    return None if rest else k - 4 * tau_prime
+
+
+def _degree_matches(x, xp, ratio: Fraction):
+    """The pairs (X, X') of `x` and `xp` with deg X' = ratio * deg X."""
+    num, den = ratio.numerator, ratio.denominator
+    return [(ex, exp) for ex in x for exp in xp
+            if exp.degree * den == num * ex.degree]
 
 
 def enumerate_type_C(n: int) -> Tuple[List[InvariantTuple],
@@ -375,13 +395,15 @@ def enumerate_type_C(n: int) -> Tuple[List[InvariantTuple],
     rows: List[InvariantTuple] = []
     reports: List[ExclusionReport] = []
     for tau in range(1, n + 1):
+        ratio = slope.base_degree_ratio(n, tau)
         for tau_prime in range(1, n):
             c1p = c1_prime_int(n, tau, tau_prime)
             if c1p is None:
                 continue
+            # y_dot_f is slope.y_dot_f at mu = 1, on ints.
             cand = _candidate(n, "C", tau, tau_prime,
-                              -Fraction(tau * tau) * tan_sq, c1_prime=c1p,
-                              y_dot_f=slope.y_dot_f(c1p, tau_prime, 1))
+                              -tau * tau * tan_sq, c1_prime=c1p,
+                              y_dot_f=-c1p - 2 * tau_prime)
             # Effectivity of the degeneracy divisor: its pushforward is
             # -c1' times the ample generator.  Then the n = 5 dossiers.
             rep = None
@@ -396,15 +418,14 @@ def enumerate_type_C(n: int) -> Tuple[List[InvariantTuple],
                 reports.append(rep)
                 rows.append(rep.candidate)
                 continue
-            ratio = slope.base_degree_ratio(n, tau)
             x = [e for e in manifolds[n, cand["i"]] if _cyclic_h4(e)]
             xp = [e for e in manifolds[n, cand["i_prime"]] if _cyclic_h4(e)]
-            matched = [(ex, exp) for ex in x for exp in xp
-                       if Fraction(exp.degree) == ratio * ex.degree]
+            matched = _degree_matches(x, xp, ratio)
             if not matched:
                 continue  # unrealizable numerics; dropped silently
             ex, exp = matched[0]
-            if (cand["c2_over_d"] * ex.degree).denominator != 1:
+            c2d = cand["c2_over_d"]
+            if c2d.numerator * ex.degree % c2d.denominator:
                 continue  # c2 = (c2/d)*d is not an integer
             rows.append(InvariantTuple(
                 **cand, status="admissible", d=ex.degree,

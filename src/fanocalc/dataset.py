@@ -11,10 +11,11 @@ five-dimensional targets.
 from __future__ import annotations
 
 import csv
+import io
 import os
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Dict, List, Optional
+from typing import Dict, List, Optional, Tuple
 
 DATA_ENV_VAR = "FANOCALC_DATA"
 
@@ -63,40 +64,57 @@ def _entry(row: Dict[str, str]) -> FanoEntry:
                      source_note=row["source_note"])
 
 
+# Per data file, the bytes last parsed and what they parsed to.  Keyed on
+# content, so any rewrite shows on the next call; a failed parse is not kept.
+_parsed: Dict[str, Tuple[bytes, object]] = {}
+
+
+def _parse_once(slot: str, path: str, parse):
+    """parse(path, text) of the file at `path`, once per content."""
+    with open(path, "rb") as fh:
+        data = fh.read()
+    last = _parsed.get(slot)
+    if last is None or last[0] != data:
+        text = io.TextIOWrapper(io.BytesIO(data), encoding="utf-8",
+                                newline="")
+        last = _parsed[slot] = (data, parse(path, text))
+    return last[1]
+
+
 def load_dataset() -> List[FanoEntry]:
-    """Read the manifold table at dataset_path().  A file that lacks a
-    column of DATASET_COLUMNS raises ValueError naming the file and the
-    columns; a row that does not parse or convert, or has more cells than
-    the header, one naming the file and the line; text that is not UTF-8,
-    one naming the file."""
-    path = dataset_path()
-    with open(path, "r", encoding="utf-8", newline="") as fh:
-        # A short row reads "" for its missing cells, which int() rejects
-        # with ValueError, not None, which it rejects with TypeError.
-        reader = csv.DictReader(fh, restval="")
-        try:
-            missing = [c for c in DATASET_COLUMNS
-                       if c not in (reader.fieldnames or ())]
-            entries = [] if missing else [_entry(row) for row in reader]
-        except UnicodeDecodeError as err:
-            # Decoding runs a block ahead of the reader: no line to name.
-            raise ValueError(f"{path}: {err}") from None
-        except (ValueError, csv.Error) as err:
-            # The DictReader updates its own line_num only after a row
-            # parses; that of the csv.reader under it counts this one.
-            raise ValueError(f"{path}: line {reader.reader.line_num}: "
-                             f"{err}") from None
+    """Read the manifold table at dataset_path() into a new list.  A file
+    that lacks a column of DATASET_COLUMNS raises ValueError naming the
+    file and the columns; a row that does not parse or convert, or has more
+    cells than the header, one naming the file and the line; text that is
+    not UTF-8, one naming the file."""
+    return list(_parse_once("manifolds", dataset_path(), _parse_dataset))
+
+
+def _parse_dataset(path: str, fh) -> Tuple[FanoEntry, ...]:
+    # A short row reads "" for its missing cells, which int() rejects
+    # with ValueError, not None, which it rejects with TypeError.
+    reader = csv.DictReader(fh, restval="")
+    try:
+        missing = [c for c in DATASET_COLUMNS
+                   if c not in (reader.fieldnames or ())]
+        entries = () if missing else tuple(_entry(row) for row in reader)
+    except UnicodeDecodeError as err:
+        # Decoding runs a block ahead of the reader: no line to name.
+        raise ValueError(f"{path}: {err}") from None
+    except (ValueError, csv.Error) as err:
+        # The DictReader updates its own line_num only after a row
+        # parses; that of the csv.reader under it counts this one.
+        raise ValueError(f"{path}: line {reader.reader.line_num}: "
+                         f"{err}") from None
     if missing:
         raise ValueError(f"{path}: missing column(s) {', '.join(missing)}")
     return entries
 
 
 def load_c2_pushforward() -> Dict[int, Fraction]:
-    """Map target degree -> pushforward coefficient of c2 of the tangent
-    bundle, used by the degeneracy-divisor formula."""
-    out: Dict[int, Fraction] = {}
-    with open(_default_path("c2_pushforward.csv"), "r", encoding="utf-8",
-              newline="") as fh:
-        for row in csv.DictReader(fh):
-            out[int(row["degree"])] = Fraction(row["coeff"])
-    return out
+    """A new map target degree -> pushforward coefficient of c2 of the
+    tangent bundle, used by the degeneracy-divisor formula."""
+    return dict(_parse_once("c2", _default_path("c2_pushforward.csv"),
+                            lambda path, fh: {
+                                int(row["degree"]): Fraction(row["coeff"])
+                                for row in csv.DictReader(fh)}))

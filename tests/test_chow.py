@@ -110,6 +110,16 @@ def test_product_with_a_number_is_a_type_error():
     assert ctx.gen1.scale(F(1, 2)) == ctx.element({(1, 0): F(1, 2)})
 
 
+def test_ring_context_refuses_float():
+    with pytest.raises(TypeError, match="^exact numbers only, not float$"):
+        RingCtx(3, ("L", "H"), 0.5, -3, 1)
+
+
+def test_basis_map_refuses_float():
+    with pytest.raises(TypeError, match="^exact numbers only, not float$"):
+        BasisMap(((0.5, 0), (0, 1)))
+
+
 def test_equal_elements_hash_equal():
     ctx = w36_ctx()
     s = ctx.gen1 + ctx.gen2

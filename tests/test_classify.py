@@ -1,3 +1,4 @@
+import os
 import pathlib
 from fractions import Fraction
 
@@ -25,6 +26,18 @@ def test_type_P_factorizations():
     assert enumerate_type_P(3)[0].label == "(P2)/(P3)"
     assert (enumerate_type_P(5)[0].name_x,
             enumerate_type_P(5)[0].name_x_prime) == ("Q5", "K(G2)")
+
+
+def test_type_P_matches_entries_by_dim_index_and_name(tmp_path, monkeypatch):
+    shipped = pathlib.Path(dataset._default_path("fano_manifolds.csv"))
+    path = tmp_path / "manifolds.csv"
+    path.write_text(shipped.read_text().replace("3,4,1,P3,", "3,3,1,P3,"))
+    monkeypatch.setenv(dataset.DATA_ENV_VAR, str(path))
+    rows = {n: enumerate_type_P(n)[0] for n in (2, 3, 5)}
+    # P3 now sits at index 3, not at the i = 4 of the n = 3 row.
+    assert (rows[3].name_x, rows[3].d, rows[3].deg_x) == ("P3", None, None)
+    assert rows[3].deg_x_prime == 2
+    assert (rows[2].d, rows[5].d, rows[5].deg_x_prime) == (1, 2, 18)
 
 
 def test_type_P_rejects_other_dimensions():
@@ -156,6 +169,24 @@ def test_type_D_early_stop_matches_full_scan():
 
 # -- kind C ------------------------------------------------------------------
 
+@pytest.mark.parametrize("n", (2, 3, 5))
+def test_integer_conic_decisions_match_fractions(n):
+    entries = [dataset.FanoEntry(n, 1, deg, f"X{deg}", None, "")
+               for deg in range(1, 41)]
+    for tau in range(1, 9):
+        for tau_prime in range(1, 9):
+            want = slope.c1_prime(n, tau, tau_prime)
+            got = classify.c1_prime_int(n, tau, tau_prime)
+            if want.denominator == 1:
+                assert type(got) is int and got == want
+            else:
+                assert got is None
+        ratio = slope.base_degree_ratio(n, tau)
+        assert classify._degree_matches(entries, entries, ratio) == [
+            (x, xp) for x in entries for xp in entries
+            if Fraction(xp.degree) == ratio * x.degree]
+
+
 def test_type_C_n5_dossier():
     rows, reports = enumerate_type_C(5)
     assert [t.status for t in rows].count("admissible") == 2
@@ -227,6 +258,67 @@ def test_dataset_b4_flags():
     data = dataset.load_dataset()
     flagged = {e.name for e in data if e.b4_rank == 2}
     assert flagged == {"Q4", "V_5^5", "K(G2)_H"}
+
+
+def _count_parsed_rows(monkeypatch):
+    """A list that gains one item per dataset row parsed from now on."""
+    parsed = []
+    entry = dataset._entry
+    monkeypatch.setattr(dataset, "_entry",
+                        lambda row: parsed.append(row) or entry(row))
+    return parsed
+
+
+def test_each_load_returns_its_own_container(monkeypatch):
+    monkeypatch.delenv(dataset.DATA_ENV_VAR, raising=False)
+    first, c2 = dataset.load_dataset(), dataset.load_c2_pushforward()
+    kept = list(first)
+    first.clear()
+    c2.clear()
+    again = dataset.load_dataset()
+    assert again == kept and again is not first
+    # Both calls share one parse of the unchanged file.
+    assert all(a is b for a, b in zip(again, kept))
+    assert dataset.load_c2_pushforward() == {1: 17, 2: 11, 3: 9, 4: 8}
+
+
+def test_a_file_that_fails_to_parse_fails_on_every_call(tmp_path,
+                                                        monkeypatch):
+    path = tmp_path / "manifolds.csv"
+    monkeypatch.setenv(dataset.DATA_ENV_VAR, str(path))
+    path.write_text("dim,index,degree,name,b4_rank,source_note\n2,4,1,P2,,\n")
+    for _ in range(2):
+        with pytest.raises(ValueError, match="line 2: index must lie"):
+            dataset.load_dataset()
+    path.write_text("dim,index,degree,name,b4_rank,source_note\n2,3,1,P2,,\n")
+    assert [e.name for e in dataset.load_dataset()] == ["P2"]
+
+
+def test_same_size_rewrite_in_one_timestamp_tick_is_seen(tmp_path,
+                                                          monkeypatch):
+    shipped = pathlib.Path(dataset._default_path("fano_manifolds.csv"))
+    path = tmp_path / "manifolds.csv"
+    path.write_bytes(shipped.read_bytes())
+    monkeypatch.setenv(dataset.DATA_ENV_VAR, str(path))
+    parsed = _count_parsed_rows(monkeypatch)
+
+    def survivors():
+        rows, _ = enumerate_type_C(5)
+        return {t.name_x for t in rows if t.status == "admissible"}
+
+    assert survivors() == {"W_36^5", "V_4^5"}
+    # Unchanged bytes are read, not parsed again.
+    del parsed[:]
+    assert survivors() == {"W_36^5", "V_4^5"} and not parsed
+    before = path.stat()
+    path.write_text(shipped.read_text().replace("5,2,36,W_36^5",
+                                                "5,2,37,W_36^5"))
+    os.utime(path, ns=(before.st_atime_ns, before.st_mtime_ns))
+    after = path.stat()
+    assert (after.st_size, after.st_mtime_ns) == \
+        (before.st_size, before.st_mtime_ns)
+    # Degree 37 matches no Q5 (deg X' = deg X/18), so W_36^5 drops out.
+    assert survivors() == {"V_4^5"} and parsed
 
 
 # -- family table ------------------------------------------------------------
