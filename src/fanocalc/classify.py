@@ -370,8 +370,12 @@ _DOSSIERS = {(5, 1, 2): "_exclude_1_2", (5, 2, 1): "exclude_2_1",
 
 
 def c1_prime_int(n: int, tau: int, tau_prime: int) -> Optional[int]:
-    """slope.c1_prime, 8p/(q*tau) - 4*tau' with p/q = cos^2, if integral."""
+    """slope.c1_prime on ints: 8p/(q*tau) - 4*tau', p/q = cos^2, or None."""
     slope.require_admissible(n)
+    if {type(exact.rational(t)) for t in (tau, tau_prime)} != {int}:
+        raise TypeError("tau and tau' must be ints")
+    if tau == 0:
+        raise ValueError("tau must be nonzero")
     cos_sq = exact.cos_sq_pi_over(n + 1)
     k, rest = divmod(8 * cos_sq.numerator, cos_sq.denominator * tau)
     return None if rest else k - 4 * tau_prime
@@ -400,10 +404,9 @@ def enumerate_type_C(n: int) -> Tuple[List[InvariantTuple],
             c1p = c1_prime_int(n, tau, tau_prime)
             if c1p is None:
                 continue
-            # y_dot_f is slope.y_dot_f at mu = 1, on ints.
             cand = _candidate(n, "C", tau, tau_prime,
-                              -tau * tau * tan_sq, c1_prime=c1p,
-                              y_dot_f=-c1p - 2 * tau_prime)
+                              -Fraction(tau * tau) * tan_sq, c1_prime=c1p,
+                              y_dot_f=slope.y_dot_f(c1p, tau_prime, 1))
             # Effectivity of the degeneracy divisor: its pushforward is
             # -c1' times the ample generator.  Then the n = 5 dossiers.
             rep = None
@@ -424,8 +427,7 @@ def enumerate_type_C(n: int) -> Tuple[List[InvariantTuple],
             if not matched:
                 continue  # unrealizable numerics; dropped silently
             ex, exp = matched[0]
-            c2d = cand["c2_over_d"]
-            if c2d.numerator * ex.degree % c2d.denominator:
+            if (cand["c2_over_d"] * ex.degree).denominator != 1:
                 continue  # c2 = (c2/d)*d is not an integer
             rows.append(InvariantTuple(
                 **cand, status="admissible", d=ex.degree,

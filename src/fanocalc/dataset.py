@@ -73,12 +73,10 @@ def _parse_once(slot: str, path: str, parse):
     """parse(path, text) of the file at `path`, once per content."""
     with open(path, "rb") as fh:
         data = fh.read()
-    last = _parsed.get(slot)
-    if last is None or last[0] != data:
-        text = io.TextIOWrapper(io.BytesIO(data), encoding="utf-8",
-                                newline="")
-        last = _parsed[slot] = (data, parse(path, text))
-    return last[1]
+    if _parsed.get(slot, (None,))[0] != data:
+        text = io.TextIOWrapper(io.BytesIO(data), "utf-8", newline="")
+        _parsed[slot] = (data, parse(path, text))
+    return _parsed[slot][1]
 
 
 def load_dataset() -> List[FanoEntry]:

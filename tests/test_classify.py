@@ -187,6 +187,21 @@ def test_integer_conic_decisions_match_fractions(n):
             if Fraction(xp.degree) == ratio * x.degree]
 
 
+@pytest.mark.parametrize("args", [(5, 1.0, 1), (5, 1, 1.5), (5, 0, 1),
+                                  (4, 1, 1)])
+def test_c1_prime_int_refuses_what_slope_refuses(args):
+    with pytest.raises((TypeError, ValueError)) as want:
+        slope.c1_prime(*args)
+    with pytest.raises(want.type) as got:
+        classify.c1_prime_int(*args)
+    assert str(got.value) == str(want.value)
+
+
+def test_c1_prime_int_refuses_a_fraction():
+    with pytest.raises(TypeError, match="^tau and tau' must be ints$"):
+        classify.c1_prime_int(5, F(1, 2), 1)
+
+
 def test_type_C_n5_dossier():
     rows, reports = enumerate_type_C(5)
     assert [t.status for t in rows].count("admissible") == 2
