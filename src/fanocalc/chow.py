@@ -90,14 +90,11 @@ class RingCtx:
     def element(self, coeffs: Coeffs) -> "RingElem":
         return reduce(coeffs, self)
 
-    def zero(self) -> "RingElem":
-        return self._unit(0, Fraction(0))
-
     def one(self) -> "RingElem":
         return self._unit(0)
 
     def scalar(self, s: RatLike) -> "RingElem":
-        return self._unit(0, Fraction(s))
+        return self._unit(0, _exact(s))
 
 
 def _lowest(ctx: RingCtx, vec: List[int], den: int) -> "RingElem":
@@ -114,16 +111,38 @@ def _check(ctx: RingCtx, e: "RingElem") -> None:
         raise ContextMismatchError("elements belong to different contexts")
 
 
-def check_pow_size(p: int, q: int, k: int) -> None:
-    """Refuse (p/q)^k past MAX_POW_BITS with ValueError.  It is about k
-    times as long as p/q; for p/q in {0, 1, -1} the size grows only
-    polynomially in k, and is not capped."""
+def check_pow_size(p: int, q: int, k: int,
+                   e: Optional["RingElem"] = None) -> None:
+    """Refuse (p/q)^k, or e^k for an element e with scalar part p/q, past
+    MAX_POW_BITS with ValueError, before computing it.
+
+    (p/q)^k is about k times as long as p/q, and p/q in {0, 1, -1} does
+    not grow.  With e = p/q + N, e^k sums C(k, j) (p/q)^(k-j) N^j over
+    j <= min(k, n+1), and each factor of N adds about the bits of k, of N
+    and of the relation.  That is the size of each slot e^k can fill: the
+    slots of degree k*lo to k*hi, lo and hi the least and greatest degree
+    in e, where slot i <= n holds t^i and slot n+1+i holds G1*t^i."""
+    bits = 0
     if p and abs(p) != q:
         g = gcd(p, q)
         bits = k * max((p // g).bit_length(), (q // g).bit_length())
-        if bits > MAX_POW_BITS:
-            raise ValueError(f"power too large: about {bits} bits, "
-                             f"above the limit of {MAX_POW_BITS}")
+    if e is not None:
+        n, (r, pa, pb) = e.ctx.n, e.ctx._rel
+        nil = sum(map(abs, e.vec)) - abs(p)
+        if nil:
+            step = (nil * e.den * max(r, abs(pa), abs(pb))).bit_length()
+            bits += min(k, n + 1) * (k.bit_length() + step)
+        slots = 2 * n + 2  # counted only when all of them are too many
+        if bits * slots > MAX_POW_BITS:
+            degrees = [i if i <= n else i - n
+                       for i, v in enumerate(e.vec) if v]
+            lo = k * min(degrees, default=0)
+            hi = min(k * max(degrees, default=0), n + 1)
+            slots = max(0, 2 * (hi - lo + 1) - (lo == 0) - (hi == n + 1))
+        bits *= slots
+    if bits > MAX_POW_BITS:
+        raise ValueError(f"power too large: about {bits} bits, "
+                         f"above the limit of {MAX_POW_BITS}")
 
 
 def linear_combination(
@@ -132,7 +151,13 @@ def linear_combination(
     """The sum of c*e over (c, e) pairs, c rational and e an element of
     ctx or None for the unit: one lcm of the denominators, one
     multiply-add per term into one int vector, and one reduction."""
-    den = lcm(*(c.denominator * (1 if e is None else e.den) for c, e in terms))
+    try:
+        den = lcm(*(c.denominator * (1 if e is None else e.den)
+                    for c, e in terms))
+    except AttributeError:
+        for c, _ in terms:
+            _exact(c)  # a float coefficient is a TypeError
+        raise
     vec = [0] * (2 * ctx.n + 2)
     for c, e in terms:
         if e is None:
@@ -217,9 +242,6 @@ class RingElem:
     def __add__(self, other: "RingElem") -> "RingElem":
         return linear_combination(self.ctx, ((1, self), (1, other)))
 
-    def __neg__(self) -> "RingElem":
-        return RingElem(self.ctx, [-v for v in self.vec], self.den)
-
     def __mul__(self, other: "RingElem") -> "RingElem":
         if not isinstance(other, RingElem):
             return NotImplemented
@@ -247,8 +269,7 @@ class RingElem:
     def __pow__(self, k: int) -> "RingElem":
         if k < 0:
             raise ValueError("exponent must be nonnegative")
-        # The rest of the element is nilpotent.
-        check_pow_size(self.vec[0], self.den, k)
+        check_pow_size(self.vec[0], self.den, k, self)
         if not k:
             return self.ctx.one()
         # Square up to the lowest set bit of k, and start the product from

@@ -6,8 +6,8 @@ bundle structure (kind P), a blow-down along a codimension-two center
 candidate allowed by the exact threshold arithmetic, then applies
 realizability filters against the curated manifold dataset; candidates
 killed by a nontrivial argument carry an exclusion report with its exact
-witness values.  The congruence enumerator and the family table live in
-`families` and are re-exported here.
+witness values.  Kinds C and D return the pair (rows, reports).  The
+congruence enumerator lives in `families` and is re-exported here.
 """
 
 from __future__ import annotations
@@ -19,11 +19,8 @@ from functools import cache
 from typing import TYPE_CHECKING, Dict, List, Optional, Sequence, Tuple
 
 from . import dataset, exact, slope
-# Re-exported as part of classify's public names; the benchmark traces
-# classify.enumerate_congruences.
-from .families import (DEFAULT_M_MAX, _FAMILY_ROWS,  # noqa: F401
-                       CongruenceTuple, FamilyRow, enumerate_congruences,
-                       family_table)
+# The benchmark and verify reach enumerate_congruences through classify.
+from .families import enumerate_congruences  # noqa: F401
 from .slope import InvariantTuple
 
 if TYPE_CHECKING:
@@ -51,6 +48,11 @@ class ExclusionReport:
     candidate: Optional[InvariantTuple] = None
 
 
+# The (rows, reports) of kinds C and D: each report's candidate is an
+# excluded row, except a type D no_manifold candidate, which has no row.
+Enumerated = Tuple[List[InvariantTuple], List[ExclusionReport]]
+
+
 def _exclude(cand: Dict[str, object], rule: str, witness: Dict[str, object],
              citation: str) -> ExclusionReport:
     """The report excluding the candidate fields `cand` by `rule`."""
@@ -67,13 +69,6 @@ class FinAnalysis:
     vanishing_j: int
     rational_cases: Dict[int, Fraction]
     outcomes: Tuple[Tuple[str, str], ...]
-
-
-@dataclass(frozen=True)
-class TypeDResult:
-    tuples: Tuple[InvariantTuple, ...]
-    reports: Tuple[ExclusionReport, ...]
-    fin: FinAnalysis
 
 
 def _sort_key(t: InvariantTuple):
@@ -170,7 +165,7 @@ def _type_d_candidates() -> Tuple[Tuple[int, int, int, Fraction, int], ...]:
     return tuple(out)
 
 
-def enumerate_type_D(n_max: int = DEFAULT_N_MAX) -> TypeDResult:
+def enumerate_type_D(n_max: int = DEFAULT_N_MAX) -> Enumerated:
     """Second contraction blows down a divisor to a codimension-two
     center; candidates are cut out by the argument bound and the
     integrality of the codimension-two basis change."""
@@ -214,14 +209,14 @@ def enumerate_type_D(n_max: int = DEFAULT_N_MAX) -> TypeDResult:
         if rep.rule != "no_manifold":  # reported, not a row of the table
             rows.append(rep.candidate)
     rows.sort(key=_sort_key)
-    return TypeDResult(tuple(rows), tuple(reports), type_D_fin_analysis())
+    return rows, reports
 
 
-def type_d_raw_table(result: TypeDResult) -> List[Tuple[int, ...]]:
-    """Nine-column raw table (n, i, tau, c1, c2, d, d', tau', i').  Every
-    type D row carries its d, so its c2 passed the c2_integrality rule."""
+def type_d_raw_table(result: Enumerated) -> List[Tuple[int, ...]]:
+    """Raw table (n, i, tau, c1, c2, d, d', tau', i') of type D rows.
+    Each carries its d, so its c2 passed the c2_integrality rule."""
     return [(t.n, t.i, int(t.tau), t.c1, int(t.c2), t.d, t.d_prime,
-             int(t.tau_prime), t.i_prime) for t in result.tuples]
+             int(t.tau_prime), t.i_prime) for t in result[0]]
 
 
 def type_D_fin_analysis() -> FinAnalysis:
@@ -235,12 +230,8 @@ def type_D_fin_analysis() -> FinAnalysis:
     (D = -1/3).  The branch is closed in n, so no bound of the blow-down
     scan applies to it.
     """
-    rational_cases: Dict[int, Fraction] = {}
     # n = 3 is the largest n with 2n in exact's Niven table.
-    for n in (2, 3):
-        tan_sq = exact.tan_sq_pi_over(2 * n)
-        if tan_sq is not None:
-            rational_cases[n] = -tan_sq
+    rational_cases = {n: -exact.tan_sq_pi_over(2 * n) for n in (2, 3)}
     outcomes = (
         ("(D2)", "n=2: second Veronese surface in G(1,3); the blown-down "
                  "family is the secant congruence of a twisted cubic"),
@@ -388,8 +379,7 @@ def _degree_matches(x, xp, ratio: Fraction):
             if exp.degree * den == num * ex.degree]
 
 
-def enumerate_type_C(n: int) -> Tuple[List[InvariantTuple],
-                                      List[ExclusionReport]]:
+def enumerate_type_C(n: int) -> Enumerated:
     """Second contraction is a conic bundle over a manifold of the same
     dimension; only n in slope.ADMISSIBLE_N admits the required rational
     angle."""

@@ -110,14 +110,14 @@ def cmd_enumerate(ns: argparse.Namespace) -> int:
     if kind == "D":
         n_max = classify.DEFAULT_N_MAX if ns.n_max is None else ns.n_max
         result = classify.enumerate_type_D(n_max)
-        emit(CSV_COLUMNS, [tuple_to_row(t) for t in result.tuples], fmt,
+        emit(CSV_COLUMNS, [tuple_to_row(t) for t in result[0]], fmt,
              [f"bounds: n_max={n_max} tau_prime_max={classify.TAU_PRIME_MAX}"])
         if fmt == "table":
             print()
             print("raw table (n, i, tau, c1, c2, d, d', tau', i'):")
             for row in classify.type_d_raw_table(result):
                 print("  " + ", ".join(str(x) for x in row))
-            fin = result.fin
+            fin = classify.type_D_fin_analysis()
             print(f"finite-fiber branch: tau'={fin.vanishing_tau_prime}, "
                   f"n in {sorted(fin.rational_cases)}, "
                   + ", ".join(f"Delta={d} at n={n}"
@@ -151,19 +151,12 @@ def cmd_enumerate(ns: argparse.Namespace) -> int:
 
 def _eval_bindings(ctx: chow.RingCtx) -> Dict[str, object]:
     from .chow import linear_combination
-    bindings: Dict[str, object] = {}
     g1, g2 = ctx.gen_names
-    bindings[g1] = ctx.gen1
-    bindings[g2] = ctx.gen2
-    # Canonical divisor and discriminant for (L, H)-style contexts,
-    # where the relation encodes c1 and -c2/d.
-    bindings.setdefault("K", linear_combination(
-        ctx, ((-2, ctx.gen1), (ctx.rel_a, ctx.gen2))))
-    bindings.setdefault("D", ctx.rel_a ** 2 + 4 * ctx.rel_b)
-    for name in list(bindings):
-        if "'" in name:
-            bindings.setdefault(name.replace("'", "p"), bindings[name])
-    return bindings
+    # Canonical divisor and discriminant for (L, H)-style contexts, where
+    # the relation encodes c1 and -c2/d; a generator named K or D wins.
+    return {"K": linear_combination(ctx, ((-2, ctx.gen1),
+                                          (ctx.rel_a, ctx.gen2))),
+            "D": ctx.rel_a ** 2 + 4 * ctx.rel_b, g1: ctx.gen1, g2: ctx.gen2}
 
 
 def cmd_eval(ns: argparse.Namespace) -> int:

@@ -262,11 +262,9 @@ def tuple_to_row(t: InvariantTuple) -> Tuple[str, ...]:
     return tuple(_cell(getattr(t, c.lower())) for c in CSV_COLUMNS)
 
 
-def tuples_to_csv(tuples, header: bool = True) -> str:
+def tuples_to_csv(tuples) -> str:
     buf = io.StringIO()
     writer = csv.writer(buf, lineterminator="\n")
-    if header:
-        writer.writerow(CSV_COLUMNS)
-    for t in tuples:
-        writer.writerow(tuple_to_row(t))
+    writer.writerow(CSV_COLUMNS)
+    writer.writerows(map(tuple_to_row, tuples))
     return buf.getvalue()

@@ -308,12 +308,12 @@ def check_enumerations(rng: random.Random) -> Optional[str]:
                for t in rows if t.status == "admissible"]
         if got != [row for row in CONIC_ROWS if row[0] == n]:
             raise CheckFailed(f"type C n={n} survivors: {got}")
-    result = classify.enumerate_type_D()
+    rows, _ = classify.enumerate_type_D()
     got = [(t.n, t.tau, t.tau_prime, t.delta, t.c1, t.d, t.d_prime)
-           for t in result.tuples]
+           for t in rows]
     if got != list(BLOWDOWN_ROWS):
         raise CheckFailed(f"type D raw rows: {got}")
-    survivors = [t for t in result.tuples if t.status == "admissible"]
+    survivors = [t for t in rows if t.status == "admissible"]
     if [t.label for t in survivors] != ["(D1)"]:
         raise CheckFailed(f"type D survivors: {survivors}")
 
@@ -394,7 +394,7 @@ def check_perturbed_thresholds(rng: random.Random) -> Optional[str]:
     """Every row the enumerators emit meets the threshold condition, and
     each perturbation of it (tau and rho one up or one down, or Delta
     doubled) breaks it."""
-    rows = list(classify.enumerate_type_D().tuples)
+    rows, _ = classify.enumerate_type_D()
     for n in slope.ADMISSIBLE_N:
         rows += classify.enumerate_type_C(n)[0] + classify.enumerate_type_P(n)
     total = 0

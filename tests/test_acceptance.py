@@ -61,9 +61,9 @@ def test_criterion_3_blowdown_tables(capsys):
         with open(GOLDEN / "type_D_raw.csv", encoding="utf-8") as fh:
             want = [tuple(map(int, row)) for row in list(csv.reader(fh))[1:]]
         assert classify.type_d_raw_table(result) == want
-        survivors = [t for t in result.tuples if t.status == "admissible"]
+        survivors = [t for t in result[0] if t.status == "admissible"]
         assert [t.label for t in survivors] == ["(D1)"]
-        fin = result.fin
+        fin = classify.type_D_fin_analysis()
         assert fin.vanishing_tau_prime == 2
         assert sorted(fin.rational_cases) == [2, 3]
         assert [label for label, _ in fin.outcomes] == ["(D2)", "(D3)"]

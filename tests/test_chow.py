@@ -72,7 +72,7 @@ def test_linear_combination_equals_the_fold_of_scale_and_add(data):
         min_value=-9, max_value=9, max_denominator=12))
     terms = [(data.draw(coeffs), data.draw(st.sampled_from((e, None))))
              for e in elems]
-    want = ctx.zero()
+    want = ctx.scalar(0)
     for c, e in terms:
         want = want + (ctx.one() if e is None else e).scale(c)
     assert linear_combination(ctx, terms) == want
@@ -99,6 +99,22 @@ def test_power_refuses_a_scalar_part_past_the_bit_limit():
     assert (power.coeffs[0, 0], power.coeffs[1, 0]) == (1, k)
 
 
+def test_power_bound_counts_the_slots_the_power_fills():
+    # At n = 1000 a power with a scalar part fills all 2n+2 slots, so the
+    # bound refuses it before the first product; a homogeneous power fills
+    # one slot and is computed.
+    ctx = RingCtx(1000, ("L", "H"), F(1, 3), F(-2, 7), F(5))
+    start = time.perf_counter()
+    for base, k in ((ctx.scalar(F(3, 2)) + ctx.gen1, 1001),
+                    (ctx.one() + ctx.gen1, 5000),
+                    (ctx.gen1 + ctx.gen2 ** 2, 200)):
+        with pytest.raises(ValueError, match="^power too large"):
+            base ** k
+    assert time.perf_counter() - start < 1.0
+    top = (ctx.gen1 + ctx.gen2) ** 1001
+    assert list(top.coeffs) == [(1, 1000)]
+
+
 def test_product_with_a_number_is_a_type_error():
     # scale is the one product with a number.
     ctx = w36_ctx()
@@ -115,6 +131,16 @@ def test_ring_context_refuses_float():
         RingCtx(3, ("L", "H"), 0.5, -3, 1)
 
 
+@pytest.mark.parametrize("build", [
+    lambda ctx: ctx.scalar(0.5),
+    lambda ctx: ctx.gen1.scale(0.5),
+    lambda ctx: linear_combination(ctx, [(F(1), ctx.gen2), (0.5, ctx.gen1)]),
+], ids=["scalar", "scale", "linear_combination"])
+def test_element_builders_refuse_float(build):
+    with pytest.raises(TypeError, match="^exact numbers only, not float$"):
+        build(w36_ctx())
+
+
 def test_basis_map_refuses_float():
     with pytest.raises(TypeError, match="^exact numbers only, not float$"):
         BasisMap(((0.5, 0), (0, 1)))
@@ -129,7 +155,7 @@ def test_equal_elements_hash_equal():
     assert hash(w36_ctx().gen1) == hash(ctx.gen1)
     assert {s, same, s ** 2, ctx.gen1 * ctx.gen1 + ctx.gen1 * ctx.gen2
             + ctx.gen2 * ctx.gen1 + ctx.gen2 * ctx.gen2} == {s, s ** 2}
-    assert len({ctx.zero(), ctx.gen2 ** 6, ctx.scalar(0)}) == 1
+    assert len({ctx.scalar(0), ctx.gen2 ** 6}) == 1
 
 
 def test_intersection_degree_examples():
@@ -167,7 +193,7 @@ def test_derived_context_relation_and_degree():
     assert (ctx_p.rel_a, ctx_p.rel_b) == (F(-5), F(-7))
     assert ctx_p.degree_s == 2
     g1, g2 = ctx_p.gen1, ctx_p.gen2
-    assert intersection_degree(-(g1 * g2 ** 5)) == -2  # K'H'^5
+    assert intersection_degree((g1 * g2 ** 5).scale(-1)) == -2  # K'H'^5
 
 
 def test_derived_context_identity_map():

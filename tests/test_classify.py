@@ -1,3 +1,4 @@
+import csv
 import os
 import pathlib
 from fractions import Fraction
@@ -5,12 +6,14 @@ from fractions import Fraction
 import pytest
 
 from fanocalc import classify, dataset, exact, families, slope
-from fanocalc.classify import (CongruenceTuple, enumerate_congruences,
-                               enumerate_type_C, enumerate_type_D,
-                               enumerate_type_P, exclude_2_1, family_table,
+from fanocalc.classify import (enumerate_type_C, enumerate_type_D,
+                               enumerate_type_P, exclude_2_1,
                                type_D_fin_analysis)
+from fanocalc.families import (CongruenceTuple, enumerate_congruences,
+                               family_table)
 
 F = Fraction
+GOLDEN = pathlib.Path(__file__).parent / "golden"
 
 
 # -- kind P ------------------------------------------------------------------
@@ -48,18 +51,18 @@ def test_type_P_rejects_other_dimensions():
 # -- kind D ------------------------------------------------------------------
 
 def test_type_D_survivor_and_filters():
-    result = enumerate_type_D()
-    survivors = [t for t in result.tuples if t.status == "admissible"]
+    rows, _ = enumerate_type_D()
+    survivors = [t for t in rows if t.status == "admissible"]
     assert len(survivors) == 1
     d1 = survivors[0]
     assert (d1.label, d1.name_x, d1.name_x_prime) == ("(D1)", "P2", "Q3")
-    reasons = sorted(t.reason for t in result.tuples if t.status == "excluded")
+    reasons = sorted(t.reason for t in rows if t.status == "excluded")
     assert reasons == ["b4_quadric", "b4_quadric", "hyperplane_section_KG2"]
 
 
 def test_type_D_pre_table_exclusion():
-    result = enumerate_type_D()
-    pre = [r for r in result.reports if r.rule == "no_manifold"]
+    _, reports = enumerate_type_D()
+    pre = [r for r in reports if r.rule == "no_manifold"]
     assert len(pre) == 1
     cand = pre[0].candidate
     assert (cand.n, cand.tau, cand.tau_prime, cand.delta) == (2, 1, 2, -1)
@@ -78,9 +81,9 @@ def test_type_D_h4_rule_and_witnesses_follow_the_dataset(tmp_path,
             assert old in text
             text = text.replace(old, new)
         path.write_text(text)
-        result = enumerate_type_D()
-        return ({(t.n, t.tau, t.tau_prime): t.status for t in result.tuples},
-                {r.rule: r.witness for r in result.reports})
+        rows, reports = enumerate_type_D()
+        return ({(t.n, t.tau, t.tau_prime): t.status for t in rows},
+                {r.rule: r.witness for r in reports})
 
     # A blank b4_rank reads as cyclic H^4, so Q4 no longer excludes.
     status, witness = run(("Q4,2,", "Q4,,"),
@@ -97,12 +100,7 @@ def test_type_D_h4_rule_and_witnesses_follow_the_dataset(tmp_path,
 
 def _emitted(out):
     """The ids of every row an enumerator returns, report rows included."""
-    if isinstance(out, classify.TypeDResult):
-        rows, reports = out.tuples, out.reports
-    elif isinstance(out, tuple):
-        rows, reports = out
-    else:
-        rows, reports = out, []
+    rows, reports = out if isinstance(out, tuple) else (out, [])
     return {id(t) for t in rows} | {id(r.candidate) for r in reports}
 
 
@@ -158,9 +156,10 @@ def _type_d_full_scan(n_max):
 def test_type_D_early_stop_matches_full_scan():
     full = _type_d_full_scan(50)
     result = enumerate_type_D(50)
-    admissible = [t for t in result.tuples if t.status == "admissible"]
+    rows, reports = result
+    admissible = [t for t in rows if t.status == "admissible"]
     got = sorted((t.n, int(t.tau), t.d, t.delta, int(t.tau_prime))
-                 for t in admissible + [r.candidate for r in result.reports])
+                 for t in admissible + [r.candidate for r in reports])
     assert got == full
     assert max(tau_prime for *_, tau_prime in full) <= 3 \
         < classify.TAU_PRIME_MAX
@@ -241,19 +240,36 @@ def test_type_C_rejects_other_dimensions():
 
 @pytest.mark.parametrize("kind", ["C5", "D"])
 def test_every_report_carries_its_excluded_row(kind):
-    if kind == "C5":
-        rows, reports = enumerate_type_C(5)
-    else:
-        result = enumerate_type_D()
-        rows, reports = result.tuples, result.reports
+    _, reports = enumerate_type_C(5) if kind == "C5" else enumerate_type_D()
     assert reports
     for rep in reports:
         assert rep.candidate.status == "excluded"
         assert rep.candidate.reason == rep.rule
-    # no_manifold candidates are reported but never reach the table.
+
+
+@pytest.mark.parametrize("n", [2, 3, 5, None], ids=["C2", "C3", "C5", "D"])
+def test_types_C_and_D_return_rows_and_reports(n):
+    out = enumerate_type_D() if n is None else enumerate_type_C(n)
+    assert type(out) is tuple and len(out) == 2
+    rows, reports = out
+    assert all(isinstance(t, slope.InvariantTuple) for t in rows)
+    assert all(isinstance(r, classify.ExclusionReport) for r in reports)
+    # The excluded rows are the reports' candidates, except that a type D
+    # no_manifold candidate is reported but never reaches the table.
     excluded = [t for t in rows if t.status == "excluded"]
-    kept = [r.candidate for r in reports if r.rule != "no_manifold"]
+    kept = [r.candidate for r in reports if n or r.rule != "no_manifold"]
     assert sorted(excluded, key=repr) == sorted(kept, key=repr)
+
+
+def test_type_D_raw_table_is_golden_under_each_bound():
+    # The raw table of each n_max is the golden rows with n <= n_max.
+    with open(GOLDEN / "type_D_raw.csv", encoding="utf-8") as fh:
+        golden = [tuple(map(int, row)) for row in list(csv.reader(fh))[1:]]
+    for n_max in (2, 3, 4, classify.DEFAULT_N_MAX, 40):
+        want = [row for row in golden if row[0] <= n_max]
+        got = classify.type_d_raw_table(enumerate_type_D(n_max))
+        assert got == want, n_max
+    assert {row[0] for row in golden} == {2, 3, 4}
 
 
 def test_exclusion_scripts_standalone():
@@ -401,8 +417,6 @@ def test_congruence_tuple_value_semantics():
     assert (t.alpha, t.z, t.m) == (4, 6, 9)
 
 
-@pytest.mark.parametrize("name", [
-    "CongruenceTuple", "enumerate_congruences", "DEFAULT_M_MAX", "FamilyRow",
-    "_FAMILY_ROWS", "family_table"])
+@pytest.mark.parametrize("name", ["enumerate_congruences"])
 def test_families_names_reexported_by_classify(name):
     assert getattr(classify, name) is getattr(families, name)

@@ -225,7 +225,7 @@ def test_eval_power_far_beyond_nilpotency_is_fast_and_binomial(capsys):
     elapsed = time.perf_counter() - start
     assert code == 0
     ctx = chow.load_context(path)
-    want = ctx.zero()
+    want = ctx.scalar(0)
     for j in range(ctx.n + 2):
         want = want + (ctx.gen1 ** j).scale(math.comb(k, j))
     assert out == f"{want!r}\n"
@@ -268,6 +268,33 @@ def test_eval_oversized_power_exits_2_fast():
     assert proc.stderr.startswith("input error: column 3: power too large")
     assert "Traceback" not in proc.stderr
     assert elapsed < 1.0
+
+
+def test_eval_power_filling_a_large_context_exits_2_fast(tmp_path):
+    # In a child process, so that a bound that misses these powers fails
+    # by the timeout instead of hanging the suite: (3/2+L)^1001 took 17 s
+    # and printed 4.3 MB that way, and (3/2+L)^4000 did not end in 90 s.
+    path = tmp_path / "big.ctx"
+    path.write_text("n=1000\ngen_names=L,H\nrel_a=1/3\nrel_b=-2/7\n"
+                    "degree_s=5\n")
+    src = pathlib.Path(cli.__file__).parent.parent
+    env = dict(os.environ, PYTHONPATH=str(src))
+
+    def child(text):
+        return subprocess.run([sys.executable, "-m", "fanocalc", "eval",
+                               "--ctx", str(path), text], env=env,
+                              capture_output=True, text=True, timeout=10)
+
+    for text in ("(3/2+L)^1001", "(3/2+L)^4000"):
+        proc = child(text)
+        assert (proc.returncode, proc.stdout) == (2, "")
+        assert proc.stderr.startswith(
+            "input error: column 9: power too large")
+    # A homogeneous power fills one slot and is computed.
+    ctx = chow.load_context(path)
+    want = chow.intersection_degree((ctx.gen1 + ctx.gen2) ** 1001)
+    proc = child("(L+H)^1001")
+    assert (proc.returncode, proc.stdout, proc.stderr) == (0, f"{want}\n", "")
 
 
 @pytest.mark.parametrize("text, message", [

@@ -365,7 +365,7 @@ def test_chains_splice_a_leading_child_of_their_own_kind():
 @pytest.mark.parametrize("level, depth, step", [
     pytest.param("(x^2*H+1)", 1, lambda y, ctx: y ** 2 * ctx.gen2
                  + ctx.scalar(1), id="parenthesized-sum"),
-    pytest.param("-(x)", 2, lambda y, ctx: -y, id="minus-parenthesis"),
+    pytest.param("-(x)", 2, lambda y, ctx: y.scale(-1), id="minus-parenthesis"),
 ])
 def test_deepest_trees_compare_hash_print_and_evaluate(level, depth, step):
     # As deep as MAX_DEPTH admits: 64 parentheses, each around a sum of a
