@@ -113,15 +113,13 @@ def _check(ctx: RingCtx, e: "RingElem") -> None:
 
 def check_pow_size(p: int, q: int, k: int,
                    e: Optional["RingElem"] = None) -> None:
-    """Refuse (p/q)^k, or e^k for an element e with scalar part p/q, past
-    MAX_POW_BITS with ValueError, before computing it.
-
-    (p/q)^k is about k times as long as p/q, and p/q in {0, 1, -1} does
-    not grow.  With e = p/q + N, e^k sums C(k, j) (p/q)^(k-j) N^j over
-    j <= min(k, n+1), and each factor of N adds about the bits of k, of N
-    and of the relation.  That is the size of each slot e^k can fill: the
-    slots of degree k*lo to k*hi, lo and hi the least and greatest degree
-    in e, where slot i <= n holds t^i and slot n+1+i holds G1*t^i."""
+    """Refuse (p/q)^k, or e^k for e with scalar part p/q, past
+    MAX_POW_BITS with ValueError, before computing it.  (p/q)^k is about
+    k times as long as p/q; 0 and +-1 do not grow.  e^k sums C(k, j)
+    (p/q)^(k-j) N^j, N = e - p/q, over j <= min(k, n+1), and each factor
+    of N adds about the bits of k, of N and of the relation to each slot
+    e^k fills: those of degree k*lo to k*hi, lo and hi the least and
+    greatest degree in e (slot i <= n holds t^i, slot n+1+i G1*t^i)."""
     bits = 0
     if p and abs(p) != q:
         g = gcd(p, q)

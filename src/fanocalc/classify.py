@@ -66,7 +66,6 @@ class FinAnalysis:
     zero locus of the bundle itself (finite fibers)."""
 
     vanishing_tau_prime: int
-    vanishing_j: int
     rational_cases: Dict[int, Fraction]
     outcomes: Tuple[Tuple[str, str], ...]
 
@@ -239,8 +238,8 @@ def type_D_fin_analysis() -> FinAnalysis:
                  "blown-down family is the trisecant congruence of a "
                  "projected Veronese surface"),
     )
-    return FinAnalysis(vanishing_tau_prime=2, vanishing_j=1,
-                       rational_cases=rational_cases, outcomes=outcomes)
+    return FinAnalysis(vanishing_tau_prime=2, rational_cases=rational_cases,
+                       outcomes=outcomes)
 
 
 # -- kind C ------------------------------------------------------------------

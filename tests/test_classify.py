@@ -129,7 +129,7 @@ def test_each_row_is_built_and_validated_once(monkeypatch, call, built):
 
 def test_fin_analysis():
     fin = type_D_fin_analysis()
-    assert (fin.vanishing_tau_prime, fin.vanishing_j) == (2, 1)
+    assert fin.vanishing_tau_prime == 2
     assert fin.rational_cases == {2: F(-1), 3: F(-1, 3)}
     assert [label for label, _ in fin.outcomes] == ["(D2)", "(D3)"]
 
