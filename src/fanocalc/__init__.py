@@ -2,6 +2,9 @@
 rank-two Fano bundles on manifolds with cyclic second and fourth
 cohomology."""
 
+from itertools import repeat
+from operator import attrgetter
+
 __version__ = "0.1.0"
 
 # Each re-export is imported from its module on first access (PEP 562),
@@ -29,3 +32,46 @@ def __getattr__(name):
 
 def __dir__():
     return sorted([*globals(), *_EXPORTS])
+
+
+class Record:
+    """Base of the records that validate their fields or must not equal a
+    plain tuple; the others are named tuples.  A subclass lists its fields
+    in __slots__ and fills them in __init__ through _fill or
+    object.__setattr__, since assigning or deleting an attribute raises
+    AttributeError.  == and hash read the fields named in _compare (all
+    by default), as the class's _key(record) returns them, and a record
+    equals only records of its own type."""
+
+    __slots__ = ()
+
+    def __init_subclass__(cls):
+        cls._key = attrgetter(*cls.__dict__.get("_compare", cls.__slots__))
+
+    def _fill(self, *values):
+        """Set the fields to `values`, in the order of __slots__."""
+        # map loops in C, and any runs it through: each call returns None.
+        any(map(object.__setattr__, repeat(self), self.__slots__, values))
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"cannot delete field {name!r}")
+
+    def __setstate__(self, state):  # for copy and pickle
+        for name, value in state[1].items():
+            object.__setattr__(self, name, value)
+
+    def __eq__(self, other):
+        if type(other) is not type(self):
+            return NotImplemented
+        return self._key(self) == other._key(other)
+
+    def __hash__(self):
+        return hash(self._key(self))
+
+    def __repr__(self):
+        fields = ", ".join(f"{name}={getattr(self, name)!r}"
+                           for name in self.__slots__ if name[0] != "_")
+        return f"{type(self).__name__}({fields})"

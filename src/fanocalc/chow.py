@@ -25,11 +25,13 @@ as exact 2x2 rational matrices.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from fractions import Fraction
 from math import gcd, lcm
 from types import MappingProxyType
-from typing import Dict, List, Mapping, Optional, Sequence, Tuple, Union
+from typing import (Dict, List, Mapping, NamedTuple, Optional, Sequence, Tuple,
+                    Union)
+
+from . import Record
 
 RatLike = Union[Fraction, int]
 Monomial = Tuple[int, int]  # (G1 exponent, G2 exponent)
@@ -51,28 +53,22 @@ def _exact(x) -> Fraction:
     return Fraction(x)
 
 
-@dataclass(frozen=True)
-class RingCtx:
-    n: int
-    gen_names: Tuple[str, str]
-    rel_a: Fraction
-    rel_b: Fraction
-    degree_s: Fraction
-    # (r, pa, pb) with rel_a = pa/r and rel_b = pb/r.
-    _rel: Tuple[int, int, int] = field(init=False, repr=False, compare=False)
+class RingCtx(Record):
+    __slots__ = ("n", "gen_names", "rel_a", "rel_b", "degree_s", "_rel")
+    # _rel, not compared, is (r, pa, pb) with rel_a = pa/r, rel_b = pb/r.
+    _compare = __slots__[:-1]
 
-    def __post_init__(self):
-        for name in ("rel_a", "rel_b", "degree_s"):
-            object.__setattr__(self, name, _exact(getattr(self, name)))
-        object.__setattr__(self, "gen_names", tuple(self.gen_names))
-        if not 2 <= self.n <= MAX_N:
+    def __init__(self, n: int, gen_names: Tuple[str, str], rel_a: RatLike,
+                 rel_b: RatLike, degree_s: RatLike):
+        a, b, degree_s = _exact(rel_a), _exact(rel_b), _exact(degree_s)
+        if not 2 <= n <= MAX_N:
             raise ValueError(f"base dimension n must be from 2 to {MAX_N}")
-        if self.degree_s <= 0:
+        if degree_s <= 0:
             raise ValueError("degree_s must be positive")
-        a, b = self.rel_a, self.rel_b
         r = lcm(a.denominator, b.denominator)
-        object.__setattr__(self, "_rel", (r, a.numerator * r // a.denominator,
-                                          b.numerator * r // b.denominator))
+        self._fill(n, tuple(gen_names), a, b, degree_s,
+                   (r, a.numerator * r // a.denominator,
+                    b.numerator * r // b.denominator))
 
     def _unit(self, k: int, c: Fraction = Fraction(1)) -> "RingElem":
         vec = [0] * (2 * self.n + 2)
@@ -119,7 +115,9 @@ def check_pow_size(p: int, q: int, k: int,
     (p/q)^(k-j) N^j, N = e - p/q, over j <= min(k, n+1), and each factor
     of N adds about the bits of k, of N and of the relation to each slot
     e^k fills: those of degree k*lo to k*hi, lo and hi the least and
-    greatest degree in e (slot i <= n holds t^i, slot n+1+i G1*t^i)."""
+    greatest degree in e (slot i <= n holds t^i, slot n+1+i G1*t^i).
+    Those bits are counted once per squaring, log2(k) of them, as the
+    work; a scalar part doubles at each squaring, so its last one counts."""
     bits = 0
     if p and abs(p) != q:
         g = gcd(p, q)
@@ -129,7 +127,8 @@ def check_pow_size(p: int, q: int, k: int,
         nil = sum(map(abs, e.vec)) - abs(p)
         if nil:
             step = (nil * e.den * max(r, abs(pa), abs(pb))).bit_length()
-            bits += min(k, n + 1) * (k.bit_length() + step)
+            kb = k.bit_length()
+            bits += min(k, n + 1) * (kb + step) * kb
         slots = 2 * n + 2  # counted only when all of them are too many
         if bits * slots > MAX_POW_BITS:
             degrees = [i if i <= n else i - n
@@ -320,15 +319,14 @@ def intersection_degree(e: RingElem) -> Fraction:
     return Fraction(e.vec[-1], e.den) * e.ctx.degree_s
 
 
-@dataclass(frozen=True)
-class BasisMap:
+class BasisMap(Record):
     """Exact 2x2 rational change of basis."""
 
-    entries: Tuple[Tuple[Fraction, Fraction], Tuple[Fraction, Fraction]]
+    __slots__ = ("entries",)
 
-    def __post_init__(self):
-        rows = tuple(tuple(_exact(x) for x in row) for row in self.entries)
-        object.__setattr__(self, "entries", rows)
+    def __init__(self, entries: Tuple[Tuple[RatLike, RatLike],
+                                      Tuple[RatLike, RatLike]]):
+        self._fill(tuple(tuple(_exact(x) for x in row) for row in entries))
         if self.det() == 0:
             raise ValueError("basis map must be invertible")
 
@@ -413,8 +411,7 @@ def derived_context(ctx: RingCtx, m: BasisMap,
     return RingCtx(ctx.n, gen_names, rel_a, rel_b, degree_s)
 
 
-@dataclass(frozen=True)
-class BReport:
+class BReport(NamedTuple):
     integral: bool
     det: Fraction
     unimodular: bool

@@ -13,10 +13,10 @@ congruence enumerator lives in `families` and is re-exported here.
 from __future__ import annotations
 
 from collections import defaultdict
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import cache
-from typing import TYPE_CHECKING, Dict, List, Optional, Sequence, Tuple
+from typing import (TYPE_CHECKING, Dict, List, NamedTuple, Optional, Sequence,
+                    Tuple)
 
 from . import dataset, exact, slope
 # The benchmark and verify reach enumerate_congruences through classify.
@@ -40,8 +40,7 @@ DEFAULT_N_MAX = 6
 TAU_PRIME_MAX = 8
 
 
-@dataclass(frozen=True)
-class ExclusionReport:
+class ExclusionReport(NamedTuple):
     rule: str
     witness: Dict[str, object]
     citation: str
@@ -60,8 +59,7 @@ def _exclude(cand: Dict[str, object], rule: str, witness: Dict[str, object],
     return ExclusionReport(rule, witness, citation, row)
 
 
-@dataclass(frozen=True)
-class FinAnalysis:
+class FinAnalysis(NamedTuple):
     """Outcome of the branch where the blown-down locus is a point count
     zero locus of the bundle itself (finite fibers)."""
 

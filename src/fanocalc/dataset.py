@@ -13,27 +13,24 @@ from __future__ import annotations
 import csv
 import io
 import os
-from dataclasses import dataclass
 from fractions import Fraction
 from typing import Dict, List, Optional, Tuple
+
+from . import Record
 
 DATA_ENV_VAR = "FANOCALC_DATA"
 
 
-@dataclass(frozen=True)
-class FanoEntry:
-    dim: int
-    index: int
-    degree: int
-    name: str
-    b4_rank: Optional[int]
-    source_note: str
+class FanoEntry(Record):
+    __slots__ = ("dim", "index", "degree", "name", "b4_rank", "source_note")
 
-    def __post_init__(self):
-        if not (1 <= self.index <= self.dim + 1):
+    def __init__(self, dim: int, index: int, degree: int, name: str,
+                 b4_rank: Optional[int], source_note: str):
+        if not (1 <= index <= dim + 1):
             raise ValueError("index must lie between 1 and dim+1")
-        if self.degree < 1:
+        if degree < 1:
             raise ValueError("degree must be at least 1")
+        self._fill(dim, index, degree, name, b4_rank, source_note)
 
 
 def _default_path(filename: str) -> str:

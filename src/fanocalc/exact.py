@@ -19,10 +19,11 @@ decided on (A, B) alone.  a, b and delta are Fractions at the API.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from fractions import Fraction
 from math import gcd, lcm
 from typing import Optional, Tuple, Union
+
+from . import Record
 
 RatLike = Union[Fraction, int]
 IntPair = Tuple[int, int]
@@ -32,17 +33,14 @@ class DeltaMismatchError(ValueError):
     """Two quadratic numbers over different discriminants were combined."""
 
 
-@dataclass(frozen=True, init=False, repr=False)
-class QuadNum:
+class QuadNum(Record):
     """Element a + b*sqrt(delta) of Q(sqrt(delta)), delta < 0 rational,
     held as (A + B*sqrt(D))/s in lowest terms.  That form is unique, so
-    two numbers are equal exactly when their fields are."""
+    two numbers are equal exactly when their fields are; D follows from
+    delta and is not compared."""
 
-    A: int
-    B: int
-    s: int
-    delta: Fraction
-    D: int = field(compare=False)
+    __slots__ = ("A", "B", "s", "delta", "D")
+    _compare = ("A", "B", "s", "delta")
 
     def __init__(self, re: RatLike, im_coeff: RatLike, delta: RatLike):
         re, im_coeff, delta = rational(re), rational(im_coeff), rational(delta)
@@ -51,8 +49,14 @@ class QuadNum:
         if type(delta) is int:
             delta = Fraction(delta)
         a, b, s, d = integral_form(re, im_coeff, delta)
-        # The class is frozen; fill its fields in one call, as _lowest does.
-        self.__dict__.update(A=a, B=b, s=s, D=d, delta=delta)
+        # One call per field, not Record._fill: each threshold decision
+        # builds a number.
+        set_ = object.__setattr__
+        set_(self, "A", a)
+        set_(self, "B", b)
+        set_(self, "s", s)
+        set_(self, "delta", delta)
+        set_(self, "D", d)
 
     @property
     def re(self) -> Fraction:
@@ -94,7 +98,7 @@ def _lowest(x: int, y: int, s: int, like: QuadNum) -> QuadNum:
     """(x + y*sqrt(D))/s over the discriminant of `like`, in lowest terms."""
     g = gcd(x, y, s)
     z = object.__new__(QuadNum)
-    z.__dict__.update(A=x // g, B=y // g, s=s // g, D=like.D, delta=like.delta)
+    z._fill(x // g, y // g, s // g, like.delta, like.D)
     return z
 
 

@@ -11,10 +11,10 @@ from __future__ import annotations
 
 import re
 import sys
-from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Dict, List, NamedTuple, Optional, Tuple, Union
 
+from . import Record
 from .chow import (RingCtx, RingElem, check_pow_size, intersection_degree,
                    linear_combination)
 
@@ -48,67 +48,77 @@ class Token(NamedTuple):
 
 
 # AST nodes ------------------------------------------------------------------
+# The parser builds many, so each sets its fields one call apiece rather
+# than through Record._fill.  A column `pos` is neither compared nor hashed.
 
-@dataclass(frozen=True)
-class Lit:
-    value: Fraction
-    pos: int = field(default=0, compare=False)
-
-
-@dataclass(frozen=True)
-class Sym:
-    name: str
-    pos: int = field(default=0, compare=False)
+_set = object.__setattr__
 
 
-@dataclass(frozen=True)
-class Neg:
-    child: "Node"
+class Lit(Record):
+    __slots__ = ("value", "pos")
+    _compare = ("value",)
+
+    def __init__(self, value: Fraction, pos: int = 0):
+        _set(self, "value", value)
+        _set(self, "pos", pos)
+
+
+class Sym(Record):
+    __slots__ = ("name", "pos")
+    _compare = ("name",)
+
+    def __init__(self, name: str, pos: int = 0):
+        _set(self, "name", name)
+        _set(self, "pos", pos)
+
+
+class Neg(Record):
+    __slots__ = ("child",)
+
+    def __init__(self, child: "Node"):
+        _set(self, "child", child)
 
 
 # A flat chain of one operator is one node.  Its constructor splices in a
 # leading child of its own kind, so (a+b)+c and a+b+c, like (x^2)^3 and
 # x^2^3, are one equal node, while a+(b+c) stays distinct.  A tree is then
 # only as deep as its parentheses and unary minuses, which MAX_DEPTH
-# bounds, and the dataclass-generated ==, hash and repr stay shallow.
+# bounds, and ==, hash and repr stay shallow.
 
-@dataclass(frozen=True)
-class Add:
-    terms: Tuple["Node", ...]  # a - b is stored as a + Neg(b)
+class Add(Record):
+    __slots__ = ("terms",)  # a - b is stored as a + Neg(b)
 
-    def __post_init__(self):
-        if isinstance(self.terms[0], Add):
-            object.__setattr__(self, "terms",
-                               self.terms[0].terms + self.terms[1:])
-
-
-@dataclass(frozen=True)
-class Mul:
-    factors: Tuple["Node", ...]
-
-    def __post_init__(self):
-        if isinstance(self.factors[0], Mul):
-            object.__setattr__(self, "factors",
-                               self.factors[0].factors + self.factors[1:])
+    def __init__(self, terms: Tuple["Node", ...]):
+        if isinstance(terms[0], Add):
+            terms = terms[0].terms + terms[1:]
+        _set(self, "terms", terms)
 
 
-@dataclass(frozen=True)
-class Pow:
-    """base^e1^e2..., which is (base^e1)^e2..."""
-    base: "Node"
-    exponents: Tuple[int, ...]
-    # The column of each exponent; all 0 when not given.
-    pos: Tuple[int, ...] = field(default=(), compare=False)
+class Mul(Record):
+    __slots__ = ("factors",)
 
-    def __post_init__(self):
-        if not self.pos:
-            object.__setattr__(self, "pos", (0,) * len(self.exponents))
-        inner = self.base
-        if isinstance(inner, Pow):
-            object.__setattr__(self, "base", inner.base)
-            object.__setattr__(self, "exponents",
-                               inner.exponents + self.exponents)
-            object.__setattr__(self, "pos", inner.pos + self.pos)
+    def __init__(self, factors: Tuple["Node", ...]):
+        if isinstance(factors[0], Mul):
+            factors = factors[0].factors + factors[1:]
+        _set(self, "factors", factors)
+
+
+class Pow(Record):
+    """base^e1^e2..., which is (base^e1)^e2...; `pos` holds the column of
+    each exponent, all 0 when not given."""
+
+    __slots__ = ("base", "exponents", "pos")
+    _compare = ("base", "exponents")
+
+    def __init__(self, base: "Node", exponents: Tuple[int, ...],
+                 pos: Tuple[int, ...] = ()):
+        pos = pos or (0,) * len(exponents)
+        if isinstance(base, Pow):
+            exponents, pos = base.exponents + exponents, base.pos + pos
+            base = base.base
+        _set(self, "base", base)
+        _set(self, "exponents", exponents)
+        _set(self, "pos", pos)
 
 
 Node = Union[Lit, Sym, Neg, Add, Mul, Pow]
@@ -287,8 +297,7 @@ Pair = Tuple[Fraction, Optional[RingElem]]
 _ONE = Fraction(1)
 
 
-@dataclass(frozen=True)
-class EvalResult:
+class EvalResult(NamedTuple):
     element: RingElem
     degree: Optional[Fraction]
     note: Optional[str] = None

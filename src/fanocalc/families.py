@@ -4,10 +4,10 @@ The congruence enumerator solves the counting problem for line
 congruences whose variety of minimal rational tangents splits into
 linear pieces; the family table lists the admissible conic pairs with
 the parameter space of their conic family.  Both need only integers, so
-this module imports no numeric module and no `dataclasses` at import
-time: `family-table` and `enumerate --type congruence` load it and the
-command line alone.  Its records are named tuples, so a record equals
-the plain tuple of its fields.
+this module imports no numeric module at import time: `family-table`
+and `enumerate --type congruence` load it and the command line alone.
+Its records are named tuples, so a record equals the plain tuple of its
+fields.
 """
 
 from __future__ import annotations

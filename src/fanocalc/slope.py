@@ -10,10 +10,10 @@ from __future__ import annotations
 
 import csv
 import io
-from dataclasses import dataclass, replace
 from fractions import Fraction
 from typing import Optional, Tuple, Union
 
+from . import Record
 from .exact import (_COS_SQ, cos_sq_pi_over, integral_form, rational, zmul,
                     zpow)
 
@@ -147,37 +147,33 @@ def kprime_degree_formulas(n: int, tau: RatLike, nu_prime: int, mu: int,
     return first, second
 
 
-@dataclass(frozen=True)
-class InvariantTuple:
+class InvariantTuple(Record):
     """Full candidate row for a pair (X, E): discrete invariants of the
     base, the bundle, and the second contraction, plus a status."""
 
-    n: int
-    kind: str
-    lam: int
-    mu: int
-    mu_prime: int
-    nu: Fraction
-    nu_prime: Fraction
-    tau: Fraction
-    tau_prime: Fraction
-    rho: Fraction
-    i: int
-    i_prime: int
-    c1: int
-    delta: Fraction
-    c2_over_d: Fraction
-    deg_x: Optional[Fraction] = None
-    deg_x_prime: Optional[Fraction] = None
-    c1_prime: Optional[Fraction] = None
-    y_dot_f: Optional[Fraction] = None
-    d: Optional[int] = None
-    d_prime: Optional[int] = None
-    name_x: Optional[str] = None
-    name_x_prime: Optional[str] = None
-    label: Optional[str] = None
-    status: str = "candidate"
-    reason: Optional[str] = None
+    __slots__ = ("n", "kind", "lam", "mu", "mu_prime", "nu", "nu_prime",
+                 "tau", "tau_prime", "rho", "i", "i_prime", "c1", "delta",
+                 "c2_over_d", "deg_x", "deg_x_prime", "c1_prime", "y_dot_f",
+                 "d", "d_prime", "name_x", "name_x_prime", "label", "status",
+                 "reason")
+
+    def __init__(self, n: int, kind: str, lam: int, mu: int, mu_prime: int,
+                 nu: RatLike, nu_prime: RatLike, tau: RatLike,
+                 tau_prime: RatLike, rho: RatLike, i: int, i_prime: int,
+                 c1: int, delta: RatLike, c2_over_d: RatLike,
+                 deg_x: Optional[RatLike] = None,
+                 deg_x_prime: Optional[RatLike] = None,
+                 c1_prime: Optional[RatLike] = None,
+                 y_dot_f: Optional[RatLike] = None, d: Optional[int] = None,
+                 d_prime: Optional[int] = None, name_x: Optional[str] = None,
+                 name_x_prime: Optional[str] = None,
+                 label: Optional[str] = None, status: str = "candidate",
+                 reason: Optional[str] = None):
+        self._fill(n, kind, lam, mu, mu_prime, nu, nu_prime, tau, tau_prime,
+                   rho, i, i_prime, c1, delta, c2_over_d, deg_x, deg_x_prime,
+                   c1_prime, y_dot_f, d, d_prime, name_x, name_x_prime, label,
+                   status, reason)
+        self.__post_init__()
 
     def __post_init__(self):
         for f in _RATIONAL_FIELDS:
@@ -243,7 +239,9 @@ class InvariantTuple:
                     **kwargs) -> "InvariantTuple":
         """Copy with a new status and any changed fields, validated in
         full like every other row."""
-        return replace(self, status=status, reason=reason, **kwargs)
+        fields = dict(zip(self.__slots__, self._key(self)))  # every field
+        fields.update(kwargs, status=status, reason=reason)
+        return type(self)(**fields)
 
 
 CSV_COLUMNS = (

@@ -13,9 +13,8 @@ suite runs every check on ten seeds (tests/test_verify.py).
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass
 from fractions import Fraction
-from typing import Callable, List, Optional, Tuple
+from typing import Callable, List, NamedTuple, Optional, Tuple
 
 from . import chow, classify, exact, expr, slope
 
@@ -39,8 +38,7 @@ BLOWDOWN_ROWS = (
 )
 
 
-@dataclass(frozen=True)
-class CheckResult:
+class CheckResult(NamedTuple):
     name: str
     ok: bool
     detail: str = ""

@@ -270,6 +270,24 @@ def test_eval_oversized_power_exits_2_fast():
     assert elapsed < 1.0
 
 
+@pytest.mark.parametrize("digits", [1000, 4000])
+def test_eval_power_with_a_huge_exponent_exits_2_fast(digits):
+    # The result is small enough, but a bound that missed the log2(k)
+    # squarings let the 1000-digit exponent run for 6 s and the 4000-digit
+    # one for over a minute; in a child process, so that they fail by the
+    # timeout instead of hanging the suite.
+    src = pathlib.Path(cli.__file__).parent.parent
+    env = dict(os.environ, PYTHONPATH=str(src))
+    start = time.perf_counter()
+    proc = subprocess.run([sys.executable, "-m", "fanocalc", "eval", "--ctx",
+                           str(CONTEXTS / "w36.ctx"), "(1+L)^" + "9" * digits],
+                          env=env, capture_output=True, text=True, timeout=10)
+    elapsed = time.perf_counter() - start
+    assert (proc.returncode, proc.stdout) == (2, "")
+    assert proc.stderr.startswith("input error: column 7: power too large")
+    assert elapsed < 1.0
+
+
 def test_eval_power_filling_a_large_context_exits_2_fast(tmp_path):
     # In a child process, so that a bound that misses these powers fails
     # by the timeout instead of hanging the suite: (3/2+L)^1001 took 17 s
@@ -504,21 +522,27 @@ def test_dataset_bad_file_exits_2(capsys, tmp_path, monkeypatch, text,
 
 # Each command imports only the modules it runs: with no cached bytecode
 # every module loaded is compiled from source on each start.  The probe
-# prints the exit code, whether dataclasses (and with it inspect) was
-# loaded, the fanocalc modules loaded, and whether importlib.resources
-# was loaded.
+# runs a command, or with "import" imports one module, and prints the exit
+# code, which of dataclasses, inspect and ast (costly to import, and needed
+# by none) were loaded, the fanocalc modules loaded, and whether
+# importlib.resources was loaded.
 _IMPORT_PROBE = """\
-import contextlib, io, sys
+import contextlib, importlib, io, sys
 from fanocalc import cli
-with contextlib.redirect_stdout(io.StringIO()):
-    code = cli.run(sys.argv[1:])
-print(code, "dataclasses" in sys.modules)
+if sys.argv[1] == "import":
+    importlib.import_module("fanocalc." + sys.argv[2])
+    code = 0
+else:
+    with contextlib.redirect_stdout(io.StringIO()):
+        code = cli.run(sys.argv[1:])
+print(code, *[m for m in ("dataclasses", "inspect", "ast") if m in sys.modules])
 print(*sorted(m.partition(".")[2] for m in sys.modules
               if m.startswith("fanocalc.")))
 print("importlib.resources" in sys.modules)
 """
 _ENUMERATE = "classify cli dataset exact families slope"
 _DOSSIERS = "chow " + _ENUMERATE
+_ALL = "chow classify cli dataset exact expr families slope verify"
 
 
 @pytest.mark.parametrize("argv, modules", [
@@ -543,13 +567,18 @@ _DOSSIERS = "chow " + _ENUMERATE
                  id="exclusions-2-1"),
     pytest.param(("eval", "--ctx", str(CONTEXTS / "w36.ctx"), "L*H^5"),
                  "chow cli expr", id="eval"),
-    pytest.param(("verify",), "chow classify cli dataset exact expr families "
-                 "slope verify", id="verify"),
+    pytest.param(("verify",), _ALL, id="verify"),
+    *(pytest.param(("import", module), modules, id=f"import-{module}")
+      for module, modules in [
+          ("chow", "chow cli"), ("classify", _ENUMERATE),
+          ("cli", "cli"), ("dataset", "cli dataset"),
+          ("exact", "cli exact"), ("expr", "chow cli expr"),
+          ("families", "cli families"), ("slope", "cli exact slope"),
+          ("verify", _ALL)]),
 ])
 def test_commands_import_only_what_they_run(argv, modules):
     src = pathlib.Path(cli.__file__).parent.parent
     env = dict(os.environ, PYTHONPATH=str(src))
-    dataclasses = not set(modules.split()) <= {"cli", "families"}
     # A site hook may load importlib.resources before fanocalc does; under
     # -S none runs, so there no command may load it.
     for flags in ((), ("-S",)):
@@ -557,7 +586,7 @@ def test_commands_import_only_what_they_run(argv, modules):
                                *argv], env=env, capture_output=True,
                               text=True, timeout=120)
         lines = proc.stdout.splitlines()
-        assert lines[:2] == [f"0 {dataclasses}", modules], proc.stderr
+        assert lines[:2] == ["0", modules], proc.stderr
         if flags:
             assert lines[2] == "False"
 
