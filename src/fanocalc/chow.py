@@ -190,7 +190,7 @@ def reduce(raw: Coeffs, ctx: RingCtx) -> "RingElem":
     r, pa, pb = ctx._rel
     terms = []  # (slot, numerator, denominator)
     for (i, j), c in raw.items():
-        c = Fraction(c)
+        c = _exact(c)
         if not c or i + j > m or j > n:
             continue
         if i < 2:
@@ -264,6 +264,8 @@ class RingElem:
         return linear_combination(self.ctx, ((s, self),))
 
     def __pow__(self, k: int) -> "RingElem":
+        if not isinstance(k, int):
+            raise TypeError("exponent must be an int")
         if k < 0:
             raise ValueError("exponent must be nonnegative")
         check_pow_size(self.vec[0], self.den, k, self)
@@ -435,7 +437,7 @@ def basis_map_B(nu: int, nu_prime: int, mu: int, c1: int, delta: RatLike,
     """
     if mu <= 0 or b <= 0 or d <= 0 or d_prime <= 0:
         raise ValueError("mu, b, d, d' must be positive")
-    delta = Fraction(delta)
+    delta = _exact(delta)
     b11 = Fraction(nu * nu_prime - 1, b)
     b12 = Fraction(d, 4 * b * mu) * (
         nu_prime * mu * mu * delta + 2 * c1 * (1 - nu * nu_prime) * mu

@@ -313,7 +313,7 @@ def exclude_1_4() -> ExclusionReport:
     (L, H) ring; verify's cross-basis check recomputes them in the
     derived (-K', H') ring of kprime_context_1_4.
     """
-    c1p = Fraction(c1_prime_int(5, 1, 4))
+    c1p = slope.c1_prime(5, 1, 4)
     monomials = _monomials_1_4()
     # K'^4H'^2/2 - c1'K'^3H'^3/4 + c1'^2K'^2H'^4/8 - c1'^3K'H'^5/16.
     value = sum(m * (-c1p / 2) ** k for k, m in enumerate(monomials)) / 2
@@ -357,18 +357,6 @@ _DOSSIERS = {(5, 1, 2): "_exclude_1_2", (5, 2, 1): "exclude_2_1",
              (5, 1, 4): "exclude_1_4"}
 
 
-def c1_prime_int(n: int, tau: int, tau_prime: int) -> Optional[int]:
-    """slope.c1_prime on ints: 8p/(q*tau) - 4*tau', p/q = cos^2, or None."""
-    slope.require_admissible(n)
-    if {type(exact.rational(t)) for t in (tau, tau_prime)} != {int}:
-        raise TypeError("tau and tau' must be ints")
-    if tau == 0:
-        raise ValueError("tau must be nonzero")
-    cos_sq = exact.cos_sq_pi_over(n + 1)
-    k, rest = divmod(8 * cos_sq.numerator, cos_sq.denominator * tau)
-    return None if rest else k - 4 * tau_prime
-
-
 def _degree_matches(x, xp, ratio: Fraction):
     """The pairs (X, X') of `x` and `xp` with deg X' = ratio * deg X."""
     num, den = ratio.numerator, ratio.denominator
@@ -388,8 +376,8 @@ def enumerate_type_C(n: int) -> Enumerated:
     for tau in range(1, n + 1):
         ratio = slope.base_degree_ratio(n, tau)
         for tau_prime in range(1, n):
-            c1p = c1_prime_int(n, tau, tau_prime)
-            if c1p is None:
+            c1p = slope.c1_prime(n, tau, tau_prime)
+            if c1p.denominator != 1:
                 continue
             cand = _candidate(n, "C", tau, tau_prime,
                               -Fraction(tau * tau) * tan_sq, c1_prime=c1p,

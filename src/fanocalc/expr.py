@@ -55,12 +55,10 @@ _set = object.__setattr__
 
 
 class Lit(Record):
-    __slots__ = ("value", "pos")
-    _compare = ("value",)
+    __slots__ = ("value",)
 
-    def __init__(self, value: Fraction, pos: int = 0):
+    def __init__(self, value: Fraction):
         _set(self, "value", value)
-        _set(self, "pos", pos)
 
 
 class Sym(Record):
@@ -231,7 +229,7 @@ class _Parser:
         if tok.kind == "number":
             p, _, q = tok.text.partition("/")
             value = Fraction(_int(p, tok.pos), _int(q, tok.pos) if q else 1)
-            return Lit(value, tok.pos)
+            return Lit(value)
         if tok.kind == "symbol":
             return Sym(tok.text, tok.pos)
         if tok.kind == "lparen":

@@ -103,12 +103,17 @@ def solve_nu_prime(n: int, tau: RatLike, delta: RatLike,
 
 def c1_prime(n: int, tau: RatLike, tau_prime: RatLike) -> Fraction:
     """First Chern class of the rank-three bundle in the conic case:
-    (8/tau)*cos^2(pi/(n+1)) - 4*tau'.  A float raises TypeError."""
+    (8/tau)*cos^2(pi/(n+1)) - 4*tau'.  With cos^2 = p/q, tau = a/b and
+    tau' = c/e, that is (8pbe - 4qac)/(qae), one Fraction built from
+    ints.  A float raises TypeError."""
     require_admissible(n)
-    tau, tau_prime = Fraction(rational(tau)), Fraction(rational(tau_prime))
+    tau, tau_prime = rational(tau), rational(tau_prime)
     if tau == 0:
         raise ValueError("tau must be nonzero")
-    return 8 / tau * cos_sq_pi_over(n + 1) - 4 * tau_prime
+    p, q = cos_sq_pi_over(n + 1).as_integer_ratio()
+    a, b = tau.as_integer_ratio()
+    c, e = tau_prime.as_integer_ratio()
+    return Fraction(8 * p * b * e - 4 * q * a * c, q * a * e)
 
 
 def base_degree_ratio(n: int, tau: RatLike) -> Fraction:
@@ -129,7 +134,9 @@ def y_dot_f(c1p: RatLike, tau_prime: RatLike, mu: int) -> Fraction:
 def pushforward_R(nu: int, nu_prime: int, c2_push_coeff: RatLike) -> Fraction:
     """Coefficient of the ample generator in the pushforward of the conic
     degeneracy divisor to the base:
-    (nu'+2)(nu*nu'-1) + 2(nu+1) - c2_push_coeff."""
+    (nu'+2)(nu*nu'-1) + 2(nu+1) - c2_push_coeff.  A float raises
+    TypeError."""
+    nu, nu_prime = rational(nu), rational(nu_prime)
     first = (nu_prime + 2) * (nu * nu_prime - 1) + 2 * (nu + 1)
     return Fraction(first) - Fraction(rational(c2_push_coeff))
 

@@ -215,13 +215,15 @@ def check_cross_basis_degrees(rng: random.Random) -> Optional[str]:
 
 @check("codimension-two basis")
 def check_b_matrix(rng: random.Random) -> Optional[str]:
-    for _, nu, nup, delta, c1, d, dp in BLOWDOWN_ROWS:  # mu = b = 1
-        _, report = chow.basis_map_B(nu, nup, 1, c1, delta, d, 1, dp)
-        if not report.ok:
-            raise CheckFailed(f"nu={nu} nu'={nup}: {report}")
-    _, bad = chow.basis_map_B(2, 1, 1, 0, Fraction(-4), 1, 1, 3)
-    if bad.ok:
-        raise CheckFailed("perturbed d'=3 not flagged")
+    """B is integral and unimodular on every type D row the enumerator
+    emits (mu = b = 1), and flagged on each with d' one larger."""
+    for t in classify.enumerate_type_D()[0]:
+        for dp in (t.d_prime, t.d_prime + 1):
+            _, report = chow.basis_map_B(t.nu, t.nu_prime, 1, t.c1, t.delta,
+                                         t.d, 1, dp)
+            if report.ok != (dp == t.d_prime):
+                raise CheckFailed(f"n={t.n} nu={t.nu} nu'={t.nu_prime} "
+                                  f"d'={dp}: {report}")
 
 
 @check("context serialization")

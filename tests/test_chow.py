@@ -7,7 +7,7 @@ from hypothesis import given, strategies as st
 from fanocalc.chow import (BasisMap, ContextMismatchError, RingCtx,
                            basis_map_A, basis_map_B, convert_element,
                            derived_context, dumps_context, intersection_degree,
-                           linear_combination, loads_context)
+                           linear_combination, loads_context, reduce)
 
 F = Fraction
 
@@ -135,7 +135,9 @@ def test_ring_context_refuses_float():
     lambda ctx: ctx.scalar(0.5),
     lambda ctx: ctx.gen1.scale(0.5),
     lambda ctx: linear_combination(ctx, [(F(1), ctx.gen2), (0.5, ctx.gen1)]),
-], ids=["scalar", "scale", "linear_combination"])
+    lambda ctx: reduce({(0, 0): 0.5}, ctx),
+    lambda ctx: ctx.element({(1, 0): 0.25}),
+], ids=["scalar", "scale", "linear_combination", "reduce", "element"])
 def test_element_builders_refuse_float(build):
     with pytest.raises(TypeError, match="^exact numbers only, not float$"):
         build(w36_ctx())
@@ -144,6 +146,14 @@ def test_element_builders_refuse_float(build):
 def test_basis_map_refuses_float():
     with pytest.raises(TypeError, match="^exact numbers only, not float$"):
         BasisMap(((0.5, 0), (0, 1)))
+    with pytest.raises(TypeError, match="^exact numbers only, not float$"):
+        basis_map_B(2, 1, 1, 0, -4.0, 1, 1, 2)
+
+
+@pytest.mark.parametrize("k", [2.0, F(2)], ids=["float", "Fraction"])
+def test_power_refuses_a_non_int_exponent(k):
+    with pytest.raises(TypeError, match="^exponent must be an int$"):
+        w36_ctx().gen1 ** k
 
 
 def test_equal_elements_hash_equal():

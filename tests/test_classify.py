@@ -5,7 +5,7 @@ from fractions import Fraction
 
 import pytest
 
-from fanocalc import classify, dataset, exact, families, slope
+from fanocalc import chow, classify, dataset, exact, families, slope
 from fanocalc.classify import (enumerate_type_C, enumerate_type_D,
                                enumerate_type_P, exclude_2_1,
                                type_D_fin_analysis)
@@ -173,32 +173,15 @@ def test_integer_conic_decisions_match_fractions(n):
     entries = [dataset.FanoEntry(n, 1, deg, f"X{deg}", None, "")
                for deg in range(1, 41)]
     for tau in range(1, 9):
-        for tau_prime in range(1, 9):
-            want = slope.c1_prime(n, tau, tau_prime)
-            got = classify.c1_prime_int(n, tau, tau_prime)
-            if want.denominator == 1:
-                assert type(got) is int and got == want
-            else:
-                assert got is None
         ratio = slope.base_degree_ratio(n, tau)
         assert classify._degree_matches(entries, entries, ratio) == [
             (x, xp) for x in entries for xp in entries
             if Fraction(xp.degree) == ratio * x.degree]
 
 
-@pytest.mark.parametrize("args", [(5, 1.0, 1), (5, 1, 1.5), (5, 0, 1),
-                                  (4, 1, 1)])
-def test_c1_prime_int_refuses_what_slope_refuses(args):
-    with pytest.raises((TypeError, ValueError)) as want:
-        slope.c1_prime(*args)
-    with pytest.raises(want.type) as got:
-        classify.c1_prime_int(*args)
-    assert str(got.value) == str(want.value)
-
-
-def test_c1_prime_int_refuses_a_fraction():
-    with pytest.raises(TypeError, match="^tau and tau' must be ints$"):
-        classify.c1_prime_int(5, F(1, 2), 1)
+def test_1_4_dossier_ring_is_the_shipped_w36_context():
+    shipped = pathlib.Path(classify.__file__).parent / "data" / "contexts"
+    assert classify._w36_context() == chow.load_context(shipped / "w36.ctx")
 
 
 def test_type_C_n5_dossier():

@@ -1,5 +1,6 @@
 """The package's public surface, which is imported lazily (PEP 562)."""
 
+import ast
 import os
 import pathlib
 import subprocess
@@ -63,3 +64,34 @@ def test_unknown_attribute_raises_attribute_error():
     with pytest.raises(AttributeError, match="no attribute 'no_such_name'"):
         fanocalc.no_such_name
     assert not hasattr(fanocalc, "enumerate_type_C")
+
+
+def test_package_source_holds_no_floating_point():
+    """No float or complex literal; the name float only as the type that
+    isinstance refuses; and math imported only as its gcd and lcm, never
+    as the whole module."""
+    found = []
+    for path in sorted((SRC / "fanocalc").glob("*.py")):
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        gates = {id(call.args[1]) for call in ast.walk(tree)
+                 if isinstance(call, ast.Call)
+                 and isinstance(call.func, ast.Name)
+                 and call.func.id == "isinstance" and len(call.args) == 2}
+        math_names = set()
+        for node in ast.walk(tree):
+            where = f"{path.name}:{getattr(node, 'lineno', 0)}"
+            if isinstance(node, ast.Constant) \
+                    and type(node.value) in (float, complex):
+                found.append(f"{where}: literal {node.value!r}")
+            elif isinstance(node, ast.Name) and node.id == "float" \
+                    and id(node) not in gates:
+                found.append(f"{where}: float")
+            elif isinstance(node, ast.ImportFrom) and node.module == "math":
+                math_names.update(alias.name for alias in node.names)
+            elif isinstance(node, ast.Import):
+                math_names.update("math" for alias in node.names
+                                  if alias.name == "math")
+        if math_names - {"gcd", "lcm"}:
+            found.append(f"{path.name}: math supplies "
+                         f"{sorted(math_names - {'gcd', 'lcm'})}")
+    assert not found

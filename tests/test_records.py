@@ -11,8 +11,8 @@ import pytest
 from fanocalc import Record, chow, classify, dataset, exact, expr, slope, verify
 
 # The fields that == and hash do not read.
-IGNORED = {("QuadNum", "D"), ("RingCtx", "_rel"), ("Lit", "pos"),
-           ("Sym", "pos"), ("Pow", "pos")}
+IGNORED = {("QuadNum", "D"), ("RingCtx", "_rel"), ("Sym", "pos"),
+           ("Pow", "pos")}
 
 
 def w36():
@@ -32,7 +32,7 @@ RECORDS = {
     "ExclusionReport": lambda: classify.ExclusionReport(
         "rule", (("m", F(4, 3)),), "why"),
     "FinAnalysis": lambda: classify.FinAnalysis(2, ((2, F(-1)),), ()),
-    "Lit": lambda: expr.Lit(F(5, 3), 4),
+    "Lit": lambda: expr.Lit(F(5, 3)),
     "Sym": lambda: expr.Sym("K'", 2),
     "Neg": lambda: expr.Neg(expr.Sym("L")),
     "Add": lambda: expr.Add((expr.Sym("L"), expr.Lit(F(1)))),

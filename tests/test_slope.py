@@ -277,6 +277,8 @@ def test_threshold_errors_keep_their_messages(form):
     lambda: pushforward_R(1, 2, 3.0),
     lambda: slope.kprime_degree_formulas(5, 1.0, 4, 1, 36),
     lambda: slope.kprime_degree_formulas(5, 1, 4, 1, 36.0),
+    lambda: pushforward_R(1.5, 2, 8),
+    lambda: pushforward_R(1, 2.0, 8),
 ])
 def test_float_is_refused(call):
     with pytest.raises(TypeError, match="^exact numbers only, not float$"):
@@ -352,8 +354,19 @@ def test_c1_prime_values():
     for n in (1, 4):
         with pytest.raises(ValueError, match="^n must be 2, 3 or 5$"):
             c1_prime(n, 1, 1)
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="^tau must be nonzero$"):
         c1_prime(5, 0, 1)
+
+
+@pytest.mark.parametrize("n", (2, 3, 5))
+def test_c1_prime_matches_the_fraction_formula(n):
+    cos_sq = {2: F(1, 4), 3: F(1, 2), 5: F(3, 4)}[n]  # cos^2(pi/(n+1))
+    taus = [*range(1, 9), F(1, 2), F(7, 3), -1, F(-5, 2)]
+    for tau in taus:
+        for tau_prime in [*range(1, 9), F(3, 4), -2]:
+            want = F(8) / tau * cos_sq - 4 * F(tau_prime)
+            got = c1_prime(n, tau, tau_prime)
+            assert type(got) is F and got == want
 
 
 def test_base_degree_ratio_values():
