@@ -25,17 +25,16 @@ as exact 2x2 rational matrices.
 
 from __future__ import annotations
 
+from collections import namedtuple
+from collections.abc import Sequence
 from fractions import Fraction
 from math import gcd, lcm
 from types import MappingProxyType
-from typing import (Dict, List, Mapping, NamedTuple, Optional, Sequence, Tuple,
-                    Union)
 
 from . import Record
 
-RatLike = Union[Fraction, int]
-Monomial = Tuple[int, int]  # (G1 exponent, G2 exponent)
-Coeffs = Dict[Monomial, Fraction]
+# exact has its own; this one keeps `eval` from loading exact.
+RatLike = Fraction | int
 # Every element holds 2n+2 ints, so n is bounded like any other input size.
 MAX_N = 1000
 # Largest power computed, in bits, estimated before computing it.
@@ -58,7 +57,7 @@ class RingCtx(Record):
     # _rel, not compared, is (r, pa, pb) with rel_a = pa/r, rel_b = pb/r.
     _compare = __slots__[:-1]
 
-    def __init__(self, n: int, gen_names: Tuple[str, str], rel_a: RatLike,
+    def __init__(self, n: int, gen_names: tuple[str, str], rel_a: RatLike,
                  rel_b: RatLike, degree_s: RatLike):
         a, b, degree_s = _exact(rel_a), _exact(rel_b), _exact(degree_s)
         if not 2 <= n <= MAX_N:
@@ -83,7 +82,7 @@ class RingCtx(Record):
     def gen2(self) -> "RingElem":
         return self._unit(1)
 
-    def element(self, coeffs: Coeffs) -> "RingElem":
+    def element(self, coeffs: dict[tuple[int, int], Fraction]) -> "RingElem":
         return reduce(coeffs, self)
 
     def one(self) -> "RingElem":
@@ -93,7 +92,7 @@ class RingCtx(Record):
         return self._unit(0, _exact(s))
 
 
-def _lowest(ctx: RingCtx, vec: List[int], den: int) -> "RingElem":
+def _lowest(ctx: RingCtx, vec: list[int], den: int) -> "RingElem":
     if den != 1:
         g = gcd(den, *vec)
         if g != 1:
@@ -107,8 +106,7 @@ def _check(ctx: RingCtx, e: "RingElem") -> None:
         raise ContextMismatchError("elements belong to different contexts")
 
 
-def check_pow_size(p: int, q: int, k: int,
-                   e: Optional["RingElem"] = None) -> None:
+def check_pow_size(p: int, q: int, k: int, e: RingElem | None = None) -> None:
     """Refuse (p/q)^k, or e^k for e with scalar part p/q, past
     MAX_POW_BITS with ValueError, before computing it.  (p/q)^k is about
     k times as long as p/q; 0 and +-1 do not grow.  e^k sums C(k, j)
@@ -144,7 +142,7 @@ def check_pow_size(p: int, q: int, k: int,
 
 def linear_combination(
         ctx: RingCtx,
-        terms: Sequence[Tuple[RatLike, Optional[RingElem]]]) -> RingElem:
+        terms: Sequence[tuple[RatLike, RingElem | None]]) -> RingElem:
     """The sum of c*e over (c, e) pairs, c rational and e an element of
     ctx or None for the unit: one lcm of the denominators, one
     multiply-add per term into one int vector, and one reduction."""
@@ -168,7 +166,7 @@ def linear_combination(
     return _lowest(ctx, vec, den)
 
 
-def _convolve(out: List[int], at: int, xs, ys, top: int, scale: int) -> None:
+def _convolve(out: list[int], at: int, xs, ys, top: int, scale: int) -> None:
     """out[at + i + j] += scale * x_i * y_j for i + j <= top, where xs and
     ys list the nonzero (index, value) pairs of two vectors."""
     for i, c in xs:
@@ -179,7 +177,7 @@ def _convolve(out: List[int], at: int, xs, ys, top: int, scale: int) -> None:
             out[at + i + j] += c * d
 
 
-def reduce(raw: Coeffs, ctx: RingCtx) -> "RingElem":
+def reduce(raw: dict[tuple[int, int], Fraction], ctx: RingCtx) -> "RingElem":
     """Normal form of a raw polynomial {(i, j): coefficient of G1^i*G2^j}.
 
     Substitutes G1^i -> alpha_i*G1*G2^(i-1) + beta_i*G2^i, kills G2^(n+1)
@@ -220,14 +218,14 @@ class RingElem:
 
     __slots__ = ("ctx", "vec", "den", "_coeffs")
 
-    def __init__(self, ctx: RingCtx, vec: List[int], den: int):
+    def __init__(self, ctx: RingCtx, vec: list[int], den: int):
         self.ctx = ctx
         self.vec = vec
         self.den = den
         self._coeffs = None
 
     @property
-    def coeffs(self) -> Mapping[Monomial, Fraction]:
+    def coeffs(self) -> MappingProxyType[tuple[int, int], Fraction]:
         """Read-only {(i, j): coefficient of G1^i*G2^j}, zeros dropped."""
         if self._coeffs is None:
             m, den = self.ctx.n + 1, self.den
@@ -326,8 +324,8 @@ class BasisMap(Record):
 
     __slots__ = ("entries",)
 
-    def __init__(self, entries: Tuple[Tuple[RatLike, RatLike],
-                                      Tuple[RatLike, RatLike]]):
+    def __init__(self, entries: tuple[tuple[RatLike, RatLike],
+                                      tuple[RatLike, RatLike]]):
         self._fill(tuple(tuple(_exact(x) for x in row) for row in entries))
         if self.det() == 0:
             raise ValueError("basis map must be invertible")
@@ -366,7 +364,7 @@ def basis_map_A(nu: int, nu_prime: int, mu: int, mu_prime: int,
     return a
 
 
-def _images(m: BasisMap, ctx: RingCtx) -> Tuple[RingElem, RingElem]:
+def _images(m: BasisMap, ctx: RingCtx) -> tuple[RingElem, RingElem]:
     """p*G1 + q*G2 in ctx for each row (p, q) of m."""
     x, y = ctx.gen1, ctx.gen2
     return tuple(linear_combination(ctx, ((p, x), (q, y)))
@@ -382,14 +380,14 @@ def convert_element(e: RingElem, m: BasisMap, dst: RingCtx) -> RingElem:
 
 
 def derived_context(ctx: RingCtx, m: BasisMap,
-                    gen_names: Optional[Tuple[str, str]] = None) -> RingCtx:
+                    gen_names: tuple[str, str] | None = None) -> RingCtx:
     """Context on the generators (G1', G2') defined by
     (G1, G2)^T = m * (G1', G2')^T, with relation and degree functional
     recomputed so that all intersection numbers agree with ctx."""
     g1p, g2p = _images(m.inverse(), ctx)
     slots = (ctx.n + 2, 2)  # G1*G2 and G2^2
 
-    def in_deg2_basis(e: RingElem) -> Tuple[Fraction, Fraction]:
+    def in_deg2_basis(e: RingElem) -> tuple[Fraction, Fraction]:
         if any(v for k, v in enumerate(e.vec) if k not in slots):
             raise ValueError("degenerate map: degree-2 class not in normal span")
         return tuple(Fraction(e.vec[k], e.den) for k in slots)
@@ -413,13 +411,9 @@ def derived_context(ctx: RingCtx, m: BasisMap,
     return RingCtx(ctx.n, gen_names, rel_a, rel_b, degree_s)
 
 
-class BReport(NamedTuple):
-    integral: bool
-    det: Fraction
-    unimodular: bool
-    identity_lhs: Fraction
-    identity_rhs: Fraction
-    identity_ok: bool
+class BReport(namedtuple("BReport", "integral det unimodular identity_lhs "
+                                    "identity_rhs identity_ok")):
+    __slots__ = ()
 
     @property
     def ok(self) -> bool:
@@ -427,7 +421,7 @@ class BReport(NamedTuple):
 
 
 def basis_map_B(nu: int, nu_prime: int, mu: int, c1: int, delta: RatLike,
-                d: int, b: int, d_prime: int) -> Tuple[BasisMap, BReport]:
+                d: int, b: int, d_prime: int) -> tuple[BasisMap, BReport]:
     """Matrix B between the {LH, H^2/d} and {-EH'/b, H'^2/d'} integral
     bases, with its integrality / unimodularity report.
 

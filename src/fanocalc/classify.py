@@ -12,17 +12,16 @@ congruence enumerator lives in `families` and is re-exported here.
 
 from __future__ import annotations
 
-from collections import defaultdict
+from collections import defaultdict, namedtuple
 from fractions import Fraction
 from functools import cache
-from typing import (TYPE_CHECKING, Dict, List, NamedTuple, Optional, Sequence,
-                    Tuple)
 
 from . import dataset, exact, slope
 # The benchmark and verify reach enumerate_congruences through classify.
 from .families import enumerate_congruences  # noqa: F401
 from .slope import InvariantTuple
 
+TYPE_CHECKING = False
 if TYPE_CHECKING:
     from . import chow
 
@@ -40,32 +39,29 @@ DEFAULT_N_MAX = 6
 TAU_PRIME_MAX = 8
 
 
-class ExclusionReport(NamedTuple):
-    rule: str
-    witness: Dict[str, object]
-    citation: str
-    candidate: Optional[InvariantTuple] = None
-
+# witness is a dict of named values; candidate is the excluded
+# InvariantTuple, None in a dossier's own report.
+ExclusionReport = namedtuple("ExclusionReport",
+                             "rule witness citation candidate",
+                             defaults=(None,))
 
 # The (rows, reports) of kinds C and D: each report's candidate is an
 # excluded row, except a type D no_manifold candidate, which has no row.
-Enumerated = Tuple[List[InvariantTuple], List[ExclusionReport]]
+Enumerated = tuple[list[InvariantTuple], list[ExclusionReport]]
 
 
-def _exclude(cand: Dict[str, object], rule: str, witness: Dict[str, object],
+def _exclude(cand: dict[str, object], rule: str, witness: dict[str, object],
              citation: str) -> ExclusionReport:
     """The report excluding the candidate fields `cand` by `rule`."""
     row = InvariantTuple(**cand, status="excluded", reason=rule)
     return ExclusionReport(rule, witness, citation, row)
 
 
-class FinAnalysis(NamedTuple):
-    """Outcome of the branch where the blown-down locus is a point count
-    zero locus of the bundle itself (finite fibers)."""
-
-    vanishing_tau_prime: int
-    rational_cases: Dict[int, Fraction]
-    outcomes: Tuple[Tuple[str, str], ...]
+# Outcome of the branch where the blown-down locus is a point count zero
+# locus of the bundle itself (finite fibers): an int, a dict n -> Delta
+# and a tuple of (label, description) pairs.
+FinAnalysis = namedtuple("FinAnalysis",
+                         "vanishing_tau_prime rational_cases outcomes")
 
 
 def _sort_key(t: InvariantTuple):
@@ -73,7 +69,7 @@ def _sort_key(t: InvariantTuple):
 
 
 def _candidate(n: int, kind: str, tau: int, tau_prime: int,
-               delta: Fraction, **fields) -> Dict[str, object]:
+               delta: Fraction, **fields) -> dict[str, object]:
     """The fields of the candidate of `kind` that the relations fix:
     mu = mu' = 1, so nu = tau and nu' = tau'; i = tau + lambda and
     i' = tau' + 2; c1 normalized up to a twist (0 for even tau, -1 for
@@ -87,7 +83,7 @@ def _candidate(n: int, kind: str, tau: int, tau_prime: int,
         c1=c1, delta=delta, c2_over_d=Fraction(c1 * c1 - delta, 4), **fields)
 
 
-def _manifolds() -> Dict[Tuple[int, int], List[dataset.FanoEntry]]:
+def _manifolds() -> dict[tuple[int, int], list[dataset.FanoEntry]]:
     """The dataset's entries by (dim, index) in file order, [] for none."""
     by_dim_index = defaultdict(list)
     for e in dataset.load_dataset():
@@ -100,14 +96,14 @@ def _cyclic_h4(entry: dataset.FanoEntry) -> bool:
     return entry.b4_rank in (None, 1)
 
 
-def _only(entries: Sequence[dataset.FanoEntry], attr: str):
+def _only(entries: list[dataset.FanoEntry], attr: str):
     """`attr` of the one entry in `entries`; None unless there is one."""
     return getattr(entries[0], attr) if len(entries) == 1 else None
 
 
 # -- kind P ------------------------------------------------------------------
 
-def enumerate_type_P(n: int) -> List[InvariantTuple]:
+def enumerate_type_P(n: int) -> list[InvariantTuple]:
     """Both projections are projective bundles; the product nu*nu' is
     pinned to 4*cos^2(pi/(n+1)), a positive integer only for n in
     slope.ADMISSIBLE_N.  There it is 1, 2 or 3, a prime or one, so the
@@ -139,7 +135,7 @@ _CITE_NO_MANIFOLD = ("no Fano manifold with cyclic cohomology realizes the "
 
 
 @cache
-def _type_d_candidates() -> Tuple[Tuple[int, int, int, Fraction, int], ...]:
+def _type_d_candidates() -> tuple[tuple[int, int, int, Fraction, int], ...]:
     """All (n, tau, P, Delta, tau') with P = B21*d, tau*P < 4 and a
     solvable tau', over every n; computed once per process.
 
@@ -149,6 +145,8 @@ def _type_d_candidates() -> Tuple[Tuple[int, int, int, Fraction, int], ...]:
     out = []
     for tau in (1, 2, 3):
         for p in (1, 2, 3):
+            # Delta = tau*(tau - 4/P) >= 0 exactly when tau*P >= 4: the
+            # delta_sign rule, not a bound of its own.
             if tau * p >= 4:
                 continue
             delta = Fraction(tau * tau) - Fraction(4 * tau, p)
@@ -169,8 +167,8 @@ def enumerate_type_D(n_max: int = DEFAULT_N_MAX) -> Enumerated:
     if n_max < 2:
         raise ValueError("n_max must be at least 2")
     manifolds = _manifolds()
-    rows: List[InvariantTuple] = []
-    reports: List[ExclusionReport] = []
+    rows: list[InvariantTuple] = []
+    reports: list[ExclusionReport] = []
     for n, tau, p, delta, tau_prime in _type_d_candidates():
         if n > n_max:
             continue
@@ -209,7 +207,7 @@ def enumerate_type_D(n_max: int = DEFAULT_N_MAX) -> Enumerated:
     return rows, reports
 
 
-def type_d_raw_table(result: Enumerated) -> List[Tuple[int, ...]]:
+def type_d_raw_table(result: Enumerated) -> list[tuple[int, ...]]:
     """Raw table (n, i, tau, c1, c2, d, d', tau', i') of type D rows.
     Each carries its d, so its c2 passed the c2_integrality rule."""
     return [(t.n, t.i, int(t.tau), t.c1, int(t.c2), t.d, t.d_prime,
@@ -292,7 +290,7 @@ def _exclude_1_2() -> ExclusionReport:
 
 
 @cache
-def _monomials_1_4() -> Tuple[Fraction, ...]:
+def _monomials_1_4() -> tuple[Fraction, ...]:
     """K'^a H'^(6-a), a = 4, 3, 2, 1, in the (L, H) ring; once a process."""
     from . import chow
     # The rows of the inverse map write -K' and H' in (L, H).
@@ -371,8 +369,11 @@ def enumerate_type_C(n: int) -> Enumerated:
     slope.require_admissible(n)
     manifolds = _manifolds()
     tan_sq = exact.tan_sq_pi_over(n + 1)
-    rows: List[InvariantTuple] = []
-    reports: List[ExclusionReport] = []
+    rows: list[InvariantTuple] = []
+    reports: list[ExclusionReport] = []
+    # tau <= n and tau' <= n - 1 are the index bounds i = tau + 1 <= n + 1
+    # and i' = tau' + 2 <= n + 1 of Kobayashi-Ochiai (J. Math. Kyoto Univ.
+    # 13, 1973), which FanoEntry also enforces.
     for tau in range(1, n + 1):
         ratio = slope.base_degree_ratio(n, tau)
         for tau_prime in range(1, n):
@@ -401,9 +402,9 @@ def enumerate_type_C(n: int) -> Enumerated:
             matched = _degree_matches(x, xp, ratio)
             if not matched:
                 continue  # unrealizable numerics; dropped silently
+            # A degree match makes c2 = (c2/d)*deg X an integer (see
+            # tests/test_classify.py); the c2_integrality rule still guards.
             ex, exp = matched[0]
-            if (cand["c2_over_d"] * ex.degree).denominator != 1:
-                continue  # c2 = (c2/d)*d is not an integer
             rows.append(InvariantTuple(
                 **cand, status="admissible", d=ex.degree,
                 deg_x=ex.degree, deg_x_prime=exp.degree,

@@ -11,9 +11,11 @@ from __future__ import annotations
 import argparse
 import os
 import sys
-from typing import TYPE_CHECKING, Dict, List, Optional, Sequence
 
+TYPE_CHECKING = False
 if TYPE_CHECKING:
+    from collections.abc import Sequence
+
     from . import chow, classify
 
 # Each command imports the modules it runs, and no fanocalc module is
@@ -27,7 +29,7 @@ EXCLUSION_CASES = ("1-2", "1-4", "2-1")
 
 
 def emit(columns: Sequence[str], rows: Sequence[Sequence], fmt: str,
-         notes: Optional[Sequence[str]] = None) -> None:
+         notes: Sequence[str] | None = None) -> None:
     """Print rows under `columns` as a padded table, CSV or JSON.
 
     Table and CSV put each note first as a "# " line.  JSON is an object
@@ -126,7 +128,7 @@ def cmd_enumerate(ns: argparse.Namespace) -> int:
                 print(f"  {label}: {desc}")
         return 0
     tuples = []
-    reports: List[classify.ExclusionReport] = []
+    reports: list[classify.ExclusionReport] = []
     for n in ADMISSIBLE_N if ns.n is None else [ns.n]:
         if kind == "P":
             tuples.extend(classify.enumerate_type_P(n))
@@ -149,7 +151,7 @@ def cmd_enumerate(ns: argparse.Namespace) -> int:
     return 0
 
 
-def _eval_bindings(ctx: chow.RingCtx) -> Dict[str, object]:
+def _eval_bindings(ctx: chow.RingCtx) -> dict[str, object]:
     from .chow import linear_combination
     g1, g2 = ctx.gen_names
     # Canonical divisor and discriminant for (L, H)-style contexts, where
@@ -227,7 +229,7 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _dispatch(argv: Optional[List[str]]) -> int:
+def _dispatch(argv: list[str] | None) -> int:
     try:
         ns = build_parser().parse_args(argv)
     except SystemExit as err:
@@ -243,7 +245,7 @@ def _dispatch(argv: Optional[List[str]]) -> int:
         return 2
 
 
-def run(argv: Optional[List[str]] = None) -> int:
+def run(argv: list[str] | None = None) -> int:
     try:
         code = _dispatch(argv)
         # Flushed here, so that a reader gone early is seen below and not

@@ -14,7 +14,6 @@ import csv
 import io
 import os
 from fractions import Fraction
-from typing import Dict, List, Optional, Tuple
 
 from . import Record
 
@@ -25,7 +24,7 @@ class FanoEntry(Record):
     __slots__ = ("dim", "index", "degree", "name", "b4_rank", "source_note")
 
     def __init__(self, dim: int, index: int, degree: int, name: str,
-                 b4_rank: Optional[int], source_note: str):
+                 b4_rank: int | None, source_note: str):
         if not (1 <= index <= dim + 1):
             raise ValueError("index must lie between 1 and dim+1")
         if degree < 1:
@@ -50,7 +49,7 @@ def dataset_path() -> str:
 DATASET_COLUMNS = ("dim", "index", "degree", "name", "b4_rank", "source_note")
 
 
-def _entry(row: Dict[str, str]) -> FanoEntry:
+def _entry(row: dict[str, str]) -> FanoEntry:
     # csv.DictReader files the cells past the header under the key None.
     if None in row:
         raise ValueError(f"{len(row[None])} cell(s) more than the header")
@@ -63,7 +62,7 @@ def _entry(row: Dict[str, str]) -> FanoEntry:
 
 # Per data file, the bytes last parsed and what they parsed to.  Keyed on
 # content, so any rewrite shows on the next call; a failed parse is not kept.
-_parsed: Dict[str, Tuple[bytes, object]] = {}
+_parsed: dict[str, tuple[bytes, object]] = {}
 
 
 def _parse_once(slot: str, path: str, parse):
@@ -76,7 +75,7 @@ def _parse_once(slot: str, path: str, parse):
     return _parsed[slot][1]
 
 
-def load_dataset() -> List[FanoEntry]:
+def load_dataset() -> list[FanoEntry]:
     """Read the manifold table at dataset_path() into a new list.  A file
     that lacks a column of DATASET_COLUMNS raises ValueError naming the
     file and the columns; a row that does not parse or convert, or has more
@@ -85,7 +84,7 @@ def load_dataset() -> List[FanoEntry]:
     return list(_parse_once("manifolds", dataset_path(), _parse_dataset))
 
 
-def _parse_dataset(path: str, fh) -> Tuple[FanoEntry, ...]:
+def _parse_dataset(path: str, fh) -> tuple[FanoEntry, ...]:
     # A short row reads "" for its missing cells, which int() rejects
     # with ValueError, not None, which it rejects with TypeError.
     reader = csv.DictReader(fh, restval="")
@@ -106,7 +105,7 @@ def _parse_dataset(path: str, fh) -> Tuple[FanoEntry, ...]:
     return entries
 
 
-def load_c2_pushforward() -> Dict[int, Fraction]:
+def load_c2_pushforward() -> dict[int, Fraction]:
     """A new map target degree -> pushforward coefficient of c2 of the
     tangent bundle, used by the degeneracy-divisor formula."""
     return dict(_parse_once("c2", _default_path("c2_pushforward.csv"),

@@ -21,12 +21,11 @@ from __future__ import annotations
 
 from fractions import Fraction
 from math import gcd, lcm
-from typing import Optional, Tuple, Union
 
 from . import Record
 
-RatLike = Union[Fraction, int]
-IntPair = Tuple[int, int]
+RatLike = Fraction | int
+IntPair = tuple[int, int]
 
 
 class DeltaMismatchError(ValueError):
@@ -107,7 +106,7 @@ def quad(re: RatLike, im_coeff: RatLike, delta: RatLike) -> QuadNum:
 
 
 def integral_form(re: RatLike, im_coeff: RatLike,
-                  delta: Fraction) -> Tuple[int, int, int, int]:
+                  delta: Fraction) -> tuple[int, int, int, int]:
     """(A, B, s, D) with s = lcm(den(re), den(im_coeff/q)) > 0, where
     delta = p/q in lowest terms and D = p*q, such that
     s * (re + im_coeff*sqrt(delta)) = A + B*sqrt(D).  No smaller s works,
@@ -177,14 +176,14 @@ _COS_SQ = {2: Fraction(0), 3: Fraction(1, 4), 4: Fraction(1, 2), 6: Fraction(3, 
 _TAN_SQ = {q: (1 - c) / c for q, c in _COS_SQ.items() if c}
 
 
-def tan_sq_pi_over(q: int) -> Optional[Fraction]:
+def tan_sq_pi_over(q: int) -> Fraction | None:
     """tan^2(pi/q) when rational, None otherwise (q=2 is a pole)."""
     if q < 2:
         raise ValueError("q must be at least 2")
     return _TAN_SQ.get(q)
 
 
-def cos_sq_pi_over(q: int) -> Optional[Fraction]:
+def cos_sq_pi_over(q: int) -> Fraction | None:
     """cos^2(pi/q) when rational, None otherwise."""
     if q < 2:
         raise ValueError("q must be at least 2")

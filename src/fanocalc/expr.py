@@ -11,8 +11,8 @@ from __future__ import annotations
 
 import re
 import sys
+from collections import namedtuple
 from fractions import Fraction
-from typing import Dict, List, NamedTuple, Optional, Tuple, Union
 
 from . import Record
 from .chow import (RingCtx, RingElem, check_pow_size, intersection_degree,
@@ -41,10 +41,9 @@ class ExprError(ValueError):
         self.pos = pos
 
 
-class Token(NamedTuple):
-    kind: str  # number, symbol, plus, minus, star, caret, lparen, rparen
-    text: str
-    pos: int  # 1-based column
+# kind is number, symbol, plus, minus, star, caret, lparen, rparen or end;
+# pos is the 1-based column.
+Token = namedtuple("Token", "kind text pos")
 
 
 # AST nodes ------------------------------------------------------------------
@@ -73,7 +72,7 @@ class Sym(Record):
 class Neg(Record):
     __slots__ = ("child",)
 
-    def __init__(self, child: "Node"):
+    def __init__(self, child: Node):
         _set(self, "child", child)
 
 
@@ -86,7 +85,7 @@ class Neg(Record):
 class Add(Record):
     __slots__ = ("terms",)  # a - b is stored as a + Neg(b)
 
-    def __init__(self, terms: Tuple["Node", ...]):
+    def __init__(self, terms: tuple[Node, ...]):
         if isinstance(terms[0], Add):
             terms = terms[0].terms + terms[1:]
         _set(self, "terms", terms)
@@ -95,7 +94,7 @@ class Add(Record):
 class Mul(Record):
     __slots__ = ("factors",)
 
-    def __init__(self, factors: Tuple["Node", ...]):
+    def __init__(self, factors: tuple[Node, ...]):
         if isinstance(factors[0], Mul):
             factors = factors[0].factors + factors[1:]
         _set(self, "factors", factors)
@@ -108,8 +107,8 @@ class Pow(Record):
     __slots__ = ("base", "exponents", "pos")
     _compare = ("base", "exponents")
 
-    def __init__(self, base: "Node", exponents: Tuple[int, ...],
-                 pos: Tuple[int, ...] = ()):
+    def __init__(self, base: Node, exponents: tuple[int, ...],
+                 pos: tuple[int, ...] = ()):
         pos = pos or (0,) * len(exponents)
         if isinstance(base, Pow):
             exponents, pos = base.exponents + exponents, base.pos + pos
@@ -119,11 +118,11 @@ class Pow(Record):
         _set(self, "pos", pos)
 
 
-Node = Union[Lit, Sym, Neg, Add, Mul, Pow]
+Node = Lit | Sym | Neg | Add | Mul | Pow
 
 
-def tokenize(text: str) -> List[Token]:
-    tokens: List[Token] = []
+def tokenize(text: str) -> list[Token]:
+    tokens: list[Token] = []
     for m in _TOKEN.finditer(text.rstrip()):
         tok, num, slash, denom, symbol = m.groups()
         pos = m.start(1) + 1
@@ -157,7 +156,7 @@ def _int(text: str, pos: int) -> int:
 
 
 class _Parser:
-    def __init__(self, tokens: List[Token]):
+    def __init__(self, tokens: list[Token]):
         # An end token after the last one, at the column that follows it,
         # so that reading the next token needs no bounds test.
         last = tokens[-1]
@@ -243,7 +242,7 @@ class _Parser:
         raise ExprError(f"unexpected {tok.text!r}", tok.pos)
 
 
-def parse(tokens: List[Token]) -> Node:
+def parse(tokens: list[Token]) -> Node:
     if not tokens:
         raise ExprError("empty expression", 1)
     return _Parser(tokens).parse()
@@ -287,22 +286,17 @@ def to_text(node: Node) -> str:
 
 # Evaluation -----------------------------------------------------------------
 
-Value = Union[Fraction, RingElem]
-Bindings = Dict[str, Value]
-# A value during evaluation is a pair (c, e) for c*e: a Fraction c and a
-# RingElem e, or c alone when e is None.
-Pair = Tuple[Fraction, Optional[RingElem]]
+Bindings = dict[str, Fraction | RingElem]
 _ONE = Fraction(1)
 
-
-class EvalResult(NamedTuple):
-    element: RingElem
-    degree: Optional[Fraction]
-    note: Optional[str] = None
+# element is a RingElem, degree a Fraction or None, note a str or None.
+EvalResult = namedtuple("EvalResult", "element degree note", defaults=(None,))
 
 
 def _eval(node: Node, ctx: RingCtx, bindings: Bindings,
-          powers: Dict[tuple, Pair]) -> Pair:
+          powers: dict) -> tuple[Fraction, RingElem | None]:
+    # A value during evaluation is a pair (c, e) for c*e: a Fraction c and
+    # a RingElem e, or c alone when e is None.
     # A chain is evaluated left to right in a loop, so its length costs no
     # recursion depth, and a sum is reduced once, by linear_combination.
     # `powers` holds the value of each power of a symbol or literal already

@@ -13,8 +13,8 @@ fields.
 from __future__ import annotations
 
 from collections import namedtuple
-from typing import TYPE_CHECKING, List, NamedTuple
 
+TYPE_CHECKING = False
 if TYPE_CHECKING:
     from fractions import Fraction
 
@@ -37,12 +37,8 @@ class CongruenceTuple(namedtuple("CongruenceTuple", "alpha z m")):
         return super().__new__(cls, alpha, z, m)
 
 
-class FamilyRow(NamedTuple):
-    x_prime: str
-    moduli: str
-    tau_moduli: int
-    x: str
-    tau: int
+class FamilyRow(namedtuple("FamilyRow", "x_prime moduli tau_moduli x tau")):
+    __slots__ = ()
 
     @property
     def pullback_factor(self) -> Fraction:
@@ -61,7 +57,7 @@ _FAMILY_ROWS = (
 )
 
 
-def family_table() -> List[FamilyRow]:
+def family_table() -> list[FamilyRow]:
     """Admissible conic pairs with the parameter space of the conic
     family and the pullback factor of its ample generator."""
     return list(_FAMILY_ROWS)
@@ -69,7 +65,7 @@ def family_table() -> List[FamilyRow]:
 
 # -- congruences -------------------------------------------------------------
 
-def enumerate_congruences(m_max: int = DEFAULT_M_MAX) -> List[CongruenceTuple]:
+def enumerate_congruences(m_max: int = DEFAULT_M_MAX) -> list[CongruenceTuple]:
     """All (alpha, z, m) with m <= m_max, alpha = (m-1)/(m-z-1) an
     integer >= 3, and 0 < z <= 2m/3.
 

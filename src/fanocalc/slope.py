@@ -11,13 +11,10 @@ from __future__ import annotations
 import csv
 import io
 from fractions import Fraction
-from typing import Optional, Tuple, Union
 
 from . import Record
-from .exact import (_COS_SQ, cos_sq_pi_over, integral_form, rational, zmul,
-                    zpow)
-
-RatLike = Union[Fraction, int]
+from .exact import (_COS_SQ, RatLike, cos_sq_pi_over, integral_form, rational,
+                    zmul, zpow)
 
 KINDS = ("P", "D", "C")
 # The rational fields of InvariantTuple; the last four are optional.
@@ -71,7 +68,7 @@ def check_rho_tau(n: int, tau: RatLike, rho: RatLike, delta: RatLike) -> bool:
 
 
 def solve_nu_prime(n: int, tau: RatLike, delta: RatLike,
-                   mu: int) -> Optional[int]:
+                   mu: int) -> int | None:
     """Solve for the second-contraction threshold numerator.
 
     Writing (tau + sqrt(delta))^k = a_k + b_k*sqrt(delta), returns
@@ -142,7 +139,7 @@ def pushforward_R(nu: int, nu_prime: int, c2_push_coeff: RatLike) -> Fraction:
 
 
 def kprime_degree_formulas(n: int, tau: RatLike, nu_prime: int, mu: int,
-                           minus_khn: RatLike) -> Tuple[Fraction, Fraction]:
+                           minus_khn: RatLike) -> tuple[Fraction, Fraction]:
     """Closed forms for (-K'*H'^n, K'^2*H'^(n-1)) given -K*H^n."""
     tau, minus_khn = Fraction(rational(tau)), Fraction(rational(minus_khn))
     scale = _two_pow_cos_pow(n)  # 2^n * cos^(n-1)(pi/(n+1))
@@ -168,14 +165,13 @@ class InvariantTuple(Record):
                  nu: RatLike, nu_prime: RatLike, tau: RatLike,
                  tau_prime: RatLike, rho: RatLike, i: int, i_prime: int,
                  c1: int, delta: RatLike, c2_over_d: RatLike,
-                 deg_x: Optional[RatLike] = None,
-                 deg_x_prime: Optional[RatLike] = None,
-                 c1_prime: Optional[RatLike] = None,
-                 y_dot_f: Optional[RatLike] = None, d: Optional[int] = None,
-                 d_prime: Optional[int] = None, name_x: Optional[str] = None,
-                 name_x_prime: Optional[str] = None,
-                 label: Optional[str] = None, status: str = "candidate",
-                 reason: Optional[str] = None):
+                 deg_x: RatLike | None = None,
+                 deg_x_prime: RatLike | None = None,
+                 c1_prime: RatLike | None = None,
+                 y_dot_f: RatLike | None = None, d: int | None = None,
+                 d_prime: int | None = None, name_x: str | None = None,
+                 name_x_prime: str | None = None, label: str | None = None,
+                 status: str = "candidate", reason: str | None = None):
         self._fill(n, kind, lam, mu, mu_prime, nu, nu_prime, tau, tau_prime,
                    rho, i, i_prime, c1, delta, c2_over_d, deg_x, deg_x_prime,
                    c1_prime, y_dot_f, d, d_prime, name_x, name_x_prime, label,
@@ -237,12 +233,12 @@ class InvariantTuple(Record):
             raise InvariantError("c2_integrality", "c2 = (c2/d)*d must be an integer")
 
     @property
-    def c2(self) -> Optional[Fraction]:
+    def c2(self) -> Fraction | None:
         if self.d is None:
             return None
         return self.c2_over_d * self.d
 
-    def with_status(self, status: str, reason: Optional[str] = None,
+    def with_status(self, status: str, reason: str | None = None,
                     **kwargs) -> "InvariantTuple":
         """Copy with a new status and any changed fields, validated in
         full like every other row."""
@@ -262,7 +258,7 @@ def _cell(value) -> str:
     return "" if value is None else str(value)
 
 
-def tuple_to_row(t: InvariantTuple) -> Tuple[str, ...]:
+def tuple_to_row(t: InvariantTuple) -> tuple[str, ...]:
     # Each column is its field's name lower-cased.
     return tuple(_cell(getattr(t, c.lower())) for c in CSV_COLUMNS)
 

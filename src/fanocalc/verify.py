@@ -13,8 +13,9 @@ suite runs every check on ten seeds (tests/test_verify.py).
 from __future__ import annotations
 
 import random
+from collections import namedtuple
+from collections.abc import Callable
 from fractions import Fraction
-from typing import Callable, List, NamedTuple, Optional, Tuple
 
 from . import chow, classify, exact, expr, slope
 
@@ -38,18 +39,15 @@ BLOWDOWN_ROWS = (
 )
 
 
-class CheckResult(NamedTuple):
-    name: str
-    ok: bool
-    detail: str = ""
+CheckResult = namedtuple("CheckResult", "name ok detail", defaults=("",))
 
 
 class CheckFailed(Exception):
     """Raised by a check; its message is the detail of the failure."""
 
 
-Check = Callable[[random.Random], Optional[str]]
-CHECKS: Tuple[Check, ...] = ()  # every @check function, in source order
+Check = Callable[[random.Random], str | None]
+CHECKS: tuple[Check, ...] = ()  # every @check function, in source order
 
 
 def check(name: str) -> Callable[[Check], Check]:
@@ -92,7 +90,7 @@ def _rand_elem(rng: random.Random, ctx: chow.RingCtx) -> chow.RingElem:
 
 
 @check("quad_pow multiplicative")
-def check_quad_pow_multiplicative(rng: random.Random) -> Optional[str]:
+def check_quad_pow_multiplicative(rng: random.Random) -> str | None:
     for _ in range(300):
         z = _rand_quad(rng, -_rand_pos(rng, 20))
         a, b = rng.randint(0, 12), rng.randint(0, 12)
@@ -103,7 +101,7 @@ def check_quad_pow_multiplicative(rng: random.Random) -> Optional[str]:
 
 
 @check("norm multiplicative")
-def check_norm_multiplicative(rng: random.Random) -> Optional[str]:
+def check_norm_multiplicative(rng: random.Random) -> str | None:
     """A^2 - D*B^2 of integral_form pairs is multiplicative under zmul."""
     for _ in range(300):
         delta = -_rand_pos(rng, 20)
@@ -116,7 +114,7 @@ def check_norm_multiplicative(rng: random.Random) -> Optional[str]:
 
 
 @check("exact angle powers")
-def check_exact_angle(rng: random.Random) -> Optional[str]:
+def check_exact_angle(rng: random.Random) -> str | None:
     """(tau + sqrt(-tau^2 tan^2(pi/(n+1))))^(n+1) is a negative real."""
     for n in slope.ADMISSIBLE_N:
         tan_sq = exact.tan_sq_pi_over(n + 1)
@@ -129,7 +127,7 @@ def check_exact_angle(rng: random.Random) -> Optional[str]:
 
 
 @check("arg_less_than antitone")
-def check_arg_antitone(rng: random.Random) -> Optional[str]:
+def check_arg_antitone(rng: random.Random) -> str | None:
     for _ in range(200):
         z = exact.quad(_rand_pos(rng, 8), _rand_pos(rng, 8),
                        -_rand_pos(rng, 20))
@@ -141,7 +139,7 @@ def check_arg_antitone(rng: random.Random) -> Optional[str]:
 
 
 @check("reduce idempotent/linear/multiplicative")
-def check_reduce_properties(rng: random.Random) -> Optional[str]:
+def check_reduce_properties(rng: random.Random) -> str | None:
     for _ in range(300):
         ctx = _rand_ctx(rng)
         x, y = _rand_elem(rng, ctx), _rand_elem(rng, ctx)
@@ -161,7 +159,7 @@ def check_reduce_properties(rng: random.Random) -> Optional[str]:
 
 
 @check("discriminant identity")
-def check_chern_wu(rng: random.Random) -> Optional[str]:
+def check_chern_wu(rng: random.Random) -> str | None:
     """(-2 G1 + c1 G2)^2 reduces to Delta G2^2 with Delta = c1^2 + 4 rel_b
     whenever rel_a = c1 and rel_b = -c2/d."""
     for _ in range(25):
@@ -175,7 +173,7 @@ def check_chern_wu(rng: random.Random) -> Optional[str]:
 
 
 @check("basis roundtrip")
-def check_basis_roundtrip(rng: random.Random) -> Optional[str]:
+def check_basis_roundtrip(rng: random.Random) -> str | None:
     cases = [(1, 4, 1, 1, 1), (1, 2, 1, 1, 1), (2, 1, 1, 1, 1),
              (3, 1, 1, 1, 2), (1, 1, 1, 1, 2)]
     for nu, nup, mu, mup, lam in cases:
@@ -195,7 +193,7 @@ def check_basis_roundtrip(rng: random.Random) -> Optional[str]:
 
 
 @check("cross-basis degrees")
-def check_cross_basis_degrees(rng: random.Random) -> Optional[str]:
+def check_cross_basis_degrees(rng: random.Random) -> str | None:
     """K'^a H'^(6-a) for a = 4..1, as exclude_1_4 expands them in the
     (L, H) ring and as (-1)^a (-K')^a H'^(6-a) in the derived (-K', H')
     ring, are the values below in both, and the functional is -395."""
@@ -214,7 +212,7 @@ def check_cross_basis_degrees(rng: random.Random) -> Optional[str]:
 
 
 @check("codimension-two basis")
-def check_b_matrix(rng: random.Random) -> Optional[str]:
+def check_b_matrix(rng: random.Random) -> str | None:
     """B is integral and unimodular on every type D row the enumerator
     emits (mu = b = 1), and flagged on each with d' one larger."""
     for t in classify.enumerate_type_D()[0]:
@@ -227,7 +225,7 @@ def check_b_matrix(rng: random.Random) -> Optional[str]:
 
 
 @check("context serialization")
-def check_context_roundtrip(rng: random.Random) -> Optional[str]:
+def check_context_roundtrip(rng: random.Random) -> str | None:
     for _ in range(20):
         ctx = _rand_ctx(rng)
         if chow.loads_context(chow.dumps_context(ctx)) != ctx:
@@ -235,7 +233,7 @@ def check_context_roundtrip(rng: random.Random) -> Optional[str]:
 
 
 @check("conic table thresholds")
-def check_conic_rows(rng: random.Random) -> Optional[str]:
+def check_conic_rows(rng: random.Random) -> str | None:
     for n, tau, taup, delta, c1p, ydf, dx, dxp in CONIC_ROWS:
         if not slope.check_rho_tau(n, tau, tau, delta):
             raise CheckFailed(f"n={n} tau={tau}")
@@ -248,7 +246,7 @@ def check_conic_rows(rng: random.Random) -> Optional[str]:
 
 
 @check("second-contraction degrees")
-def check_kprime_consistency(rng: random.Random) -> Optional[str]:
+def check_kprime_consistency(rng: random.Random) -> str | None:
     for n, tau, taup, delta, c1p, ydf, dx, dxp in CONIC_ROWS:
         first, second = slope.kprime_degree_formulas(n, tau, taup, 1, 2 * dx)
         if not type(first) is type(second) is Fraction:
@@ -260,7 +258,7 @@ def check_kprime_consistency(rng: random.Random) -> Optional[str]:
 
 
 @check("blow-down table thresholds")
-def check_blowdown_rows(rng: random.Random) -> Optional[str]:
+def check_blowdown_rows(rng: random.Random) -> str | None:
     for n, tau, taup, delta, *_ in BLOWDOWN_ROWS:
         got = slope.solve_nu_prime(n, tau, delta, 1)
         if got != taup:
@@ -271,7 +269,7 @@ def check_blowdown_rows(rng: random.Random) -> Optional[str]:
 
 
 @check("tuple validation reasons")
-def check_tuple_rejections(rng: random.Random) -> Optional[str]:
+def check_tuple_rejections(rng: random.Random) -> str | None:
     base = dict(n=2, kind="C", lam=1, mu=1, mu_prime=1, nu=2, nu_prime=1,
                 tau=2, tau_prime=1, rho=2, i=3, i_prime=3, c1=0,
                 delta=Fraction(-12), c2_over_d=Fraction(3))
@@ -299,7 +297,7 @@ def check_tuple_rejections(rng: random.Random) -> Optional[str]:
 
 
 @check("classification tables")
-def check_enumerations(rng: random.Random) -> Optional[str]:
+def check_enumerations(rng: random.Random) -> str | None:
     """Admissible C rows and raw D rows are CONIC_ROWS and BLOWDOWN_ROWS."""
     for n in sorted({row[0] for row in CONIC_ROWS}):
         rows, _ = classify.enumerate_type_C(n)
@@ -319,7 +317,7 @@ def check_enumerations(rng: random.Random) -> Optional[str]:
 
 
 @check("congruence scan")
-def check_congruences(rng: random.Random) -> Optional[str]:
+def check_congruences(rng: random.Random) -> str | None:
     m_max = 40
     got = {(t.alpha, t.z, t.m) for t in classify.enumerate_congruences(m_max)}
     brute = set()
@@ -334,7 +332,7 @@ def check_congruences(rng: random.Random) -> Optional[str]:
 
 
 @check("deterministic output")
-def check_determinism(rng: random.Random) -> Optional[str]:
+def check_determinism(rng: random.Random) -> str | None:
     a = slope.tuples_to_csv(classify.enumerate_type_C(5)[0])
     b = slope.tuples_to_csv(classify.enumerate_type_C(5)[0])
     if a != b:
@@ -363,7 +361,7 @@ def _rand_node(rng: random.Random, depth: int) -> expr.Node:
 
 
 @check("parser round-trip")
-def check_parser_roundtrip(rng: random.Random) -> Optional[str]:
+def check_parser_roundtrip(rng: random.Random) -> str | None:
     asts = [expr.parse_text(text) for text in _PRINT_CORPUS]
     for ast in asts + [_rand_node(rng, 4) for _ in range(150)]:
         printed = expr.to_text(ast)
@@ -373,7 +371,7 @@ def check_parser_roundtrip(rng: random.Random) -> Optional[str]:
 
 
 @check("evaluator distributes")
-def check_evaluator(rng: random.Random) -> Optional[str]:
+def check_evaluator(rng: random.Random) -> str | None:
     ctx = chow.RingCtx(3, ("L", "H"), Fraction(0), Fraction(-1), Fraction(2))
     bindings = {"L": ctx.gen1, "H": ctx.gen2, "K'": ctx.gen1.scale(-2),
                 "x1": Fraction(1, 2), "t": Fraction(3)}
@@ -390,7 +388,7 @@ def check_evaluator(rng: random.Random) -> Optional[str]:
 
 
 @check("perturbed thresholds fail")
-def check_perturbed_thresholds(rng: random.Random) -> Optional[str]:
+def check_perturbed_thresholds(rng: random.Random) -> str | None:
     """Every row the enumerators emit meets the threshold condition, and
     each perturbation of it (tau and rho one up or one down, or Delta
     doubled) breaks it."""
@@ -414,7 +412,7 @@ def check_perturbed_thresholds(rng: random.Random) -> Optional[str]:
     return f"{total}/{total} perturbations rejected"
 
 
-def run_all(seed: int = SEED) -> List[CheckResult]:
+def run_all(seed: int = SEED) -> list[CheckResult]:
     results = []
     for fn in CHECKS:
         try:

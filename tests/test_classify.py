@@ -179,6 +179,35 @@ def test_integer_conic_decisions_match_fractions(n):
             if Fraction(xp.degree) == ratio * x.degree]
 
 
+def test_conic_degree_match_gives_an_integral_c2():
+    # enumerate_type_C keeps a degree-matched candidate without testing
+    # that c2 = (c2/d)*deg X is an integer: deg X' = ratio*deg X integral
+    # implies it.  With c1 = 0 or -1 by the parity of tau, ratio =
+    # tau^(n-1)/(2^n cos^(n-1)(pi/(n+1))) and c2/d = (c1^2 + tau^2
+    # tan^2(pi/(n+1)))/4, whether either is integral after multiplying by
+    # deg X depends on tau only mod 6 and on deg X only mod 36, so this
+    # window decides it for every tau and degree, and for every dataset.
+    scale = {2: 2, 3: 4, 5: 18}
+    tan_sq = {2: F(3), 3: F(1), 5: F(1, 3)}
+    not_integral = set()
+    for n in (2, 3, 5):
+        for tau in range(1, 3 * n + 1):
+            ratio = F(tau ** (n - 1), scale[n])
+            c1 = 0 if tau % 2 == 0 else -1
+            c2_over_d = (c1 * c1 + tau * tau * tan_sq[n]) / 4
+            assert ratio == slope.base_degree_ratio(n, tau)
+            assert c2_over_d == classify._candidate(
+                n, "C", tau, 1, -tau * tau * exact.tan_sq_pi_over(n + 1)
+            )["c2_over_d"]
+            if c2_over_d.denominator != 1:
+                not_integral.add(n)
+            for deg in range(1, 2000):
+                if (ratio * deg).denominator == 1:
+                    assert (c2_over_d * deg).denominator == 1, (n, tau, deg)
+    # Not vacuous: at n = 3 and 5 some c2/d is not an integer.
+    assert not_integral == {3, 5}
+
+
 def test_1_4_dossier_ring_is_the_shipped_w36_context():
     shipped = pathlib.Path(classify.__file__).parent / "data" / "contexts"
     assert classify._w36_context() == chow.load_context(shipped / "w36.ctx")

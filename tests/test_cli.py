@@ -525,7 +525,7 @@ def test_dataset_bad_file_exits_2(capsys, tmp_path, monkeypatch, text,
 # runs a command, or with "import" imports one module, and prints the exit
 # code, which of dataclasses, inspect and ast (costly to import, and needed
 # by none) were loaded, the fanocalc modules loaded, and whether
-# importlib.resources was loaded.
+# importlib.resources and typing were loaded.
 _IMPORT_PROBE = """\
 import contextlib, importlib, io, sys
 from fanocalc import cli
@@ -538,7 +538,7 @@ else:
 print(code, *[m for m in ("dataclasses", "inspect", "ast") if m in sys.modules])
 print(*sorted(m.partition(".")[2] for m in sys.modules
               if m.startswith("fanocalc.")))
-print("importlib.resources" in sys.modules)
+print("importlib.resources" in sys.modules, "typing" in sys.modules)
 """
 _ENUMERATE = "classify cli dataset exact families slope"
 _DOSSIERS = "chow " + _ENUMERATE
@@ -579,8 +579,8 @@ _ALL = "chow classify cli dataset exact expr families slope verify"
 def test_commands_import_only_what_they_run(argv, modules):
     src = pathlib.Path(cli.__file__).parent.parent
     env = dict(os.environ, PYTHONPATH=str(src))
-    # A site hook may load importlib.resources before fanocalc does; under
-    # -S none runs, so there no command may load it.
+    # A site hook may load importlib.resources, and with it typing, before
+    # fanocalc does; under -S none runs, so there no command may load them.
     for flags in ((), ("-S",)):
         proc = subprocess.run([sys.executable, *flags, "-c", _IMPORT_PROBE,
                                *argv], env=env, capture_output=True,
@@ -588,7 +588,7 @@ def test_commands_import_only_what_they_run(argv, modules):
         lines = proc.stdout.splitlines()
         assert lines[:2] == ["0", modules], proc.stderr
         if flags:
-            assert lines[2] == "False"
+            assert lines[2] == "False False"
 
 
 def test_closed_stdout_is_a_quiet_exit():
