@@ -24,13 +24,15 @@ MAX_DEPTH = 64
 MAX_TOKENS = 50_000
 
 # One token per match, after any whitespace: a number with its optional
-# "/denominator", a symbol, or one other character.  \s and \d are the
-# Unicode whitespace of str.isspace and the decimal digits that int reads.
-# tokenize strips trailing whitespace first, so that every match succeeds:
-# a failed one would back off across the whole run at each start position.
-_TOKEN = re.compile(r"\s*((\d+)(/(\d*))?|([A-Za-z][A-Za-z0-9']*)|\S)")
-_SINGLE = {"+": "plus", "-": "minus", "*": "star", "^": "caret",
-           "(": "lparen", ")": "rparen"}
+# "/denominator" (group 2), a symbol, an operator or parenthesis, or one
+# other character; _KINDS names the kind of each group.  \s and \d are
+# the Unicode whitespace of str.isspace and the decimal digits that int
+# reads.  _scan strips trailing whitespace first, so that every match
+# succeeds: a failed one would back off across the run at each position.
+_TOKEN = re.compile(r"\s*(?:(\d+(/\d*)?)|([A-Za-z][A-Za-z0-9']*)"
+                    r"|(\+)|(-)|(\*)|(\^)|(\()|(\))|(\S))")
+_KINDS = (None, "number", None, "symbol", "plus", "minus", "star", "caret",
+          "lparen", "rparen", None)
 
 
 class ExprError(ValueError):
@@ -121,28 +123,30 @@ class Pow(Record):
 Node = Lit | Sym | Neg | Add | Mul | Pow
 
 
-def tokenize(text: str) -> list[Token]:
-    tokens: list[Token] = []
+def _scan(text: str) -> list[tuple[str, str, int]]:
+    """The (kind, text, pos) triple of each token, all scanned before any
+    is parsed: a scan error, then the token cap, then a syntax error."""
+    tokens = []
     for m in _TOKEN.finditer(text.rstrip()):
-        tok, num, slash, denom, symbol = m.groups()
-        pos = m.start(1) + 1
-        if num:
-            # Any decimal zero, such as the Arabic-Indic one, reads as 0.
-            if slash and not any(map(int, denom)):
-                raise ExprError("zero denominator" if denom else
-                                "expected digits after '/'",
-                                pos + len(num) + 1)
-            tokens.append(Token("number", tok, pos))
-        elif symbol:
-            tokens.append(Token("symbol", tok, pos))
-        elif tok in _SINGLE:
-            tokens.append(Token(_SINGLE[tok], tok, pos))
-        else:
+        group = m.lastindex
+        tok = m[group]
+        pos = m.start(group) + 1
+        kind = _KINDS[group]
+        if kind is None:
             raise ExprError(f"unknown character {tok!r}", pos)
+        # Any decimal zero, such as the Arabic-Indic one, reads as 0.
+        if group == 1 and (denom := m[2]) and not any(map(int, denom[1:])):
+            raise ExprError("zero denominator" if denom != "/" else
+                            "expected digits after '/'", m.start(2) + 2)
+        tokens.append((kind, tok, pos))
     if len(tokens) > MAX_TOKENS:
         raise ExprError(f"more than {MAX_TOKENS} tokens",
-                        tokens[MAX_TOKENS].pos)
+                        tokens[MAX_TOKENS][2])
     return tokens
+
+
+def tokenize(text: str) -> list[Token]:
+    return list(map(Token._make, _scan(text)))
 
 
 def _int(text: str, pos: int) -> int:
@@ -156,38 +160,39 @@ def _int(text: str, pos: int) -> int:
 
 
 class _Parser:
-    def __init__(self, tokens: list[Token]):
+    """Reads (kind, text, pos) triples, from _scan or tokenize."""
+
+    def __init__(self, tokens: list[tuple[str, str, int]]):
         # An end token after the last one, at the column that follows it,
         # so that reading the next token needs no bounds test.
-        last = tokens[-1]
-        self.tokens = tokens + [Token("end", "", last.pos + len(last.text))]
-        self.index = 0
-        self.depth = 0
+        _, text, pos = tokens[-1]
+        self.tokens = [*tokens, ("end", "", pos + len(text))]
+        self.index = self.depth = 0
 
-    def next(self) -> Token:
+    def next(self) -> tuple[str, str, int]:
         tok = self.tokens[self.index]
-        if tok.kind == "end":
-            raise ExprError("unexpected end of input", tok.pos)
+        if tok[0] == "end":
+            raise ExprError("unexpected end of input", tok[2])
         self.index += 1
         return tok
 
-    def _enter(self, tok: Token) -> None:
+    def _enter(self, pos: int) -> None:
         """One nesting level per open parenthesis or unary minus."""
         self.depth += 1
         if self.depth > MAX_DEPTH:
-            raise ExprError("expression too deeply nested", tok.pos)
+            raise ExprError("expression too deeply nested", pos)
 
     def parse(self) -> Node:
         node = self.expr()
-        tok = self.tokens[self.index]
-        if tok.kind != "end":
-            raise ExprError(f"unexpected {tok.text!r}", tok.pos)
+        kind, text, pos = self.tokens[self.index]
+        if kind != "end":
+            raise ExprError(f"unexpected {text!r}", pos)
         return node
 
     def expr(self) -> Node:
         terms = [self.term()]
         tokens = self.tokens
-        while (kind := tokens[self.index].kind) in ("plus", "minus"):
+        while (kind := tokens[self.index][0]) in ("plus", "minus"):
             self.index += 1
             rhs = self.term()
             terms.append(rhs if kind == "plus" else Neg(rhs))
@@ -196,50 +201,45 @@ class _Parser:
     def term(self) -> Node:
         factors = [self.factor()]
         tokens = self.tokens
-        while tokens[self.index].kind == "star":
+        while tokens[self.index][0] == "star":
             self.index += 1
             factors.append(self.factor())
         return Mul(tuple(factors)) if len(factors) > 1 else factors[0]
 
     def factor(self) -> Node:
-        tok = self.tokens[self.index]
-        if tok.kind != "minus":
-            return self.power()
+        """A unary minus and its operand, or an atom and its exponents."""
+        tokens = self.tokens
+        kind, text, pos = tokens[self.index]
         self.index += 1
-        self._enter(tok)
-        node = Neg(self.factor())
-        self.depth -= 1
-        return node
-
-    def power(self) -> Node:
-        node = self.atom()
-        exponents, pos = [], []
-        while self.tokens[self.index].kind == "caret":
-            self.index += 1
-            etok = self.next()
-            if etok.kind != "number" or "/" in etok.text:
-                raise ExprError("exponent must be an integer literal", etok.pos)
-            exponents.append(_int(etok.text, etok.pos))
-            pos.append(etok.pos)
-        return Pow(node, tuple(exponents), tuple(pos)) if exponents else node
-
-    def atom(self) -> Node:
-        tok = self.next()
-        if tok.kind == "number":
-            p, _, q = tok.text.partition("/")
-            value = Fraction(_int(p, tok.pos), _int(q, tok.pos) if q else 1)
-            return Lit(value)
-        if tok.kind == "symbol":
-            return Sym(tok.text, tok.pos)
-        if tok.kind == "lparen":
-            self._enter(tok)
-            node = self.expr()
-            closing = self.next()
-            if closing.kind != "rparen":
-                raise ExprError("expected ')'", closing.pos)
+        if kind == "symbol":
+            node = Sym(text, pos)
+        elif kind == "number":
+            p, _, q = text.partition("/")
+            node = Lit(Fraction(_int(p, pos), _int(q, pos) if q else 1))
+        elif kind == "minus":
+            self._enter(pos)
+            node = Neg(self.factor())
             self.depth -= 1
             return node
-        raise ExprError(f"unexpected {tok.text!r}", tok.pos)
+        elif kind == "lparen":
+            self._enter(pos)
+            node = self.expr()
+            kind, _, pos = self.next()
+            if kind != "rparen":
+                raise ExprError("expected ')'", pos)
+            self.depth -= 1
+        else:
+            raise ExprError("unexpected end of input" if kind == "end"
+                            else f"unexpected {text!r}", pos)
+        exponents, cols = [], []
+        while tokens[self.index][0] == "caret":
+            self.index += 1
+            kind, text, pos = self.next()
+            if kind != "number" or "/" in text:
+                raise ExprError("exponent must be an integer literal", pos)
+            exponents.append(_int(text, pos))
+            cols.append(pos)
+        return Pow(node, tuple(exponents), tuple(cols)) if exponents else node
 
 
 def parse(tokens: list[Token]) -> Node:
@@ -249,7 +249,7 @@ def parse(tokens: list[Token]) -> Node:
 
 
 def parse_text(text: str) -> Node:
-    return parse(tokenize(text))
+    return parse(_scan(text))
 
 
 def to_text(node: Node) -> str:

@@ -74,19 +74,40 @@ def test_tokenize_matches_reference_loop(text):
         outcome(tokenize_reference.tokenize, text)
 
 
+def parsed(parser, text):
+    try:
+        ast = parser(text)
+    except ExprError as err:
+        return str(err)
+    return ast, repr(ast)  # the repr holds every column
+
+
+@given(st.text(TOKEN_ALPHABET, max_size=30))
+def test_parse_text_matches_parse_of_reference_tokens(text):
+    assert parsed(parse_text, text) == \
+        parsed(lambda t: expr.parse(tokenize_reference.tokenize(t)), text)
+
+
 def test_tokenize_time_is_linear_in_trailing_whitespace():
     # In a child process, so that a tokenizer that retries the run of
     # trailing whitespace at each position fails the test by the timeout
     # (100,000 blanks took minutes that way) instead of hanging the suite.
     src = pathlib.Path(expr.__file__).parent.parent
-    code = ("from fanocalc.expr import tokenize\n"
+    code = ("from fanocalc.expr import ExprError, parse_text, tokenize\n"
             "print(tokenize('L' + ' ' * 100_000),"
-            " tokenize('\\xa0\\t' * 100_000))")
+            " tokenize('\\xa0\\t' * 100_000))\n"
+            "print(repr(parse_text('L' + ' ' * 100_000)))\n"
+            "try:\n"
+            "    parse_text('\\xa0\\t' * 100_000)\n"
+            "except ExprError as err:\n"
+            "    print(err)\n")
     proc = subprocess.run([sys.executable, "-c", code],
                           env=dict(os.environ, PYTHONPATH=str(src)),
                           capture_output=True, text=True, timeout=5)
     assert (proc.returncode, proc.stderr) == (0, "")
-    assert proc.stdout == "[Token(kind='symbol', text='L', pos=1)] []\n"
+    assert proc.stdout == ("[Token(kind='symbol', text='L', pos=1)] []\n"
+                           "Sym(name='L', pos=1)\n"
+                           "column 1: empty expression\n")
 
 
 def test_parse_precedence():
@@ -100,16 +121,24 @@ def test_parse_precedence():
 
 
 def test_parse_errors_carry_positions():
-    with pytest.raises(ExprError, match="integer literal"):
-        parse_text("L^H")
-    with pytest.raises(ExprError):
-        parse_text("L +")
-    with pytest.raises(ExprError):
-        parse_text("(L + H")
-    with pytest.raises(ExprError):
-        parse_text("")
-    with pytest.raises(ExprError):
-        parse_text("2 H")  # no implicit multiplication
+    cases = [
+        ("L^H", "column 3: exponent must be an integer literal"),
+        ("L +", "column 4: unexpected end of input"),
+        ("(L + H", "column 7: unexpected end of input"),
+        ("", "column 1: empty expression"),
+        ("2 H", "column 3: unexpected 'H'"),  # no implicit multiplication
+        # The whole text is scanned before it is parsed: a scan error
+        # anywhere comes before a syntax error that precedes it.
+        ("L + + ?", "column 7: unknown character '?'"),
+        ("L ++ 1/0", "column 8: zero denominator"),
+        ("(L))", "column 4: unexpected ')'"),
+        ("2^1/2", "column 3: exponent must be an integer literal"),
+        ("(L+H(", "column 5: expected ')'"),
+    ]
+    for text, message in cases:
+        with pytest.raises(ExprError) as err:
+            parse_text(text)
+        assert str(err.value) == message, text
 
 
 def test_parse_depth_limit():
