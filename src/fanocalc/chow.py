@@ -384,23 +384,18 @@ def derived_context(ctx: RingCtx, m: BasisMap,
     """Context on the generators (G1', G2') defined by
     (G1, G2)^T = m * (G1', G2')^T, with relation and degree functional
     recomputed so that all intersection numbers agree with ctx."""
-    g1p, g2p = _images(m.inverse(), ctx)
-    slots = (ctx.n + 2, 2)  # G1*G2 and G2^2
-
-    def in_deg2_basis(e: RingElem) -> tuple[Fraction, Fraction]:
-        if any(v for k, v in enumerate(e.vec) if k not in slots):
-            raise ValueError("degenerate map: degree-2 class not in normal span")
-        return tuple(Fraction(e.vec[k], e.den) for k in slots)
-
-    p11, p02 = in_deg2_basis(g1p * g1p)
-    q11, q02 = in_deg2_basis(g1p * g2p)
-    r11, r02 = in_deg2_basis(g2p * g2p)
-    det = q11 * r02 - q02 * r11
-    if det == 0:
+    (p, q), (r, s) = m.entries
+    a, b = ctx.rel_a, ctx.rel_b
+    # G1 = p*G1' + q*G2' and G2 = r*G1' + s*G2' turn G1^2 - a*G1*G2 - b*G2^2
+    # into A*G1'^2 + B*G1'*G2' + C*G2'^2.  Degree two has rank two, so
+    # A = 0 exactly when G1'*G2' and G2'^2 are dependent.
+    lead = p * p - a * p * r - b * r * r  # A
+    if lead == 0:
         raise ValueError("degenerate map: cannot solve for the new relation")
-    rel_a = (p11 * r02 - p02 * r11) / det
-    rel_b = (q11 * p02 - q02 * p11) / det
+    rel_a = (a * (p * s + q * r) + 2 * b * r * s - 2 * p * q) / lead  # -B/A
+    rel_b = (a * q * s + b * s * s - q * q) / lead  # -C/A
 
+    g1p, g2p = _images(m.inverse(), ctx)
     degree_s = intersection_degree(g1p * g2p ** ctx.n)
     if degree_s <= 0:
         raise ValueError("degenerate map: new degree functional not positive")

@@ -19,6 +19,8 @@ if TYPE_CHECKING:
     from fractions import Fraction
 
 DEFAULT_M_MAX = 19
+# The list grows linearly in m_max, so the bound is capped like chow.MAX_N.
+MAX_M_MAX = 1_000_000
 
 
 class CongruenceTuple(namedtuple("CongruenceTuple", "alpha z m")):
@@ -27,6 +29,9 @@ class CongruenceTuple(namedtuple("CongruenceTuple", "alpha z m")):
     __slots__ = ()
 
     def __new__(cls, alpha: int, z: int, m: int) -> "CongruenceTuple":
+        for x in (alpha, z, m):
+            if isinstance(x, float):
+                raise TypeError("exact numbers only, not float")
         if m - z - 1 <= 0 or alpha * (m - z - 1) != m - 1:
             raise ValueError("alpha must equal (m-1)/(m-z-1) exactly")
         # alpha = 2 would force the two linear pieces to meet; ruled out.
@@ -66,23 +71,20 @@ def family_table() -> list[FamilyRow]:
 # -- congruences -------------------------------------------------------------
 
 def enumerate_congruences(m_max: int = DEFAULT_M_MAX) -> list[CongruenceTuple]:
-    """All (alpha, z, m) with m <= m_max, alpha = (m-1)/(m-z-1) an
-    integer >= 3, and 0 < z <= 2m/3.
-
-    The loop runs over the divisor t = m-1-z, not over z.  alpha >= 3
-    means 3t <= m-1, so t <= (m-1)//3 (alpha = 2 is impossible; see
-    CongruenceTuple), and then z = m-1-t >= 2(m-1)/3 > 0.  The integer
-    z <= 2m/3 means t >= m-1-2m//3, and t >= 1 for alpha = (m-1)/t to be
-    defined.  That range holds at most two values of t for each m, so
-    the scan is O(m_max).
-    """
+    """All (alpha, z, m) with m <= m_max, alpha = (m-1)/(m-z-1) an integer
+    >= 3 and 0 < z <= 2m/3, in (alpha, z, m) order.  With t = m-1-z,
+    m = alpha*t + 1 and z = (alpha-1)*t, and 3z <= 2m becomes
+    (alpha-3)*t <= 2: every t >= 1 gives a solution with alpha = 3, alpha = 4
+    allows t <= 2, alpha = 5 allows t = 1, and no alpha >= 6 is possible."""
     if m_max < 3:
         raise ValueError("m_max must be at least 3")
+    if m_max > MAX_M_MAX:
+        raise ValueError(f"m_max must be at most {MAX_M_MAX}")
     out = []
-    for m in range(3, m_max + 1):
-        for t in range(max(1, m - 1 - 2 * m // 3), (m - 1) // 3 + 1):
-            if (m - 1) % t == 0:
-                out.append(CongruenceTuple((m - 1) // t, m - 1 - t, m))
-    out.sort()  # by (alpha, z, m), the tuple order
+    for alpha in (3, 4, 5):
+        t_max = (m_max - 1) // alpha
+        if alpha > 3:
+            t_max = min(t_max, 2 // (alpha - 3))
+        out.extend(CongruenceTuple(alpha, (alpha - 1) * t, alpha * t + 1)
+                   for t in range(1, t_max + 1))
     return out
-

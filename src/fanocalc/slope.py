@@ -141,6 +141,8 @@ def pushforward_R(nu: int, nu_prime: int, c2_push_coeff: RatLike) -> Fraction:
 def kprime_degree_formulas(n: int, tau: RatLike, nu_prime: int, mu: int,
                            minus_khn: RatLike) -> tuple[Fraction, Fraction]:
     """Closed forms for (-K'*H'^n, K'^2*H'^(n-1)) given -K*H^n."""
+    if mu <= 0:
+        raise ValueError("mu must be positive")
     tau, minus_khn = Fraction(rational(tau)), Fraction(rational(minus_khn))
     scale = _two_pow_cos_pow(n)  # 2^n * cos^(n-1)(pi/(n+1))
     cos_sq = cos_sq_pi_over(n + 1)

@@ -1,3 +1,4 @@
+import random
 import time
 from fractions import Fraction
 
@@ -211,6 +212,54 @@ def test_derived_context_identity_map():
     same = derived_context(ctx, BasisMap(((F(1), F(0)), (F(0), F(1)))),
                            ctx.gen_names)
     assert same == ctx
+
+
+def test_derived_context_against_ring_products():
+    """Seeded contexts and invertible maps, checked by products in the
+    source ring: a derived relation must hold for the images of G1' and
+    G2', and "cannot solve" must mean that G1'G2' and G2'^2 are dependent
+    in the (G1G2, G2^2) coordinates."""
+    rng = random.Random(20260)
+
+    def small():
+        return F(rng.randint(-3, 3), rng.randint(1, 2))
+
+    outcomes = {"context": 0, "cannot solve": 0, "other": 0}
+    for _ in range(1500):
+        rel = small(), small()
+        if rng.random() < 0.5:
+            # G1^2 - a*G1*G2 - b*G2^2 = (G1 - u*G2)(G1 - v*G2) splits, so a
+            # map can make the new relation's G1'^2 coefficient vanish.
+            u, v = rng.randint(-2, 2), rng.randint(-2, 2)
+            rel = F(u + v), F(-u * v)
+        ctx = RingCtx(rng.randint(2, 4), ("G1", "G2"), *rel,
+                      F(rng.randint(1, 12)))
+        entries = [[F(rng.randint(-2, 2)) for _ in range(2)]
+                   for _ in range(2)]
+        if rng.random() < 0.5:
+            entries[1][0] = F(0)  # G2 a multiple of G2': G2'^(n+1) = 0
+        if entries[0][0] * entries[1][1] == entries[0][1] * entries[1][0]:
+            continue
+        m = BasisMap(entries)
+        g1p, g2p = (linear_combination(ctx, ((p, ctx.gen1), (q, ctx.gen2)))
+                    for p, q in m.inverse().entries)
+        try:
+            derived = derived_context(ctx, m)
+        except ValueError as exc:
+            if "cannot solve" not in str(exc):
+                outcomes["other"] += 1
+                continue
+            outcomes["cannot solve"] += 1
+            (x1, y1), (x2, y2) = ((e.coeffs.get((1, 1), 0),
+                                   e.coeffs.get((0, 2), 0))
+                                  for e in (g1p * g2p, g2p * g2p))
+            assert x1 * y2 - x2 * y1 == 0
+            continue
+        outcomes["context"] += 1
+        assert g1p * g1p == linear_combination(
+            ctx, ((derived.rel_a, g1p * g2p), (derived.rel_b, g2p * g2p)))
+        assert derived.degree_s == intersection_degree(g1p * g2p ** ctx.n)
+    assert min(outcomes.values()) >= 50, outcomes
 
 
 def test_convert_element_roundtrip():

@@ -380,7 +380,7 @@ def test_family_table():
 
 def _congruences_quadratic(m_max):
     """The O(m_max^2) scan over every z, kept as the reference for the
-    loop over the divisor t = m-1-z."""
+    closed form m = alpha*t + 1, z = (alpha-1)*t."""
     out = []
     for m in range(3, m_max + 1):
         for z in range(1, 2 * m // 3 + 1):
@@ -415,6 +415,18 @@ def test_congruence_tuple_validation():
     # With alpha an integer >= 3, z > 2m/3 needs a rational z and m.
     with pytest.raises(ValueError, match=r"^z must satisfy 0 < z <= 2m/3$"):
         CongruenceTuple(100, F(99, 40), F(7, 2))
+
+
+@pytest.mark.parametrize("call", [
+    lambda: CongruenceTuple(3.0, 2, 4),
+    lambda: CongruenceTuple(3, 2, 4.0),
+    lambda: dataset.FanoEntry(3.0, 2, 2.5, "x", None, ""),
+    lambda: dataset.FanoEntry(3, 2, 2.5, "x", None, ""),
+    lambda: dataset.FanoEntry(3, 2, 2, "x", 1.0, ""),
+])
+def test_records_refuse_float(call):
+    with pytest.raises(TypeError, match="^exact numbers only, not float$"):
+        call()
 
 
 def test_congruence_tuple_value_semantics():

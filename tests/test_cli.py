@@ -14,7 +14,7 @@ from unittest import mock
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from fanocalc import chow, cli, expr
+from fanocalc import chow, cli, expr, families
 from fanocalc.slope import CSV_COLUMNS
 
 GOLDEN = pathlib.Path(__file__).parent / "golden"
@@ -355,6 +355,14 @@ def test_enumerate_bound_below_minimum_exits_2(capsys, argv, bound):
     assert code == 2
     assert out == ""
     assert err.startswith("input error: ") and bound in err
+
+
+def test_enumerate_m_max_above_cap_exits_2(capsys):
+    # The list grows linearly in m_max; past the cap it is refused at once.
+    code, out, err = run(capsys, "enumerate", "--type", "congruence",
+                         "--m-max", str(families.MAX_M_MAX + 1))
+    assert (code, out) == (2, "")
+    assert err == "input error: m_max must be at most 1000000\n"
 
 
 @pytest.mark.parametrize("module", ["fanocalc", "fanocalc.cli"])

@@ -302,6 +302,13 @@ def test_solve_nu_prime_refuses_nonpositive_mu(mu):
         solve_nu_prime(2, 1, -1, mu)
 
 
+@pytest.mark.parametrize("mu", [0, -1])
+def test_kprime_degree_formulas_refuses_nonpositive_mu(mu):
+    # mu = 0 divided by zero, and mu = -1 answered (1/2, 2).
+    with pytest.raises(ValueError, match="^mu must be positive$"):
+        slope.kprime_degree_formulas(2, 1, 1, mu, 2)
+
+
 def test_formula_helpers_answer_fractions():
     # rational() passes an int through, and 8/tau of an int is a float.
     values = [c1_prime(5, 3, 1), base_degree_ratio(5, 2),
