@@ -46,7 +46,9 @@ class ContextMismatchError(ValueError):
 
 
 def _exact(x) -> Fraction:
-    """x as a Fraction; a float is refused."""
+    """x as a Fraction, itself when it is one; a float is refused."""
+    if type(x) is Fraction:
+        return x
     if isinstance(x, float):
         raise TypeError("exact numbers only, not float")
     return Fraction(x)

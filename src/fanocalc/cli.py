@@ -8,7 +8,6 @@ All output is deterministic: fixed column order, rationals printed as
 
 from __future__ import annotations
 
-import argparse
 import os
 import sys
 
@@ -24,7 +23,7 @@ if TYPE_CHECKING:
 
 FORMATS = ("table", "csv", "json")
 # "tau-tau'" of each n = 5 dossier in classify._DOSSIERS, spelled out so
-# that building the parser imports nothing.
+# that parsing imports nothing.
 EXCLUSION_CASES = ("1-2", "1-4", "2-1")
 
 
@@ -76,7 +75,7 @@ def _print_report(rep: classify.ExclusionReport) -> None:
     print(f"why: {rep.citation}")
 
 
-def cmd_verify(ns: argparse.Namespace) -> int:
+def cmd_verify() -> int:
     from . import verify
     results = verify.run_all()
     failures = 0
@@ -90,19 +89,16 @@ def cmd_verify(ns: argparse.Namespace) -> int:
     return 0 if failures == 0 else 1
 
 
-# The types whose enumeration reads each bound; it is refused elsewhere.
-ENUMERATE_BOUNDS = {"n": ("P", "C"), "n_max": ("D",), "m_max": ("congruence",)}
-
-
-def cmd_enumerate(ns: argparse.Namespace) -> int:
-    kind, fmt = ns.kind, ns.fmt
-    for dest, kinds in ENUMERATE_BOUNDS.items():
-        if getattr(ns, dest) is not None and kind not in kinds:
-            raise ValueError(f"--{dest.replace('_', '-')} does not apply "
-                             f"to --type {kind}")
+def cmd_enumerate(kind, fmt, n, n_max, m_max) -> int:
+    # Each bound is read by the types named with it, and refused elsewhere.
+    for flag, bound, kinds in (("--n", n, ("P", "C")),
+                               ("--n-max", n_max, ("D",)),
+                               ("--m-max", m_max, ("congruence",))):
+        if bound is not None and kind not in kinds:
+            raise ValueError(f"{flag} does not apply to --type {kind}")
     if kind == "congruence":
         from . import families
-        m_max = families.DEFAULT_M_MAX if ns.m_max is None else ns.m_max
+        m_max = families.DEFAULT_M_MAX if m_max is None else m_max
         rows = [(t.alpha, t.z, t.m)
                 for t in families.enumerate_congruences(m_max)]
         emit(("alpha", "z", "m"), rows, fmt, [f"bounds: m_max={m_max}"])
@@ -110,7 +106,7 @@ def cmd_enumerate(ns: argparse.Namespace) -> int:
     from . import classify
     from .slope import ADMISSIBLE_N, CSV_COLUMNS, tuple_to_row
     if kind == "D":
-        n_max = classify.DEFAULT_N_MAX if ns.n_max is None else ns.n_max
+        n_max = classify.DEFAULT_N_MAX if n_max is None else n_max
         result = classify.enumerate_type_D(n_max)
         emit(CSV_COLUMNS, [tuple_to_row(t) for t in result[0]], fmt,
              [f"bounds: n_max={n_max} tau_prime_max={classify.TAU_PRIME_MAX}"])
@@ -129,7 +125,7 @@ def cmd_enumerate(ns: argparse.Namespace) -> int:
         return 0
     tuples = []
     reports: list[classify.ExclusionReport] = []
-    for n in ADMISSIBLE_N if ns.n is None else [ns.n]:
+    for n in ADMISSIBLE_N if n is None else [n]:
         if kind == "P":
             tuples.extend(classify.enumerate_type_P(n))
         else:
@@ -161,10 +157,10 @@ def _eval_bindings(ctx: chow.RingCtx) -> dict[str, object]:
             "D": ctx.rel_a ** 2 + 4 * ctx.rel_b, g1: ctx.gen1, g2: ctx.gen2}
 
 
-def cmd_eval(ns: argparse.Namespace) -> int:
+def cmd_eval(ctx_path, expression) -> int:
     from . import chow, expr
-    ctx = chow.load_context(ns.ctx_path)
-    result = expr.evaluate_text(ns.expression, ctx, _eval_bindings(ctx))
+    ctx = chow.load_context(ctx_path)
+    result = expr.evaluate_text(expression, ctx, _eval_bindings(ctx))
     value = result.element if result.degree is None else result.degree
     try:
         text = str(value)
@@ -180,62 +176,137 @@ def cmd_eval(ns: argparse.Namespace) -> int:
     return 0
 
 
-def cmd_exclusions(ns: argparse.Namespace) -> int:
+def cmd_exclusions(case) -> int:
     from . import classify
-    tau, tau_prime = map(int, ns.case.split("-"))
+    tau, tau_prime = map(int, case.split("-"))
     _print_report(getattr(classify, classify._DOSSIERS[5, tau, tau_prime])())
     return 0
 
 
-def cmd_family_table(ns: argparse.Namespace) -> int:
+def cmd_family_table(fmt) -> int:
     from .families import family_table
     rows = [(r.x_prime, r.moduli, str(r.tau_moduli), r.x, str(r.tau),
              str(r.pullback_factor)) for r in family_table()]
     emit(("X_prime", "family_space", "tau_family", "X", "tau", "factor"),
-         rows, ns.fmt)
+         rows, fmt)
     return 0
 
 
-def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
-        prog="fanocalc",
-        description=("Exact intersection-theory kernel and finite case "
-                     "analysis for rank-two Fano bundles"),
-    )
-    sub = parser.add_subparsers(dest="command", required=True)
-    ver = sub.add_parser("verify", help="run the full invariant suite")
-    ver.set_defaults(func=cmd_verify)
-    enum = sub.add_parser("enumerate", help="regenerate a classification table")
-    enum.set_defaults(func=cmd_enumerate)
-    enum.add_argument("--type", required=True, dest="kind",
-                      choices=("P", "D", "C", "congruence"))
-    enum.add_argument("--n", type=int)
-    # The bounds default to None, which cmd_enumerate reads as the
-    # enumerator's own default constant: building the parser imports
-    # neither classify nor families.
-    enum.add_argument("--n-max", type=int)
-    enum.add_argument("--m-max", type=int)
-    enum.add_argument("--format", dest="fmt", choices=FORMATS, default="table")
-    ev = sub.add_parser("eval", help="evaluate a ring expression")
-    ev.set_defaults(func=cmd_eval)
-    ev.add_argument("--ctx", required=True, dest="ctx_path")
-    ev.add_argument("expression")
-    exc = sub.add_parser("exclusions", help="print an exclusion dossier")
-    exc.set_defaults(func=cmd_exclusions)
-    exc.add_argument("--case", required=True, choices=EXCLUSION_CASES)
-    fam = sub.add_parser("family-table", help="print the conic family table")
-    fam.set_defaults(func=cmd_family_table)
-    fam.add_argument("--format", dest="fmt", choices=FORMATS, default="table")
-    return parser
+# Each command's function, help line and options.  An option maps its
+# flag, or a positional's name, to (dest, kind, default, required), where
+# kind is int, str or a tuple of choices.
+COMMANDS = {
+    "verify": (cmd_verify, "run the full invariant suite", {}),
+    "enumerate": (cmd_enumerate, "regenerate a classification table", {
+        "--type": ("kind", ("P", "D", "C", "congruence"), None, True),
+        # A bound left at None is the enumerator's own default constant,
+        # so that parsing imports neither classify nor families.
+        "--n": ("n", int, None, False),
+        "--n-max": ("n_max", int, None, False),
+        "--m-max": ("m_max", int, None, False),
+        "--format": ("fmt", FORMATS, "table", False)}),
+    "eval": (cmd_eval, "evaluate a ring expression", {
+        "--ctx": ("ctx_path", str, None, True),
+        "expression": ("expression", str, None, True)}),
+    "exclusions": (cmd_exclusions, "print an exclusion dossier",
+                   {"--case": ("case", EXCLUSION_CASES, None, True)}),
+    "family-table": (cmd_family_table, "print the conic family table",
+                     {"--format": ("fmt", FORMATS, "table", False)}),
+}
+# The program's own words, parsed as a command whose positional names one.
+PROGRAM = (None, "Exact intersection-theory kernel and finite case analysis "
+           "for rank-two Fano bundles\n\ncommands:\n" + "\n".join(
+               f"  {name:<14}{spec[1]}" for name, spec in COMMANDS.items()),
+           {"command": ("command", tuple(COMMANDS), None, True)})
+
+
+def _exit(command: str | None, error: str | None = None):
+    """Print the help of `command` (None: the program) and exit 0, or its
+    usage and `error` on stderr and exit 2."""
+    _, text, table = COMMANDS.get(command, PROGRAM)
+    words = ["usage: fanocalc", *[command] * bool(command), "[-h]"]
+    for flag, (dest, kind, _, required) in table.items():
+        word = "{%s}" % ",".join(kind) if type(kind) is tuple else dest.upper()
+        word = f"{flag} {word}" if flag[0] == "-" else word
+        words.append(word if required else f"[{word}]")
+    print(" ".join(words), f"fanocalc: error: {error}" if error else
+          "\n" + text, sep="\n", file=sys.stderr if error else sys.stdout)
+    raise SystemExit(2 if error else 0)
+
+
+def _option(command: str | None, word: str, flags) -> tuple | None:
+    """(flag, or "" if unknown, value or None) of an option word; None for
+    a positional: a word that does not start with "-", is "-" or "--", or
+    names no flag and is a negative number or holds a space."""
+    if word[:1] != "-" or word in ("-", "--"):
+        return None
+    head, eq, value = word.partition("=")
+    # A long flag may be cut to a unique prefix; an exact match wins.
+    match = [head] if head in flags else [
+        flag for flag in flags if word[1] == "-" and flag.startswith(head)]
+    if len(match) > 1:
+        _exit(command, f"ambiguous option: {word}")
+    import re
+    if match or not (" " in word or re.match(r"-\d+$|-\d*\.\d+$", word)):
+        return match[0] if match else "", value if eq else None
+    return None
+
+
+def parse_args(argv: list[str], command: str | None = None,
+               extra: list[str] | None = None) -> tuple[str, dict]:
+    """(command, {dest: value}) of argv, or exit as argparse did: 0 after
+    help, 2 after a usage error.  Help and bad values act in word order,
+    missing and left-over words at the end."""
+    table, extra = COMMANDS.get(command, PROGRAM)[2], extra or []
+    end = argv.index("--") if command and "--" in argv else len(argv)
+    # options[end] is "--", or a stop past the last word: neither is an
+    # option's value.  Every word after "--" is a positional.
+    options = [_option(command, word, ("-h", "--help", *table))
+               for word in argv[:end]] + [("", None)] + [None] * len(argv)
+    values = {dest: default for dest, _, default, _ in table.values()}
+    slot = [flag for flag in table if flag[0] != "-"]
+    filled, i = None, 0
+    while i < len(argv):
+        word, option = argv[i], options[i]
+        i += 1
+        if option is None and slot:
+            option, filled = (slot.pop(), word), i - 1
+        elif not (option and option[0]):
+            extra.append(word)
+            continue
+        flag, value = option
+        if flag in ("-h", "--help"):
+            _exit(command, None if value is None else f"{flag} takes no value")
+        if value is None and options[i] is not None:
+            _exit(command, f"{flag} expects a value")
+        if value is None:
+            value, i = argv[i], i + 1
+        dest, kind = table[flag][:2]
+        try:
+            if type(kind) is tuple and value not in kind:
+                raise ValueError
+            values[dest] = int(value) if kind is int else value
+        except ValueError:
+            _exit(command, f"invalid {flag} value: {value!r}")
+        if command is None:
+            return parse_args(argv[i:], value, extra)
+    if end < len(argv) and filled in (end - 1, end + 1):
+        extra.remove("--")  # argparse drops it only next to the positional
+    missing = [flag for flag, (dest, _, _, required) in table.items()
+               if required and values[dest] is None]
+    if missing or extra:
+        _exit(command, "missing " + ", ".join(missing) if missing
+              else "unrecognized: " + " ".join(extra))
+    return command, values
 
 
 def _dispatch(argv: list[str] | None) -> int:
     try:
-        ns = build_parser().parse_args(argv)
+        command, values = parse_args(sys.argv[1:] if argv is None else argv)
     except SystemExit as err:
-        return 2 if err.code not in (0, None) else 0
+        return err.code
     try:
-        return ns.func(ns)
+        return COMMANDS[command][0](**values)
     except BrokenPipeError:
         raise  # not an input error; see run
     except (OSError, ValueError) as err:

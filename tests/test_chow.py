@@ -144,6 +144,13 @@ def test_element_builders_refuse_float(build):
         build(w36_ctx())
 
 
+def test_exact_keeps_a_fraction_and_converts_an_int():
+    from fanocalc.chow import _exact
+    half = F(1, 2)
+    assert _exact(half) is half
+    assert type(_exact(3)) is Fraction and _exact(3) == 3
+
+
 def test_basis_map_refuses_float():
     with pytest.raises(TypeError, match="^exact numbers only, not float$"):
         BasisMap(((0.5, 0), (0, 1)))

@@ -16,6 +16,7 @@ from hypothesis import given, settings, strategies as st
 
 from fanocalc import chow, cli, expr, families
 from fanocalc.slope import CSV_COLUMNS
+import cli_reference
 
 GOLDEN = pathlib.Path(__file__).parent / "golden"
 CLI = GOLDEN / "cli"
@@ -59,6 +60,8 @@ PINNED = {
     "family-table --format json": EXPECTED / "family-table.json.out",
     "family-table --format table": EXPECTED / "family-table.table.out",
     "verify": EXPECTED / "verify.out",
+    "--help": CLI / "help.out",
+    "enumerate --help": CLI / "enumerate-help.out",
 }
 
 
@@ -198,6 +201,107 @@ _WORD = st.sampled_from(_COMMANDS + _OPTIONS + _VALUES)
 def test_argv_fuzz_exits_0_1_or_2(argv):
     code, err = run_quietly(*argv)
     assert code in (0, 1, 2) and "Traceback" not in err
+
+
+_REFERENCE_WORDS = ("verify", "-h", "--type=C", "--ty", "--n-",
+                    "--format=json", "-L", "-(L) + H")
+_PARSER_WORD = st.sampled_from(_COMMANDS + _OPTIONS + _VALUES
+                               + _REFERENCE_WORDS)
+
+
+def parsed(parse, argv):
+    """What `parse` makes of argv: "help", "error", or {dest: value} with
+    the command as "command"."""
+    with contextlib.redirect_stdout(io.StringIO()), \
+            contextlib.redirect_stderr(io.StringIO()):
+        try:
+            return parse(argv)
+        except SystemExit as err:
+            return "help" if err.code == 0 else "error"
+
+
+def _table_parse(argv):
+    command, values = cli.parse_args(argv)
+    return {"command": command, **values}
+
+
+def _reference_parse(argv):
+    return vars(cli_reference.build_parser().parse_args(argv))
+
+
+# For each command, groups of the word tuples it accepts: one tuple of
+# each group, in any order, is a command line that it accepts.
+_ACCEPTED = {
+    "verify": [[()]],
+    "enumerate": [[("--type", "C"), ("--type=C",), ("--ty", "P")],
+                  [(), ("--n", "5"), ("--n", "-1"), ("--n-", "2"),
+                   ("--m-max", "20")],
+                  [(), ("--format=json",), ("--format", "csv")]],
+    "eval": [[("--ctx", str(CONTEXTS / "w36.ctx"))],
+             [("L*H",), ("-(L) + H",), ("-1",), ("--", "L*H")]],
+    "exclusions": [[("--case", "1-2"), ("--case", "2-1")]],
+    "family-table": [[(), ("--format=json",), ("--format", "table")]],
+}
+
+
+@st.composite
+def near_valid(draw):
+    """A command line that the command accepts, maybe with one of its
+    options repeated, and up to two words of the alphabet put in
+    anywhere, half of them words that start with "-" and are no flag."""
+    command = draw(st.sampled_from(list(_ACCEPTED)))
+    groups = _ACCEPTED[command]
+    words = draw(st.permutations([draw(st.sampled_from(g)) for g in groups]))
+    words += draw(st.lists(st.sampled_from(sum(groups, [])), max_size=1))
+    argv = [command, *sum(words, ())]
+    for _ in range(draw(st.integers(0, 2))):
+        argv.insert(draw(st.integers(0, len(argv))),
+                    draw(st.sampled_from(("--", "-h", "-1", "-L",
+                                          "-(L) + H")) | _PARSER_WORD))
+    return argv
+
+
+@settings(max_examples=1000, deadline=None)
+@given(near_valid() | st.lists(_PARSER_WORD, max_size=8))
+def test_parser_agrees_with_argparse(argv):
+    # The argparse parser the table replaced, as the oracle: both refuse
+    # argv, or both print help, or both give every dest the same value.
+    assert parsed(_table_parse, argv) == parsed(_reference_parse, argv)
+
+
+@pytest.mark.parametrize("argv", [
+    ["--help=x"], ["enumerate", "--help="], ["enumerate", "--h"],
+    ["enumerate", "--=C"], ["enumerate", "-h", "--=C"],
+    ["eval", "--ctx", "f", "-1.5"], ["eval", "--ctx", "f", "-"],
+    ["eval", "--ctx=", ""], ["eval", "x", "--ctx", "f", "--"],
+    ["eval", "--ctx", "f", "x", "--"], ["eval", "--ctx", "f", "--", "--"],
+    ["enumerate", "--type", "D", "--n-max", " 7"], ["verify", "-x", "-h"],
+    ["enumerate", "--type", "X", "-h"], ["enumerate", "-h", "--type", "X"],
+    ["eval", "--ctx", "-L", "x"], ["eval", "--ctx", "--", "x"],
+    ["eval", "x", "--ctx"], ["-L", "verify"], ["--", "verify"], ["-1"], [],
+], ids=repr)
+def test_parser_agrees_with_argparse_on_edge_cases(argv):
+    assert parsed(_table_parse, argv) == parsed(_reference_parse, argv)
+
+
+def test_usage_error_prints_usage_and_one_error_line(capsys):
+    code, out, err = run(capsys, "enumerate", "--type", "X")
+    assert (code, out) == (2, "")
+    usage, error = err.splitlines()
+    assert usage.startswith("usage: fanocalc enumerate [-h] --type ")
+    assert error == "fanocalc: error: invalid --type value: 'X'"
+    code, out, err = run(capsys, "nope")
+    assert (code, out) == (2, "")
+    assert err.startswith("usage: fanocalc [-h] {verify,enumerate,")
+    assert err.count("\n") == 2
+
+
+@pytest.mark.parametrize("command", cli.COMMANDS)
+def test_each_command_has_help(capsys, command):
+    code, out, err = run(capsys, command, "--help")
+    assert (code, err) == (0, "")
+    assert out.startswith(f"usage: fanocalc {command} [-h]")
+    assert cli.COMMANDS[command][1] in out
 
 
 def test_eval_bad_expression_exits_2(capsys):
@@ -531,9 +635,9 @@ def test_dataset_bad_file_exits_2(capsys, tmp_path, monkeypatch, text,
 # Each command imports only the modules it runs: with no cached bytecode
 # every module loaded is compiled from source on each start.  The probe
 # runs a command, or with "import" imports one module, and prints the exit
-# code, which of dataclasses, inspect and ast (costly to import, and needed
-# by none) were loaded, the fanocalc modules loaded, and whether
-# importlib.resources and typing were loaded.
+# code, which of dataclasses, inspect, ast, argparse, gettext and locale
+# (costly to import, and needed by none) were loaded, the fanocalc modules
+# loaded, and whether importlib.resources, typing and shutil were loaded.
 _IMPORT_PROBE = """\
 import contextlib, importlib, io, sys
 from fanocalc import cli
@@ -543,10 +647,12 @@ if sys.argv[1] == "import":
 else:
     with contextlib.redirect_stdout(io.StringIO()):
         code = cli.run(sys.argv[1:])
-print(code, *[m for m in ("dataclasses", "inspect", "ast") if m in sys.modules])
+print(code, *[m for m in ("dataclasses", "inspect", "ast", "argparse",
+                          "gettext", "locale") if m in sys.modules])
 print(*sorted(m.partition(".")[2] for m in sys.modules
               if m.startswith("fanocalc.")))
-print("importlib.resources" in sys.modules, "typing" in sys.modules)
+print(*[m in sys.modules for m in ("importlib.resources", "typing",
+                                   "shutil")])
 """
 _ENUMERATE = "classify cli dataset exact families slope"
 _DOSSIERS = "chow " + _ENUMERATE
@@ -587,8 +693,9 @@ _ALL = "chow classify cli dataset exact expr families slope verify"
 def test_commands_import_only_what_they_run(argv, modules):
     src = pathlib.Path(cli.__file__).parent.parent
     env = dict(os.environ, PYTHONPATH=str(src))
-    # A site hook may load importlib.resources, and with it typing, before
-    # fanocalc does; under -S none runs, so there no command may load them.
+    # A site hook may load importlib.resources, and with it typing, or
+    # shutil before fanocalc does; under -S none runs, so there no command
+    # may load them.
     for flags in ((), ("-S",)):
         proc = subprocess.run([sys.executable, *flags, "-c", _IMPORT_PROBE,
                                *argv], env=env, capture_output=True,
@@ -596,7 +703,7 @@ def test_commands_import_only_what_they_run(argv, modules):
         lines = proc.stdout.splitlines()
         assert lines[:2] == ["0", modules], proc.stderr
         if flags:
-            assert lines[2] == "False False"
+            assert lines[2] == "False False False"
 
 
 def test_closed_stdout_is_a_quiet_exit():
