@@ -34,6 +34,13 @@ def __dir__():
     return sorted([*globals(), *_EXPORTS])
 
 
+def refuse_float(*values):
+    """TypeError on a float: no float enters fanocalc's arithmetic."""
+    for x in values:
+        if isinstance(x, float):
+            raise TypeError("exact numbers only, not float")
+
+
 class Record:
     """Base of the records that validate their fields or must not equal a
     plain tuple; the others are named tuples.  A subclass lists its fields

@@ -31,7 +31,7 @@ from fractions import Fraction
 from math import gcd, lcm
 from types import MappingProxyType
 
-from . import Record
+from . import Record, refuse_float
 
 # exact has its own; this one keeps `eval` from loading exact.
 RatLike = Fraction | int
@@ -49,8 +49,7 @@ def _exact(x) -> Fraction:
     """x as a Fraction, itself when it is one; a float is refused."""
     if type(x) is Fraction:
         return x
-    if isinstance(x, float):
-        raise TypeError("exact numbers only, not float")
+    refuse_float(x)
     return Fraction(x)
 
 
@@ -61,6 +60,7 @@ class RingCtx(Record):
 
     def __init__(self, n: int, gen_names: tuple[str, str], rel_a: RatLike,
                  rel_b: RatLike, degree_s: RatLike):
+        refuse_float(n)
         a, b, degree_s = _exact(rel_a), _exact(rel_b), _exact(degree_s)
         if not 2 <= n <= MAX_N:
             raise ValueError(f"base dimension n must be from 2 to {MAX_N}")
@@ -152,8 +152,7 @@ def linear_combination(
         den = lcm(*(c.denominator * (1 if e is None else e.den)
                     for c, e in terms))
     except AttributeError:
-        for c, _ in terms:
-            _exact(c)  # a float coefficient is a TypeError
+        refuse_float(*(c for c, _ in terms))
         raise
     vec = [0] * (2 * ctx.n + 2)
     for c, e in terms:

@@ -15,7 +15,7 @@ import io
 import os
 from fractions import Fraction
 
-from . import Record
+from . import Record, refuse_float
 
 DATA_ENV_VAR = "FANOCALC_DATA"
 
@@ -25,9 +25,7 @@ class FanoEntry(Record):
 
     def __init__(self, dim: int, index: int, degree: int, name: str,
                  b4_rank: int | None, source_note: str):
-        for x in (dim, index, degree, b4_rank):
-            if isinstance(x, float):
-                raise TypeError("exact numbers only, not float")
+        refuse_float(dim, index, degree, b4_rank)
         if not (1 <= index <= dim + 1):
             raise ValueError("index must lie between 1 and dim+1")
         if degree < 1:

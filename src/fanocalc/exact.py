@@ -22,7 +22,7 @@ from __future__ import annotations
 from fractions import Fraction
 from math import gcd, lcm
 
-from . import Record
+from . import Record, refuse_float
 
 RatLike = Fraction | int
 IntPair = tuple[int, int]
@@ -84,12 +84,10 @@ class QuadNum(Record):
 
 
 def rational(x) -> RatLike:
-    """x itself when an int or a Fraction; anything else as a Fraction,
-    except a float, which is refused."""
+    """x itself if an int or a Fraction, else Fraction(x); no float."""
     if type(x) is int or type(x) is Fraction:
         return x
-    if isinstance(x, float):
-        raise TypeError("exact numbers only, not float")
+    refuse_float(x)
     return Fraction(x)
 
 
@@ -178,6 +176,7 @@ _TAN_SQ = {q: (1 - c) / c for q, c in _COS_SQ.items() if c}
 
 def tan_sq_pi_over(q: int) -> Fraction | None:
     """tan^2(pi/q) when rational, None otherwise (q=2 is a pole)."""
+    refuse_float(q)
     if q < 2:
         raise ValueError("q must be at least 2")
     return _TAN_SQ.get(q)
@@ -185,6 +184,7 @@ def tan_sq_pi_over(q: int) -> Fraction | None:
 
 def cos_sq_pi_over(q: int) -> Fraction | None:
     """cos^2(pi/q) when rational, None otherwise."""
+    refuse_float(q)
     if q < 2:
         raise ValueError("q must be at least 2")
     return _COS_SQ.get(q)

@@ -15,8 +15,8 @@ from collections import namedtuple
 from fractions import Fraction
 
 from . import Record
-from .chow import (RingCtx, RingElem, check_pow_size, intersection_degree,
-                   linear_combination)
+from .chow import (RingCtx, RingElem, _exact, check_pow_size,
+                   intersection_degree, linear_combination)
 
 MAX_DEPTH = 64
 # Longest expression, in tokens.  A flat sum, product or power chain adds
@@ -343,7 +343,7 @@ def _eval(node: Node, ctx: RingCtx, bindings: Bindings,
         if node.name not in bindings:
             raise ExprError(f"unbound symbol {node.name!r}", node.pos)
         v = bindings[node.name]
-        return (_ONE, v) if isinstance(v, RingElem) else (Fraction(v), None)
+        return (_ONE, v) if isinstance(v, RingElem) else (_exact(v), None)
     if kind is Lit:
         return node.value, None
     if kind is Neg:

@@ -14,6 +14,8 @@ from __future__ import annotations
 
 from collections import namedtuple
 
+from . import refuse_float
+
 TYPE_CHECKING = False
 if TYPE_CHECKING:
     from fractions import Fraction
@@ -29,9 +31,7 @@ class CongruenceTuple(namedtuple("CongruenceTuple", "alpha z m")):
     __slots__ = ()
 
     def __new__(cls, alpha: int, z: int, m: int) -> "CongruenceTuple":
-        for x in (alpha, z, m):
-            if isinstance(x, float):
-                raise TypeError("exact numbers only, not float")
+        refuse_float(alpha, z, m)
         if m - z - 1 <= 0 or alpha * (m - z - 1) != m - 1:
             raise ValueError("alpha must equal (m-1)/(m-z-1) exactly")
         # alpha = 2 would force the two linear pieces to meet; ruled out.
@@ -76,6 +76,7 @@ def enumerate_congruences(m_max: int = DEFAULT_M_MAX) -> list[CongruenceTuple]:
     m = alpha*t + 1 and z = (alpha-1)*t, and 3z <= 2m becomes
     (alpha-3)*t <= 2: every t >= 1 gives a solution with alpha = 3, alpha = 4
     allows t <= 2, alpha = 5 allows t = 1, and no alpha >= 6 is possible."""
+    refuse_float(m_max)
     if m_max < 3:
         raise ValueError("m_max must be at least 3")
     if m_max > MAX_M_MAX:

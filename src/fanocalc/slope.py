@@ -12,7 +12,7 @@ import csv
 import io
 from fractions import Fraction
 
-from . import Record
+from . import Record, refuse_float
 from .exact import (_COS_SQ, RatLike, cos_sq_pi_over, integral_form, rational,
                     zmul, zpow)
 
@@ -28,8 +28,10 @@ ADMISSIBLE_N = tuple(q - 1 for q, c in sorted(_COS_SQ.items()) if c)
 
 
 def require_admissible(n: int) -> None:
+    refuse_float(n)
     if n not in ADMISSIBLE_N:
-        raise ValueError("n must be 2, 3 or 5")
+        *rest, last = ADMISSIBLE_N
+        raise ValueError(f"n must be {', '.join(map(str, rest))} or {last}")
 
 
 def _two_pow_cos_pow(n: int) -> int:
@@ -125,7 +127,7 @@ def base_degree_ratio(n: int, tau: RatLike) -> Fraction:
 def y_dot_f(c1p: RatLike, tau_prime: RatLike, mu: int) -> Fraction:
     """Intersection of the hypersurface class of Y in the ambient
     projective bundle with a fiber of the first projection."""
-    return -(Fraction(rational(c1p)) * mu + 2 * Fraction(rational(tau_prime)))
+    return -(Fraction(rational(c1p)) * rational(mu) + 2 * rational(tau_prime))
 
 
 def pushforward_R(nu: int, nu_prime: int, c2_push_coeff: RatLike) -> Fraction:
@@ -181,6 +183,8 @@ class InvariantTuple(Record):
         self.__post_init__()
 
     def __post_init__(self):
+        refuse_float(self.n, self.lam, self.mu, self.mu_prime, self.i,
+                     self.i_prime, self.c1, self.d, self.d_prime)
         for f in _RATIONAL_FIELDS:
             v = getattr(self, f)
             if v is not None and type(v) is not Fraction:

@@ -130,6 +130,8 @@ def test_product_with_a_number_is_a_type_error():
 def test_ring_context_refuses_float():
     with pytest.raises(TypeError, match="^exact numbers only, not float$"):
         RingCtx(3, ("L", "H"), 0.5, -3, 1)
+    with pytest.raises(TypeError, match="^exact numbers only, not float$"):
+        RingCtx(3.0, ("L", "H"), F(1, 2), -3, 1)
 
 
 @pytest.mark.parametrize("build", [

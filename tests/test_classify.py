@@ -423,6 +423,10 @@ def test_congruence_tuple_validation():
     lambda: dataset.FanoEntry(3.0, 2, 2.5, "x", None, ""),
     lambda: dataset.FanoEntry(3, 2, 2.5, "x", None, ""),
     lambda: dataset.FanoEntry(3, 2, 2, "x", 1.0, ""),
+    lambda: enumerate_type_C(5.0),
+    lambda: classify.enumerate_type_P(5.0),
+    lambda: enumerate_type_D(5.5),
+    lambda: enumerate_congruences(19.0),
 ])
 def test_records_refuse_float(call):
     with pytest.raises(TypeError, match="^exact numbers only, not float$"):

@@ -284,6 +284,33 @@ def test_parser_agrees_with_argparse_on_edge_cases(argv):
     assert parsed(_table_parse, argv) == parsed(_reference_parse, argv)
 
 
+# argparse releases disagree on these words (CPython 3.11.7 and 3.13.0
+# differ on -hx, -h=h, --type=-- and --ctx=--), so they stay out of the
+# oracle's alphabet above and the table parser's outcome is pinned here:
+# the last line of a usage error, or the parse.
+_RELEASE_DEPENDENT = {
+    "-hx": "missing command",
+    "-hh": "missing command",
+    "enumerate -hx": "missing --type",
+    "-h=h": "-h takes no value",
+    "enumerate -h=h": "-h takes no value",
+    "enumerate --type=--": "invalid --type value: '--'",
+    "eval --ctx=-- L": ("eval", {"ctx_path": "--", "expression": "L"}),
+}
+
+
+@pytest.mark.parametrize("argv, want", _RELEASE_DEPENDENT.items(),
+                         ids=list(_RELEASE_DEPENDENT))
+def test_parser_on_words_argparse_releases_disagree_on(capsys, argv, want):
+    try:
+        got = cli.parse_args(argv.split())
+    except SystemExit as err:
+        assert err.code == 2
+        got = capsys.readouterr().err.splitlines()[-1]
+        want = f"fanocalc: error: {want}"
+    assert got == want
+
+
 def test_usage_error_prints_usage_and_one_error_line(capsys):
     code, out, err = run(capsys, "enumerate", "--type", "X")
     assert (code, out) == (2, "")

@@ -250,6 +250,13 @@ def test_evaluate_parity_functional():
     assert result.degree == -395
 
 
+def test_evaluate_refuses_a_float_binding():
+    # Fraction(0.1) would bind the binary expansion of 0.1.
+    ctx = lh_ctx()
+    with pytest.raises(TypeError, match="^exact numbers only, not float$"):
+        evaluate_text("c*L", ctx, {**base_bindings(ctx), "c": 0.1})
+
+
 def test_evaluate_unbound_symbol():
     ctx = lh_ctx()
     with pytest.raises(ExprError, match="unbound symbol"):

@@ -67,25 +67,36 @@ def test_unknown_attribute_raises_attribute_error():
 
 
 def test_package_source_holds_no_floating_point():
-    """No float or complex literal; the name float only as the type that
-    isinstance refuses; and math imported only as its gcd and lcm, never
-    as the whole module."""
-    found = []
+    """No float or complex literal; the name float only in the one
+    isinstance gate of the package root, fanocalc.refuse_float, whose
+    message is written once; and math imported only as its gcd and lcm,
+    never as the whole module."""
+    found, gates, messages = [], [], []
     for path in sorted((SRC / "fanocalc").glob("*.py")):
         tree = ast.parse(path.read_text(encoding="utf-8"))
-        gates = {id(call.args[1]) for call in ast.walk(tree)
-                 if isinstance(call, ast.Call)
-                 and isinstance(call.func, ast.Name)
-                 and call.func.id == "isinstance" and len(call.args) == 2}
+        isinstance_types = {id(call.args[1]) for call in ast.walk(tree)
+                            if isinstance(call, ast.Call)
+                            and isinstance(call.func, ast.Name)
+                            and call.func.id == "isinstance"
+                            and len(call.args) == 2}
+        in_gate = {id(node) for fn in ast.walk(tree)
+                   if isinstance(fn, ast.FunctionDef)
+                   and (path.name, fn.name) == ("__init__.py", "refuse_float")
+                   for node in ast.walk(fn)}
         math_names = set()
         for node in ast.walk(tree):
             where = f"{path.name}:{getattr(node, 'lineno', 0)}"
             if isinstance(node, ast.Constant) \
                     and type(node.value) in (float, complex):
                 found.append(f"{where}: literal {node.value!r}")
-            elif isinstance(node, ast.Name) and node.id == "float" \
-                    and id(node) not in gates:
-                found.append(f"{where}: float")
+            elif isinstance(node, ast.Constant) \
+                    and node.value == "exact numbers only, not float":
+                messages.append((where, id(node) in in_gate))
+            elif isinstance(node, ast.Name) and node.id == "float":
+                if id(node) in isinstance_types:
+                    gates.append((where, id(node) in in_gate))
+                else:
+                    found.append(f"{where}: float")
             elif isinstance(node, ast.ImportFrom) and node.module == "math":
                 math_names.update(alias.name for alias in node.names)
             elif isinstance(node, ast.Import):
@@ -95,3 +106,6 @@ def test_package_source_holds_no_floating_point():
             found.append(f"{path.name}: math supplies "
                          f"{sorted(math_names - {'gcd', 'lcm'})}")
     assert not found
+    # Exactly one isinstance(..., float) and one copy of its message.
+    assert [home for _, home in gates] == [True], gates
+    assert [home for _, home in messages] == [True], messages

@@ -4,7 +4,7 @@ from fractions import Fraction
 import pytest
 from hypothesis import example, given, strategies as st
 
-from fanocalc import slope
+from fanocalc import exact, slope
 from fanocalc.slope import (InvariantError, InvariantTuple, base_degree_ratio,
                             c1_prime, check_rho_tau, pushforward_R,
                             solve_nu_prime, tuple_to_row, tuples_to_csv)
@@ -279,6 +279,17 @@ def test_threshold_errors_keep_their_messages(form):
     lambda: slope.kprime_degree_formulas(5, 1, 4, 1, 36.0),
     lambda: pushforward_R(1.5, 2, 8),
     lambda: pushforward_R(1, 2.0, 8),
+    lambda: slope.require_admissible(5.0),
+    lambda: c1_prime(5.0, 3, 1),
+    lambda: base_degree_ratio(5.0, 2),
+    lambda: slope.kprime_degree_formulas(5.0, 1, 3, 1, 72),
+    lambda: slope.y_dot_f(-6, 3, 0.5),
+    lambda: exact.tan_sq_pi_over(3.0),
+    lambda: exact.cos_sq_pi_over(3.0),
+    # Each int field of a row, as the float of its value.
+    *(lambda f=f: sample_tuple(**{f: float(SAMPLE_ROW.get(f, 1))})
+      for f in ("n", "lam", "mu", "mu_prime", "i", "i_prime", "c1", "d",
+                "d_prime")),
 ])
 def test_float_is_refused(call):
     with pytest.raises(TypeError, match="^exact numbers only, not float$"):
