@@ -25,9 +25,11 @@ as exact 2x2 rational matrices.
 
 from __future__ import annotations
 
+from bisect import bisect_left
 from collections import namedtuple
 from collections.abc import Sequence
 from fractions import Fraction
+from itertools import compress
 from math import gcd, lcm
 from types import MappingProxyType
 
@@ -108,6 +110,29 @@ def _check(ctx: RingCtx, e: "RingElem") -> None:
         raise ContextMismatchError("elements belong to different contexts")
 
 
+def _span(e: RingElem) -> tuple[int, int]:
+    """The least and greatest degree of e's nonzero slots, where slot
+    i <= n holds t^i and slot n+1+i G1*t^i; (n+2, 0), an empty span,
+    when e = 0."""
+    n = e.ctx.n
+    degrees = [i if i <= n else i - n for i, _ in e.nonzero]
+    return min(degrees, default=n + 2), max(degrees, default=0)
+
+
+def _slots(n: int, lo: int, hi: int) -> int:
+    """How many slots hold degree lo to hi: two per degree, but one for
+    degree 0 and for the top degree n+1, past which nothing is kept."""
+    hi = min(hi, n + 1)
+    return max(0, 2 * (hi - lo + 1) - (lo == 0) - (hi == n + 1))
+
+
+def refuse_bits(what: str, bits: int) -> None:
+    """ValueError when an estimate of `bits` passes MAX_POW_BITS."""
+    if bits > MAX_POW_BITS:
+        raise ValueError(f"{what} too large: about {bits} bits, "
+                         f"above the limit of {MAX_POW_BITS}")
+
+
 def check_pow_size(p: int, q: int, k: int, e: RingElem | None = None) -> None:
     """Refuse (p/q)^k, or e^k for e with scalar part p/q, past
     MAX_POW_BITS with ValueError, before computing it.  (p/q)^k is about
@@ -115,9 +140,9 @@ def check_pow_size(p: int, q: int, k: int, e: RingElem | None = None) -> None:
     (p/q)^(k-j) N^j, N = e - p/q, over j <= min(k, n+1), and each factor
     of N adds about the bits of k, of N and of the relation to each slot
     e^k fills: those of degree k*lo to k*hi, lo and hi the least and
-    greatest degree in e (slot i <= n holds t^i, slot n+1+i G1*t^i).
-    Those bits are counted once per squaring, log2(k) of them, as the
-    work; a scalar part doubles at each squaring, so its last one counts."""
+    greatest degree in e.  Those bits are counted once per squaring,
+    log2(k) of them, as the work; a scalar part doubles at each squaring,
+    so its last one counts."""
     bits = 0
     if p and abs(p) != q:
         g = gcd(p, q)
@@ -131,15 +156,45 @@ def check_pow_size(p: int, q: int, k: int, e: RingElem | None = None) -> None:
             bits += min(k, n + 1) * (kb + step) * kb
         slots = 2 * n + 2  # counted only when all of them are too many
         if bits * slots > MAX_POW_BITS:
-            degrees = [i if i <= n else i - n
-                       for i, v in enumerate(e.vec) if v]
-            lo = k * min(degrees, default=0)
-            hi = min(k * max(degrees, default=0), n + 1)
-            slots = max(0, 2 * (hi - lo + 1) - (lo == 0) - (hi == n + 1))
+            lo, hi = _span(e)
+            slots = _slots(n, k * lo, k * hi)
         bits *= slots
-    if bits > MAX_POW_BITS:
-        raise ValueError(f"power too large: about {bits} bits, "
-                         f"above the limit of {MAX_POW_BITS}")
+    refuse_bits("power", bits)
+
+
+def _factor_bits(e: RingElem) -> tuple[int, int]:
+    """For e = (a + N)/q, a the scalar numerator and N the rest: the bits
+    of a and q, 0 for +-1, and those of the sum of |N|'s numerators;
+    computed once per element."""
+    if e._bits is None:
+        a = abs(e.vec[0])
+        e._bits = ((e.den - 1).bit_length() + (max(a, 1) - 1).bit_length(),
+                   (sum(map(abs, e.vec)) - a).bit_length())
+    return e._bits
+
+
+def check_product_size(e: RingElem, e2: RingElem, chain=None):
+    """Refuse e*e2 past MAX_POW_BITS with ValueError, before computing
+    it.  `chain` is what this returned for the product e, or None when e
+    is a single factor; what it returns is that of e*e2.
+
+    Write each of the k factors as (a + N)/q.  Each slot of the product
+    sums, for each j <= n+1, at most C(k, j) products of j of the N, the
+    relation and the a of the other factors, over a divisor of r^n times
+    the product of the q.  So it holds about the bits of every a and q,
+    plus min(k, n+1) times those of k, of the largest N and of the
+    relation, as in check_pow_size, in each slot of degree lo+lo2 to
+    hi+hi2, where e spans lo to hi and e2 lo2 to hi2."""
+    n, (r, pa, pb) = e.ctx.n, e.ctx._rel
+    scalar, nil, k = chain or (*_factor_bits(e), 1)
+    scalar2, nil2 = _factor_bits(e2)
+    scalar, nil, k = scalar + scalar2, max(nil, nil2), k + 1
+    bits = scalar + min(k, n + 1) * (
+        k.bit_length() + nil + (r * max(r, abs(pa) + abs(pb))).bit_length())
+    if bits * (2 * n + 2) > MAX_POW_BITS:  # all slots, then the filled ones
+        (lo, hi), (lo2, hi2) = _span(e), _span(e2)
+        refuse_bits("product", bits * _slots(n, lo + lo2, hi + hi2))
+    return scalar, nil, k
 
 
 def linear_combination(
@@ -161,15 +216,14 @@ def linear_combination(
             continue
         _check(ctx, e)
         s = c.numerator * (den // (c.denominator * e.den))
-        for k, x in enumerate(e.vec):
-            if x:
-                vec[k] += s * x
+        for k, x in e.nonzero:
+            vec[k] += s * x
     return _lowest(ctx, vec, den)
 
 
 def _convolve(out: list[int], at: int, xs, ys, top: int, scale: int) -> None:
     """out[at + i + j] += scale * x_i * y_j for i + j <= top, where xs and
-    ys list the nonzero (index, value) pairs of two vectors."""
+    ys list nonzero (index, value) pairs of two vectors in index order."""
     for i, c in xs:
         c *= scale
         for j, d in ys:
@@ -214,16 +268,28 @@ class RingElem:
 
     `vec` holds the numerators of the coefficients of t^0..t^n in A, then
     in B, over the positive denominator `den`, in lowest terms; both are
-    never changed after construction.  Use RingCtx to build elements.
+    never changed after construction, so `nonzero`, `coeffs` and the
+    size estimate of a product are computed once, when first needed.  Use
+    RingCtx to build elements.
     """
 
-    __slots__ = ("ctx", "vec", "den", "_coeffs")
+    __slots__ = ("ctx", "vec", "den", "_coeffs", "_nonzero", "_bits")
 
     def __init__(self, ctx: RingCtx, vec: list[int], den: int):
         self.ctx = ctx
         self.vec = vec
         self.den = den
-        self._coeffs = None
+        self._coeffs = self._nonzero = self._bits = None
+
+    @property
+    def nonzero(self) -> list[tuple[int, int]]:
+        """The (slot, numerator) pairs of `vec` with a nonzero numerator,
+        in slot order; like `vec`, never changed.  A list, not a tuple:
+        the interpreter keeps freed tuples of each short length for
+        reuse, so tuples of many lengths raise its peak memory."""
+        if self._nonzero is None:
+            self._nonzero = list(compress(enumerate(self.vec), self.vec))
+        return self._nonzero
 
     @property
     def coeffs(self) -> MappingProxyType[tuple[int, int], Fraction]:
@@ -231,8 +297,7 @@ class RingElem:
         if self._coeffs is None:
             m, den = self.ctx.n + 1, self.den
             self._coeffs = MappingProxyType({
-                divmod(k, m): Fraction(v, den)
-                for k, v in enumerate(self.vec) if v})
+                divmod(k, m): Fraction(v, den) for k, v in self.nonzero})
         return self._coeffs
 
     def __add__(self, other: "RingElem") -> "RingElem":
@@ -246,17 +311,18 @@ class RingElem:
         n = ctx.n
         m = n + 1
         r, pa, pb = ctx._rel
-        x, y = self.vec, other.vec
-        xa = [(i, x[i]) for i in range(m) if x[i]]
-        xb = [(i, x[m + i]) for i in range(m) if x[m + i]]
-        ya = [(j, y[j]) for j in range(m) if y[j]]
-        yb = [(j, y[m + j]) for j in range(m) if y[m + j]]
+        # Each factor's nonzero pairs split at slot m into its A and B
+        # parts.  A B pair keeps its slot, m + i for G1*t^i, so each B
+        # factor in a convolution lowers `at` and raises `top` by m.
+        x, y = self.nonzero, other.nonzero
+        i, j = bisect_left(x, (m,)), bisect_left(y, (m,))
+        xa, xb, ya, yb = x[:i], x[i:], y[:j], y[j:]
         out = [0] * (2 * m)
         _convolve(out, 0, xa, ya, n, r)
-        _convolve(out, m, xa, yb, n, r)
-        _convolve(out, m, xb, ya, n, r)
-        _convolve(out, m + 1, xb, yb, n - 1, pa)
-        _convolve(out, 2, xb, yb, n - 2, pb)
+        _convolve(out, 0, xa, yb, n + m, r)
+        _convolve(out, 0, xb, ya, n + m, r)
+        _convolve(out, 1 - m, xb, yb, n - 1 + 2 * m, pa)
+        _convolve(out, 2 - 2 * m, xb, yb, n - 2 + 2 * m, pb)
         return _lowest(ctx, out, self.den * other.den * r)
 
     def scale(self, s: RatLike) -> "RingElem":
@@ -287,8 +353,7 @@ class RingElem:
 
     def is_homogeneous(self, degree: int) -> bool:
         m = self.ctx.n + 1
-        return all(sum(divmod(k, m)) == degree
-                   for k, v in enumerate(self.vec) if v)
+        return all(sum(divmod(k, m)) == degree for k, _ in self.nonzero)
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, RingElem):

@@ -165,6 +165,8 @@ def enumerate_type_D(n_max: int = DEFAULT_N_MAX) -> Enumerated:
     center; candidates are cut out by the argument bound and the
     integrality of the codimension-two basis change."""
     refuse_float(n_max)
+    if n_max % 1:
+        raise ValueError("n_max must be an integer")
     if n_max < 2:
         raise ValueError("n_max must be at least 2")
     manifolds = _manifolds()

@@ -126,8 +126,11 @@ def zmul(x: IntPair, y: IntPair, d: int) -> IntPair:
 
 def zpow(x: IntPair, m: int, d: int) -> IntPair:
     """m-th power of x in Z[sqrt(d)], m >= 0, by square-and-multiply."""
-    if m < 0:
-        raise ValueError("exponent must be nonnegative")
+    if m <= 0:
+        if m:
+            raise ValueError("exponent must be nonnegative")
+        refuse_float(m)  # 0.0 would run no loop below; other floats fail there
+        return 1, 0
     result = (1, 0)
     while m:
         if m & 1:

@@ -1,10 +1,10 @@
 """Small expression language for intersection-ring computations.
 
-Supports rational literals ("2", "5/3"), symbols with an optional prime
-suffix (K, H, K', H', c1'), unary minus, sums, products and nonnegative
-integer powers.  No implicit multiplication: "2H" is a syntax error, so
-primed symbols never become ambiguous.  Precedence, tightest first:
-^  unary -  *  binary +/-.
+Supports rational literals ("2", an int, and "5/3", a Fraction),
+symbols with an optional prime suffix (K, H, K', H', c1'), unary minus,
+sums, products and nonnegative integer powers.  No implicit
+multiplication: "2H" is a syntax error, so primed symbols never become
+ambiguous.  Precedence, tightest first: ^  unary -  *  binary +/-.
 """
 
 from __future__ import annotations
@@ -16,7 +16,8 @@ from fractions import Fraction
 
 from . import Record
 from .chow import (RingCtx, RingElem, _exact, check_pow_size,
-                   intersection_degree, linear_combination)
+                   check_product_size, intersection_degree,
+                   linear_combination, refuse_bits)
 
 MAX_DEPTH = 64
 # Longest expression, in tokens.  A flat sum, product or power chain adds
@@ -56,10 +57,12 @@ _set = object.__setattr__
 
 
 class Lit(Record):
-    __slots__ = ("value",)
+    __slots__ = ("value", "pos")
+    _compare = ("value",)
 
-    def __init__(self, value: Fraction):
+    def __init__(self, value: int | Fraction, pos: int = 0):
         _set(self, "value", value)
+        _set(self, "pos", pos)
 
 
 class Sym(Record):
@@ -215,7 +218,8 @@ class _Parser:
             node = Sym(text, pos)
         elif kind == "number":
             p, _, q = text.partition("/")
-            node = Lit(Fraction(_int(p, pos), _int(q, pos) if q else 1))
+            node = Lit(Fraction(_int(p, pos), _int(q, pos)) if q
+                       else _int(p, pos), pos)
         elif kind == "minus":
             self._enter(pos)
             node = Neg(self.factor())
@@ -293,25 +297,50 @@ _ONE = Fraction(1)
 EvalResult = namedtuple("EvalResult", "element degree note", defaults=(None,))
 
 
+def _column(node: Node) -> int:
+    """The column of the first number or symbol of node."""
+    while type(node) not in (Sym, Lit):
+        node = (node.child if type(node) is Neg else node.terms[0]
+                if type(node) is Add else node.factors[0]
+                if type(node) is Mul else node.base)
+    return node.pos
+
+
+def _scalar_bits(c: int | Fraction) -> int:
+    return max(c.numerator.bit_length(), c.denominator.bit_length())
+
+
+def _checked(factor: Node, check, *args):
+    """check(*args), whose ValueError becomes an ExprError at the column
+    of the factor of a product that crossed a size limit."""
+    try:
+        return check(*args)
+    except ValueError as err:
+        raise ExprError(str(err), _column(factor)) from None
+
+
 def _eval(node: Node, ctx: RingCtx, bindings: Bindings,
-          powers: dict) -> tuple[Fraction, RingElem | None]:
-    # A value during evaluation is a pair (c, e) for c*e: a Fraction c and
-    # a RingElem e, or c alone when e is None.
+          memo: dict) -> tuple[int | Fraction, RingElem | None]:
+    # A value during evaluation is a pair (c, e) for c*e: a rational c, an
+    # int or a Fraction, and a RingElem e, or c alone when e is None.
     # A chain is evaluated left to right in a loop, so its length costs no
     # recursion depth, and a sum is reduced once, by linear_combination.
-    # `powers` holds the value of each power of a symbol or literal already
-    # evaluated, keyed by the name or value and the exponents, so the
-    # repeated L^2 of a sum is computed once.  A power that raised is not
-    # in it, and neither is a power of a compound base, whose key would
-    # walk its whole subtree.
+    # `memo` lives for one evaluation.  It holds the value of each power
+    # of a symbol or literal, keyed by the name or value and the tuple of
+    # exponents, so the repeated L^2 of a sum is computed once.  A power
+    # that raised is not in it, and neither is a power of a compound base,
+    # whose key would walk its whole subtree.  It also holds each product
+    # of two elements, keyed by the pair of their ids, with both factors,
+    # so that neither id is reused while the memo lives, and the product's
+    # size estimate: the L^2*H of a sum is then multiplied once.
     kind = type(node)
     if kind is Pow:
         base = node.base
         key = ((base.name if type(base) is Sym else base.value, node.exponents)
                if type(base) in (Sym, Lit) else None)
-        pair = powers.get(key)
+        pair = memo.get(key)
         if pair is None:
-            c, e = _eval(base, ctx, bindings, powers)
+            c, e = _eval(base, ctx, bindings, memo)
             try:
                 if e is None:
                     for k, pos in zip(node.exponents, node.pos):
@@ -328,16 +357,31 @@ def _eval(node: Node, ctx: RingCtx, bindings: Bindings,
                 raise ExprError(str(err), pos) from None
             pair = c, e
             if key is not None:
-                powers[key] = pair
+                memo[key] = pair
         return pair
     if kind is Mul:
-        c, e = _eval(node.factors[0], ctx, bindings, powers)
+        # Each product is refused past MAX_POW_BITS before it is computed:
+        # a scalar one by the bits of its two factors, and one of elements
+        # by check_product_size, which carries `chain` from one to the next.
+        c, e = _eval(node.factors[0], ctx, bindings, memo)
+        chain = None
         for factor in node.factors[1:]:
-            c2, e2 = _eval(factor, ctx, bindings, powers)
+            c2, e2 = _eval(factor, ctx, bindings, memo)
             if c2 is not _ONE:  # as an element's symbol, power or sum has
+                _checked(factor, refuse_bits, "product",
+                         _scalar_bits(c) + _scalar_bits(c2))
                 c *= c2
-            if e2 is not None:
-                e = e2 if e is None else e * e2
+            if e2 is None:
+                continue
+            if e is None:
+                e = e2
+                continue
+            key = id(e), id(e2)
+            product = memo.get(key)
+            if product is None:
+                chain = _checked(factor, check_product_size, e, e2, chain)
+                product = memo[key] = e, e2, e * e2, chain
+            _, _, e, chain = product
         return c, e
     if kind is Sym:
         if node.name not in bindings:
@@ -347,10 +391,10 @@ def _eval(node: Node, ctx: RingCtx, bindings: Bindings,
     if kind is Lit:
         return node.value, None
     if kind is Neg:
-        c, e = _eval(node.child, ctx, bindings, powers)
+        c, e = _eval(node.child, ctx, bindings, memo)
         return -c, e
     if kind is Add:
-        pairs = [_eval(term, ctx, bindings, powers) for term in node.terms]
+        pairs = [_eval(term, ctx, bindings, memo) for term in node.terms]
         if all(e is None for _, e in pairs):
             return sum(c for c, _ in pairs), None
         return _ONE, linear_combination(ctx, pairs)

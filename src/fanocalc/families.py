@@ -77,6 +77,8 @@ def enumerate_congruences(m_max: int = DEFAULT_M_MAX) -> list[CongruenceTuple]:
     (alpha-3)*t <= 2: every t >= 1 gives a solution with alpha = 3, alpha = 4
     allows t <= 2, alpha = 5 allows t = 1, and no alpha >= 6 is possible."""
     refuse_float(m_max)
+    if m_max % 1:
+        raise ValueError("m_max must be an integer")
     if m_max < 3:
         raise ValueError("m_max must be at least 3")
     if m_max > MAX_M_MAX:

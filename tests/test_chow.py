@@ -6,9 +6,10 @@ import pytest
 from hypothesis import given, strategies as st
 
 from fanocalc.chow import (BasisMap, ContextMismatchError, RingCtx,
-                           basis_map_A, basis_map_B, convert_element,
-                           derived_context, dumps_context, intersection_degree,
-                           linear_combination, loads_context, reduce)
+                           basis_map_A, basis_map_B, check_product_size,
+                           convert_element, derived_context, dumps_context,
+                           intersection_degree, linear_combination,
+                           loads_context, reduce)
 
 F = Fraction
 
@@ -114,6 +115,29 @@ def test_power_bound_counts_the_slots_the_power_fills():
     assert time.perf_counter() - start < 1.0
     top = (ctx.gen1 + ctx.gen2) ** 1001
     assert list(top.coeffs) == [(1, 1000)]
+
+
+def test_product_bound_follows_a_chain_of_factors():
+    # At n = 1000 a chain of distinct rational linear factors fills more
+    # slots with longer numbers at each factor, and is refused after about
+    # a hundred of them.  At n = 5, 20,000 factors 1 + L, whose scalar
+    # parts do not grow, pass.
+    ctx = RingCtx(1000, ("L", "H"), F(1, 3), F(-2, 7), F(5))
+    start = time.perf_counter()
+    e, chain = ctx.scalar(2) + ctx.gen1.scale(F(1, 3)) + ctx.gen2, None
+    with pytest.raises(ValueError, match="^product too large: about "):
+        for k in range(2, 2000):
+            factor = ctx.scalar(k + 1) + ctx.gen1.scale(F(1, k + 2)) \
+                + ctx.gen2
+            chain = check_product_size(e, factor, chain)
+            e = e * factor
+    assert 50 < k < 200 and time.perf_counter() - start < 5.0
+    small = lh_ctx(5, -1, F(1, 3), 18)
+    x = small.one() + small.gen1
+    e, chain = x, None
+    for _ in range(20_000):
+        chain = check_product_size(e, x, chain)
+    assert chain[2] == 20_001
 
 
 def test_product_with_a_number_is_a_type_error():
@@ -301,6 +325,14 @@ def test_context_serialization_roundtrip():
     assert loads_context(dumps_context(derived)) == derived
     with pytest.raises(ValueError):
         loads_context("n=3\n")
+
+
+@given(ctx_and_elems(count=2))
+def test_nonzero_pairs_are_the_nonzero_slots(data):
+    ctx, x, y = data
+    for e in (x, y, x * y, y * x, x + y, x ** 3, x.scale(F(-2, 3))):
+        assert e.nonzero == [(k, v) for k, v in enumerate(e.vec) if v]
+        assert e.nonzero is e.nonzero
 
 
 @given(ctx_and_elems(count=3))

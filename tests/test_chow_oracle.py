@@ -14,6 +14,7 @@ from hypothesis import given, settings, strategies as st
 
 from fanocalc.chow import (RingCtx, intersection_degree, linear_combination,
                            reduce)
+from fanocalc.expr import evaluate_text
 
 F = Fraction
 
@@ -164,3 +165,35 @@ def test_ring_matches_sympy(data):
     top = ctx.element(form) ** (ctx.n + 1)
     want = ring.normal_form(ring.poly(form) ** (ctx.n + 1))
     assert intersection_degree(top) == want.get((1, ctx.n), F(0)) * ctx.degree_s
+
+
+@settings(max_examples=25, deadline=None)
+@given(st.data())
+def test_sums_of_monomial_products_match_sympy(data):
+    # A few monomials, each written one way as a product of powers of the
+    # generators, recur across the terms of a sum, as in the flat sums of
+    # the ring-eval benchmark: one evaluation multiplies each product once.
+    sp = pytest.importorskip("sympy")
+    ctx = data.draw(contexts(max_n=5))
+    ring = SympyRing(sp, ctx)
+    monomials = data.draw(st.lists(
+        st.tuples(st.integers(0, 3), st.integers(0, 3)), min_size=1,
+        max_size=3))
+
+    def powers(name, k):  # G^k, or G*G^(k-1)
+        if k > 1 and data.draw(st.booleans()):
+            return [name, f"{name}^{k - 1}"]
+        return [f"{name}^{k}"] if k else []
+
+    texts = {m: "*".join(data.draw(st.permutations(
+        powers("G1", m[0]) + powers("G2", m[1])))) for m in monomials}
+    terms = data.draw(st.lists(st.tuples(coeff_values,
+                                         st.sampled_from(monomials)),
+                               min_size=1, max_size=8))
+    text = " + ".join(
+        ("-" if c < 0 else "") + f"{abs(c.numerator)}/{c.denominator}"
+        + (f"*{texts[m]}" if texts[m] else "") for c, m in terms)
+    poly = sum((ring.q(c) * ring.g1 ** i * ring.g2 ** j
+                for c, (i, j) in terms), sp.Integer(0))
+    result = evaluate_text(text, ctx, {"G1": ctx.gen1, "G2": ctx.gen2})
+    assert dict(result.element.coeffs) == ring.normal_form(poly)

@@ -433,6 +433,21 @@ def test_records_refuse_float(call):
         call()
 
 
+@pytest.mark.parametrize("call, bound", [
+    (lambda: enumerate_type_D(F(11, 2)), "n_max"),
+    (lambda: enumerate_congruences(F(39, 2)), "m_max"),
+])
+def test_bounds_refuse_a_non_integer(call, bound):
+    with pytest.raises(ValueError, match=f"^{bound} must be an integer$"):
+        call()
+
+
+def test_bounds_read_a_whole_fraction_as_its_int():
+    # The check is on the value: Fraction(6) is the bound 6.
+    assert enumerate_type_D(F(6)) == enumerate_type_D(6)
+    assert enumerate_congruences(F(40)) == enumerate_congruences(40)
+
+
 def test_congruence_tuple_value_semantics():
     # Equality, hash and repr as the frozen dataclass had them.
     t = CongruenceTuple(4, 6, 9)

@@ -4,11 +4,13 @@ import json
 import math
 import os
 import pathlib
+import re
 import shutil
 import subprocess
 import sys
 import tempfile
 import time
+from fractions import Fraction
 from unittest import mock
 
 import pytest
@@ -444,6 +446,44 @@ def test_eval_power_filling_a_large_context_exits_2_fast(tmp_path):
     want = chow.intersection_degree((ctx.gen1 + ctx.gen2) ** 1001)
     proc = child("(L+H)^1001")
     assert (proc.returncode, proc.stdout, proc.stderr) == (0, f"{want}\n", "")
+
+
+def test_eval_product_chain_filling_a_large_context_exits_2_fast(tmp_path):
+    # In a child process, so that a bound that misses this chain fails by
+    # the timeout instead of hanging the suite: 999 distinct rational
+    # linear factors took 18.5 s that way, and 1999 more than 100 s.
+    src = pathlib.Path(cli.__file__).parent.parent
+    env = dict(os.environ, PYTHONPATH=str(src))
+
+    def child(ctx_text, text):
+        path = tmp_path / "chain.ctx"
+        path.write_text(ctx_text)
+        return subprocess.run([sys.executable, "-m", "fanocalc", "eval",
+                               "--ctx", str(path), text], env=env,
+                              capture_output=True, text=True, timeout=10)
+
+    text = "*".join(f"({k}+1/{k + 2}*L+H)" for k in range(1, 2000))
+    assert len(text) == 33_773
+    proc = child("n=1000\ngen_names=L,H\nrel_a=1/3\nrel_b=-2/7\n"
+                 "degree_s=5\n", text)
+    assert (proc.returncode, proc.stdout) == (2, "")
+    assert re.fullmatch(r"input error: column \d+: product too large: "
+                        r"about \d+ bits, above the limit of 1048576\n",
+                        proc.stderr)
+    # Twenty linear forms reach the top degree at n = 19, and the chain
+    # prints the degree that sympy gives.
+    sp = pytest.importorskip("sympy")
+    from test_chow_oracle import SympyRing
+    ctx = chow.RingCtx(19, ("L", "H"), Fraction(1, 3), Fraction(-2, 7),
+                       Fraction(5))
+    forms = [(Fraction(k, k + 1), Fraction(k + 2, 3)) for k in range(1, 21)]
+    ring = SympyRing(sp, ctx)
+    top = ring.normal_form(math.prod(
+        ring.q(a) * ring.g1 - ring.q(b) * ring.g2 for a, b in forms))
+    proc = child(chow.dumps_context(ctx),
+                 "*".join(f"({a}*L - {b}*H)" for a, b in forms))
+    assert (proc.returncode, proc.stderr) == (0, "")
+    assert proc.stdout == f"{top[1, 19] * ctx.degree_s}\n"
 
 
 @pytest.mark.parametrize("text, message", [

@@ -303,14 +303,37 @@ def test_evaluate_computes_each_equal_power_once(monkeypatch):
     assert result.element == evaluate_text("2*L^3", ctx, bindings).element
 
 
+def test_evaluate_computes_each_equal_product_once(monkeypatch):
+    calls = []
+    mul = chow.RingElem.__mul__
+
+    def counted(self, other):
+        calls.append(other)
+        return mul(self, other)
+
+    monkeypatch.setattr(chow.RingElem, "__mul__", counted)
+    ctx = lh_ctx()
+    bindings = base_bindings(ctx)
+    result = evaluate_text("L^2*H + 2*L^2*H - 1/2*L^2*H*K + L^2*K"
+                           " + L^2*H*K", ctx, bindings)
+    # L*L for L^2, then L^2*H, L^2*H*K and L^2*K once each.
+    L, H, K = ctx.gen1, ctx.gen2, bindings["K"]
+    assert calls == [L, H, K, K]
+    monkeypatch.undo()
+    want = (L ** 2 * H).scale(3) + (L ** 2 * H * K).scale(F(1, 2)) \
+        + L ** 2 * K
+    assert result.element == want
+
+
 def test_power_memo_lives_for_one_evaluation():
-    # One tree in two contexts: each gets its own value of L^2.
-    ast = parse_text("L^2 + L^2*H")
+    # One tree in two contexts: each gets its own value of L^2 and of each
+    # product.
+    ast = parse_text("L^2 + L^2*H + 3*L^2*H - L*H*L")
     other = chow.RingCtx(5, ("L", "H"), F(2), F(-1), F(7))
     values = [evaluate(ast, c, base_bindings(c)).element
               for c in (lh_ctx(), other, lh_ctx())]
     for c, value in zip((lh_ctx(), other), values):
-        want = c.gen1 ** 2 + c.gen1 ** 2 * c.gen2
+        want = c.gen1 ** 2 + (c.gen1 ** 2 * c.gen2).scale(3)
         assert value == want and value.ctx == c
     assert values[0] == values[2] != values[1]
 
@@ -326,6 +349,54 @@ def test_power_errors_keep_their_column():
         with pytest.raises(ExprError, match="power too large") as err:
             evaluate_text(text, ctx, bindings)
         assert err.value.pos == pos
+
+
+def test_product_errors_keep_their_column():
+    # A product is refused before it is computed, at the column of the
+    # first number or symbol of the factor that crossed the limit.
+    ctx = lh_ctx()
+    bindings = base_bindings(ctx)
+    nines = "9" * 4000  # 13288 bits; 78 of them stay below the limit
+    start = time.perf_counter()
+    for text, pos in (("*".join(["10^100000"] * 4), 31),
+                      ("L*" + "*".join(["10^100000"] * 4), 33),
+                      ("*".join([nines] * 100), 78 * 4001 + 1)):
+        with pytest.raises(ExprError, match="^column [0-9]+: product too "
+                           "large: about [0-9]+ bits") as err:
+            evaluate_text(text, ctx, bindings)
+        assert err.value.pos == pos
+    assert evaluate_text("*".join([nines] * 78), ctx, bindings).element \
+        == ctx.scalar(int(nines) ** 78)
+    # At n = 1000, the factor whose product check_product_size refuses.
+    big = chow.RingCtx(1000, ("L", "H"), F(1, 3), F(-2, 7), F(5))
+    texts = [f"({k}+1/{k + 2}*L+H)" for k in range(1, 400)]
+    e, chain = evaluate_text(texts[0], big, base_bindings(big)).element, None
+    with pytest.raises(ValueError):
+        for k, text in enumerate(texts[1:], 1):
+            factor = evaluate_text(text, big, base_bindings(big)).element
+            chain = chow.check_product_size(e, factor, chain)
+            e = e * factor
+    with pytest.raises(ExprError, match="product too large") as err:
+        evaluate_text("*".join(texts), big, base_bindings(big))
+    assert err.value.pos == len("*".join(texts[:k])) + 3
+    assert time.perf_counter() - start < 5.0
+
+
+def test_integer_literals_parse_to_ints():
+    # A literal without "/" is an int and one with it a Fraction; both
+    # compare, hash and print alike, and evaluation keeps its types.
+    assert [type(parse_text(t).value) for t in ("2", "4/2", "2/3")] == \
+        [int, Fraction, Fraction]
+    assert Lit(2) == Lit(F(2)) == parse_text("4/2") and \
+        hash(Lit(2)) == hash(Lit(F(2)))
+    assert to_text(Lit(2)) == to_text(Lit(F(2))) == "2"
+    ctx = lh_ctx()
+    for text, degree in (("2*3", None), ("-3 + 1", None), ("2^3*L", None),
+                         ("3*L*H^5*2", F(108)), ("1/2*L*H^5*4/2", F(18))):
+        result = evaluate_text(text, ctx, base_bindings(ctx))
+        assert type(result.element) is chow.RingElem
+        assert result.degree == degree and type(result.degree) is \
+            (Fraction if degree is not None else type(None))
 
 
 def test_evaluate_truncation_note():

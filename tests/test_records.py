@@ -11,8 +11,8 @@ import pytest
 from fanocalc import Record, chow, classify, dataset, exact, expr, slope, verify
 
 # The fields that == and hash do not read.
-IGNORED = {("QuadNum", "D"), ("RingCtx", "_rel"), ("Sym", "pos"),
-           ("Pow", "pos")}
+IGNORED = {("QuadNum", "D"), ("RingCtx", "_rel"), ("Lit", "pos"),
+           ("Sym", "pos"), ("Pow", "pos")}
 
 
 def w36():

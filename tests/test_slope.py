@@ -266,6 +266,10 @@ def test_threshold_errors_keep_their_messages(form):
     lambda: check_rho_tau(2, 2, 2, -12.0),
     lambda: solve_nu_prime(2, 2.0, -4, 1),
     lambda: solve_nu_prime(2, 2, -4.0, 1),
+    # A count of 0.0 runs no square-and-multiply step.
+    lambda: check_rho_tau(0.0, 2, 2, -12),
+    lambda: solve_nu_prime(0.0, 1, -3, 1),
+    lambda: exact.quad_pow(exact.quad(1, 1, -3), 0.0),
     lambda: sample_tuple(tau=2.0),
     lambda: sample_tuple(delta=-12.0),
     lambda: sample_tuple(d=1, deg_x=1.0),
