@@ -186,7 +186,7 @@ def cmd_exclusions(case) -> int:
 def cmd_family_table(fmt) -> int:
     from .families import family_table
     rows = [(r.x_prime, r.moduli, str(r.tau_moduli), r.x, str(r.tau),
-             str(r.pullback_factor)) for r in family_table()]
+             r.factor) for r in family_table()]
     emit(("X_prime", "family_space", "tau_family", "X", "tau", "factor"),
          rows, fmt)
     return 0
@@ -234,53 +234,33 @@ def _exit(command: str | None, error: str | None = None):
     raise SystemExit(2 if error else 0)
 
 
-def _option(command: str | None, word: str, flags) -> tuple | None:
-    """(flag, or "" if unknown, value or None) of an option word; None for
-    a positional: a word that does not start with "-", is "-" or "--", or
-    names no flag and is a negative number or holds a space."""
-    if word[:1] != "-" or word in ("-", "--"):
-        return None
-    head, eq, value = word.partition("=")
-    # A long flag may be cut to a unique prefix; an exact match wins.
-    match = [head] if head in flags else [
-        flag for flag in flags if word[1] == "-" and flag.startswith(head)]
-    if len(match) > 1:
-        _exit(command, f"ambiguous option: {word}")
-    import re
-    if match or not (" " in word or re.match(r"-\d+$|-\d*\.\d+$", word)):
-        return match[0] if match else "", value if eq else None
-    return None
-
-
-def parse_args(argv: list[str], command: str | None = None,
-               extra: list[str] | None = None) -> tuple[str, dict]:
-    """(command, {dest: value}) of argv, or exit as argparse did: 0 after
-    help, 2 after a usage error.  Help and bad values act in word order,
-    missing and left-over words at the end."""
-    table, extra = COMMANDS.get(command, PROGRAM)[2], extra or []
-    end = argv.index("--") if command and "--" in argv else len(argv)
-    # options[end] is "--", or a stop past the last word: neither is an
-    # option's value.  Every word after "--" is a positional.
-    options = [_option(command, word, ("-h", "--help", *table))
-               for word in argv[:end]] + [("", None)] + [None] * len(argv)
+def parse_args(argv: list[str],
+               command: str | None = None) -> tuple[str, dict]:
+    """(command, {dest: value}) of argv, or exit: 0 after help, 2 after a
+    usage error.  Words act in order: -h or --help prints help; a flag,
+    named exactly, takes its value as --flag=value or from the next word,
+    the last one given winning; "--" ends the options; any other word
+    fills the positional, and is refused where there is none or it is
+    taken.  A required option still missing is refused at the end."""
+    table = COMMANDS.get(command, PROGRAM)[2]
     values = {dest: default for dest, _, default, _ in table.values()}
     slot = [flag for flag in table if flag[0] != "-"]
-    filled, i = None, 0
-    while i < len(argv):
-        word, option = argv[i], options[i]
-        i += 1
-        if option is None and slot:
-            option, filled = (slot.pop(), word), i - 1
-        elif not (option and option[0]):
-            extra.append(word)
+    words, options = iter(argv), True
+    for word in words:
+        flag, eq, value = word.partition("=")
+        if options and word == "--":
+            options = False
             continue
-        flag, value = option
-        if flag in ("-h", "--help"):
-            _exit(command, None if value is None else f"{flag} takes no value")
-        if value is None and options[i] is not None:
-            _exit(command, f"{flag} expects a value")
-        if value is None:
-            value, i = argv[i], i + 1
+        if options and flag in ("-h", "--help"):
+            _exit(command, f"{flag} takes no value" if eq else None)
+        if options and flag[:1] == "-" and flag in table:
+            value = value if eq else next(words, None)
+            if value is None:
+                _exit(command, f"{flag} expects a value")
+        elif slot:
+            flag, value = slot.pop(), word
+        else:
+            _exit(command, f"unrecognized: {word}")
         dest, kind = table[flag][:2]
         try:
             if type(kind) is tuple and value not in kind:
@@ -289,14 +269,11 @@ def parse_args(argv: list[str], command: str | None = None,
         except ValueError:
             _exit(command, f"invalid {flag} value: {value!r}")
         if command is None:
-            return parse_args(argv[i:], value, extra)
-    if end < len(argv) and filled in (end - 1, end + 1):
-        extra.remove("--")  # argparse drops it only next to the positional
+            return parse_args(list(words), value)
     missing = [flag for flag, (dest, _, _, required) in table.items()
                if required and values[dest] is None]
-    if missing or extra:
-        _exit(command, "missing " + ", ".join(missing) if missing
-              else "unrecognized: " + " ".join(extra))
+    if missing:
+        _exit(command, "missing " + ", ".join(missing))
     return command, values
 
 

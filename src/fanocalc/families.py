@@ -4,8 +4,8 @@ The congruence enumerator solves the counting problem for line
 congruences whose variety of minimal rational tangents splits into
 linear pieces; the family table lists the admissible conic pairs with
 the parameter space of their conic family.  Both need only integers, so
-this module imports no numeric module at import time: `family-table`
-and `enumerate --type congruence` load it and the command line alone.
+this module imports no `fractions` at import time: `family-table` and
+`enumerate --type congruence` load it and the command line alone.
 Its records are named tuples, so a record equals the plain tuple of its
 fields.
 """
@@ -13,6 +13,7 @@ fields.
 from __future__ import annotations
 
 from collections import namedtuple
+from math import gcd
 
 from . import refuse_float
 
@@ -46,9 +47,17 @@ class FamilyRow(namedtuple("FamilyRow", "x_prime moduli tau_moduli x tau")):
     __slots__ = ()
 
     @property
+    def factor(self) -> str:
+        """tau_moduli/tau in lowest terms, printed as str(Fraction) prints
+        it, from the ints alone: `family-table` loads no `fractions`."""
+        g = gcd(self.tau_moduli, self.tau)
+        p, q = self.tau_moduli // g, self.tau // g
+        return f"{p}" if q == 1 else f"{p}/{q}"
+
+    @property
     def pullback_factor(self) -> Fraction:
         from fractions import Fraction
-        return Fraction(self.tau_moduli, self.tau)
+        return Fraction(self.factor)
 
 
 # -- family table ------------------------------------------------------------

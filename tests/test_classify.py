@@ -376,6 +376,13 @@ def test_family_table():
     assert ("Q5", "G(1,6)_Q5", 1, "W_36^5", 1, F(1)) in as_tuples
 
 
+def test_family_factor_prints_as_a_fraction():
+    for p in range(1, 13):
+        for q in range(1, 13):
+            row = families.FamilyRow("X'", "M", p, "X", q)
+            assert (row.factor, row.pullback_factor) == (str(F(p, q)), F(p, q))
+
+
 # -- congruences -------------------------------------------------------------
 
 def _congruences_quadratic(m_max):

@@ -18,7 +18,6 @@ from hypothesis import given, settings, strategies as st
 
 from fanocalc import chow, cli, expr, families
 from fanocalc.slope import CSV_COLUMNS
-import cli_reference
 
 GOLDEN = pathlib.Path(__file__).parent / "golden"
 CLI = GOLDEN / "cli"
@@ -205,112 +204,135 @@ def test_argv_fuzz_exits_0_1_or_2(argv):
     assert code in (0, 1, 2) and "Traceback" not in err
 
 
-_REFERENCE_WORDS = ("verify", "-h", "--type=C", "--ty", "--n-",
-                    "--format=json", "-L", "-(L) + H")
-_PARSER_WORD = st.sampled_from(_COMMANDS + _OPTIONS + _VALUES
-                               + _REFERENCE_WORDS)
+def _parse(command, **given):
+    """The parse of a command line of `command` that gives `given`."""
+    return command, {dest: given.get(dest, default) for dest, _, default, _
+                     in cli.COMMANDS[command][2].values()}
 
 
-def parsed(parse, argv):
-    """What `parse` makes of argv: "help", "error", or {dest: value} with
-    the command as "command"."""
-    with contextlib.redirect_stdout(io.StringIO()), \
-            contextlib.redirect_stderr(io.StringIO()):
-        try:
-            return parse(argv)
-        except SystemExit as err:
-            return "help" if err.code == 0 else "error"
+def _eval(ctx_path, expression):
+    return _parse("eval", ctx_path=ctx_path, expression=expression)
 
 
-def _table_parse(argv):
-    command, values = cli.parse_args(argv)
-    return {"command": command, **values}
+# The grammar, rule by rule: each argv and what parse_args makes of it,
+# "help", the last line of a usage error, or the parse.
+_GRAMMAR = [
+    # -h or --help prints help, and takes no value.
+    ([], "missing command"),
+    (["--help"], "help"),
+    (["verify", "-h"], "help"),
+    (["--help=x"], "--help takes no value"),
+    (["enumerate", "--help="], "--help takes no value"),
+    (["-h=h"], "-h takes no value"),
+    (["enumerate", "-h=h"], "-h takes no value"),
+    # Flag names match exactly: no prefix stands for a flag.
+    (["enumerate", "--type", "C"], _parse("enumerate", kind="C")),
+    (["enumerate", "--ty", "C"], "unrecognized: --ty"),
+    (["enumerate", "--h"], "unrecognized: --h"),
+    (["enumerate", "--=C"], "unrecognized: --=C"),
+    (["enumerate", "-h", "--=C"], "help"),
+    (["enumerate", "-hx"], "unrecognized: -hx"),
+    # A flag's value follows "=", or is the next word, whatever it is;
+    # the last one given wins.
+    (["enumerate", "--type=C", "--n=5", "--format=json"],
+     _parse("enumerate", kind="C", n=5, fmt="json")),
+    (["enumerate", "--type", "C", "--type", "P"],
+     _parse("enumerate", kind="P")),
+    (["enumerate", "--type", "D", "--n-max", " 7"],
+     _parse("enumerate", kind="D", n_max=7)),
+    (["enumerate", "--type", "D", "--n-max", "-5\n"],
+     _parse("enumerate", kind="D", n_max=-5)),
+    (["enumerate", "--type", "D", "--n-max", "-\u0663"],
+     _parse("enumerate", kind="D", n_max=-3)),
+    (["enumerate", "--type", "X", "-h"], "invalid --type value: 'X'"),
+    (["enumerate", "-h", "--type", "X"], "help"),
+    (["enumerate", "--type", "--help"], "invalid --type value: '--help'"),
+    (["enumerate", "--type=--"], "invalid --type value: '--'"),
+    (["enumerate", "--type", "C", "--n", "x"], "invalid --n value: 'x'"),
+    (["eval", "x", "--ctx"], "--ctx expects a value"),
+    (["eval", "--ctx", "-L", "x"], _eval("-L", "x")),
+    (["eval", "--ctx", "--", "x"], _eval("--", "x")),
+    (["eval", "--ctx=--", "L"], _eval("--", "L")),
+    (["eval", "--ctx=", ""], _eval("", "")),
+    # "--" ends the options, and is dropped.
+    (["--", "verify"], _parse("verify")),
+    (["verify", "--"], _parse("verify")),
+    (["eval", "x", "--ctx", "f", "--"], _eval("f", "x")),
+    (["eval", "--ctx", "f", "x", "--"], _eval("f", "x")),
+    (["eval", "--ctx", "f", "--", "--"], _eval("f", "--")),
+    (["eval", "--ctx", "f", "--", "-h"], _eval("f", "-h")),
+    # Any other word fills the positional, and is refused where it stands
+    # when there is none, or it is taken.
+    (["eval", "--ctx", "F", "-L"], _eval("F", "-L")),
+    (["eval", "--ctx", "f", "-1.5"], _eval("f", "-1.5")),
+    (["eval", "--ctx", "f", "-"], _eval("f", "-")),
+    (["eval", "--ctx", "f", "-(L) + H"], _eval("f", "-(L) + H")),
+    (["eval", "--ctx", "f", "x", "y"], "unrecognized: y"),
+    (["verify", "-x", "-h"], "unrecognized: -x"),
+    (["enumerate", "json", "--type", "C"], "unrecognized: json"),
+    (["nope"], "invalid command value: 'nope'"),
+    (["-L", "verify"], "invalid command value: '-L'"),
+    (["-1"], "invalid command value: '-1'"),
+    (["-hx"], "invalid command value: '-hx'"),
+    (["-hh"], "invalid command value: '-hh'"),
+    # A required option still missing is refused at the end.
+    (["enumerate"], "missing --type"),
+    (["eval"], "missing --ctx, expression"),
+]
 
 
-def _reference_parse(argv):
-    return vars(cli_reference.build_parser().parse_args(argv))
-
-
-# For each command, groups of the word tuples it accepts: one tuple of
-# each group, in any order, is a command line that it accepts.
-_ACCEPTED = {
-    "verify": [[()]],
-    "enumerate": [[("--type", "C"), ("--type=C",), ("--ty", "P")],
-                  [(), ("--n", "5"), ("--n", "-1"), ("--n-", "2"),
-                   ("--m-max", "20")],
-                  [(), ("--format=json",), ("--format", "csv")]],
-    "eval": [[("--ctx", str(CONTEXTS / "w36.ctx"))],
-             [("L*H",), ("-(L) + H",), ("-1",), ("--", "L*H")]],
-    "exclusions": [[("--case", "1-2"), ("--case", "2-1")]],
-    "family-table": [[(), ("--format=json",), ("--format", "table")]],
-}
+@pytest.mark.parametrize("argv, want", _GRAMMAR,
+                         ids=[repr(argv) for argv, _ in _GRAMMAR])
+def test_grammar(capsys, argv, want):
+    try:
+        got = cli.parse_args(argv)
+    except SystemExit as err:
+        out, text = capsys.readouterr()
+        if err.code == 0:
+            assert (out.startswith("usage: fanocalc"), text) == (True, "")
+            got = "help"
+        else:
+            assert (err.code, out) == (2, "")
+            got = text.splitlines()[-1].removeprefix("fanocalc: error: ")
+    assert got == want
 
 
 @st.composite
-def near_valid(draw):
-    """A command line that the command accepts, maybe with one of its
-    options repeated, and up to two words of the alphabet put in
-    anywhere, half of them words that start with "-" and are no flag."""
-    command = draw(st.sampled_from(list(_ACCEPTED)))
-    groups = _ACCEPTED[command]
-    words = draw(st.permutations([draw(st.sampled_from(g)) for g in groups]))
-    words += draw(st.lists(st.sampled_from(sum(groups, [])), max_size=1))
-    argv = [command, *sum(words, ())]
-    for _ in range(draw(st.integers(0, 2))):
-        argv.insert(draw(st.integers(0, len(argv))),
-                    draw(st.sampled_from(("--", "-h", "-1", "-L",
-                                          "-(L) + H")) | _PARSER_WORD))
-    return argv
+def command_line(draw):
+    """A command, a valid value for each option it is given, and a
+    command line that gives them: each option as "--f v" or "--f=v", in
+    any order, and the positional anywhere or after "--"."""
+    command = draw(st.sampled_from(list(cli.COMMANDS)))
+    table = cli.COMMANDS[command][2]
+    given, words, positional = {}, [], []
+    for flag, (dest, kind, _, required) in table.items():
+        if not (required or draw(st.booleans())):
+            continue
+        value = draw(st.sampled_from(kind) if type(kind) is tuple else
+                     st.integers() if kind is int else st.text())
+        given[dest] = value
+        if flag[0] != "-":
+            positional = [value]
+        elif draw(st.booleans()):
+            words.append([f"{flag}={value}"])
+        else:
+            words.append([flag, str(value)])
+    words = draw(st.permutations(words))
+    # A positional among the options must not read as one of them.
+    if positional and (draw(st.booleans()) or positional[0] == "--" or
+                       positional[0].partition("=")[0] in ("-h", "--help",
+                                                           *table)):
+        words.append(["--", *positional])
+    elif positional:
+        words.insert(draw(st.integers(0, len(words))), positional)
+    return [command, *sum(words, [])], _parse(command, **given)
 
 
-@settings(max_examples=1000, deadline=None)
-@given(near_valid() | st.lists(_PARSER_WORD, max_size=8))
-def test_parser_agrees_with_argparse(argv):
-    # The argparse parser the table replaced, as the oracle: both refuse
-    # argv, or both print help, or both give every dest the same value.
-    assert parsed(_table_parse, argv) == parsed(_reference_parse, argv)
-
-
-@pytest.mark.parametrize("argv", [
-    ["--help=x"], ["enumerate", "--help="], ["enumerate", "--h"],
-    ["enumerate", "--=C"], ["enumerate", "-h", "--=C"],
-    ["eval", "--ctx", "f", "-1.5"], ["eval", "--ctx", "f", "-"],
-    ["eval", "--ctx=", ""], ["eval", "x", "--ctx", "f", "--"],
-    ["eval", "--ctx", "f", "x", "--"], ["eval", "--ctx", "f", "--", "--"],
-    ["enumerate", "--type", "D", "--n-max", " 7"], ["verify", "-x", "-h"],
-    ["enumerate", "--type", "X", "-h"], ["enumerate", "-h", "--type", "X"],
-    ["eval", "--ctx", "-L", "x"], ["eval", "--ctx", "--", "x"],
-    ["eval", "x", "--ctx"], ["-L", "verify"], ["--", "verify"], ["-1"], [],
-], ids=repr)
-def test_parser_agrees_with_argparse_on_edge_cases(argv):
-    assert parsed(_table_parse, argv) == parsed(_reference_parse, argv)
-
-
-# argparse releases disagree on these words (CPython 3.11.7 and 3.13.0
-# differ on -hx, -h=h, --type=-- and --ctx=--), so they stay out of the
-# oracle's alphabet above and the table parser's outcome is pinned here:
-# the last line of a usage error, or the parse.
-_RELEASE_DEPENDENT = {
-    "-hx": "missing command",
-    "-hh": "missing command",
-    "enumerate -hx": "missing --type",
-    "-h=h": "-h takes no value",
-    "enumerate -h=h": "-h takes no value",
-    "enumerate --type=--": "invalid --type value: '--'",
-    "eval --ctx=-- L": ("eval", {"ctx_path": "--", "expression": "L"}),
-}
-
-
-@pytest.mark.parametrize("argv, want", _RELEASE_DEPENDENT.items(),
-                         ids=list(_RELEASE_DEPENDENT))
-def test_parser_on_words_argparse_releases_disagree_on(capsys, argv, want):
-    try:
-        got = cli.parse_args(argv.split())
-    except SystemExit as err:
-        assert err.code == 2
-        got = capsys.readouterr().err.splitlines()[-1]
-        want = f"fanocalc: error: {want}"
-    assert got == want
+@settings(max_examples=500, deadline=None)
+@given(command_line())
+def test_parse_args_round_trips(case):
+    argv, want = case
+    assert cli.parse_args(argv) == want
 
 
 def test_usage_error_prints_usage_and_one_error_line(capsys):
@@ -704,7 +726,8 @@ def test_dataset_bad_file_exits_2(capsys, tmp_path, monkeypatch, text,
 # runs a command, or with "import" imports one module, and prints the exit
 # code, which of dataclasses, inspect, ast, argparse, gettext and locale
 # (costly to import, and needed by none) were loaded, the fanocalc modules
-# loaded, and whether importlib.resources, typing and shutil were loaded.
+# loaded, and whether importlib.resources, typing, shutil, re and fractions
+# were loaded.
 _IMPORT_PROBE = """\
 import contextlib, importlib, io, sys
 from fanocalc import cli
@@ -719,15 +742,22 @@ print(code, *[m for m in ("dataclasses", "inspect", "ast", "argparse",
 print(*sorted(m.partition(".")[2] for m in sys.modules
               if m.startswith("fanocalc.")))
 print(*[m in sys.modules for m in ("importlib.resources", "typing",
-                                   "shutil")])
+                                   "shutil", "re", "fractions")])
 """
 _ENUMERATE = "classify cli dataset exact families slope"
 _DOSSIERS = "chow " + _ENUMERATE
 _ALL = "chow classify cli dataset exact expr families slope verify"
+# Help and the table output of the commands that compute no rational
+# load neither re nor fractions.
+_PLAIN = {("--help",), ("family-table",),
+          ("enumerate", "--type", "congruence"),
+          *((command, "--help") for command in cli.COMMANDS)}
 
 
 @pytest.mark.parametrize("argv, modules", [
     pytest.param(("--help",), "cli", id="help"),
+    *(pytest.param((command, "--help"), "cli", id=f"help-{command}")
+      for command in cli.COMMANDS),
     pytest.param(("family-table",), "cli families", id="family-table"),
     pytest.param(("enumerate", "--type", "congruence"), "cli families",
                  id="enumerate-congruence"),
@@ -770,7 +800,10 @@ def test_commands_import_only_what_they_run(argv, modules):
         lines = proc.stdout.splitlines()
         assert lines[:2] == ["0", modules], proc.stderr
         if flags:
-            assert lines[2] == "False False False"
+            loaded = lines[2].split()
+            assert loaded[:3] == ["False"] * 3
+            if argv in _PLAIN:
+                assert loaded[3:] == ["False"] * 2
 
 
 def test_closed_stdout_is_a_quiet_exit():
