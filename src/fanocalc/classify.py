@@ -76,11 +76,13 @@ def _candidate(n: int, kind: str, tau: int, tau_prime: int,
     odd) and c2/d = (c1^2 - Delta)/4.  rho is tau unless given."""
     lam = 2 if kind == "P" else 1
     c1 = 0 if tau % 2 == 0 else -1
+    p, q = delta.as_integer_ratio()
     fields.setdefault("rho", tau)
     return dict(
         n=n, kind=kind, lam=lam, mu=1, mu_prime=1, nu=tau, nu_prime=tau_prime,
         tau=tau, tau_prime=tau_prime, i=tau + lam, i_prime=tau_prime + 2,
-        c1=c1, delta=delta, c2_over_d=Fraction(c1 * c1 - delta, 4), **fields)
+        c1=c1, delta=delta, c2_over_d=Fraction(c1 * c1 * q - p, 4 * q),
+        **fields)
 
 
 def _manifolds() -> dict[tuple[int, int], list[dataset.FanoEntry]]:
@@ -358,9 +360,8 @@ _DOSSIERS = {(5, 1, 2): "_exclude_1_2", (5, 2, 1): "exclude_2_1",
              (5, 1, 4): "exclude_1_4"}
 
 
-def _degree_matches(x, xp, ratio: Fraction):
-    """The pairs (X, X') of `x` and `xp` with deg X' = ratio * deg X."""
-    num, den = ratio.numerator, ratio.denominator
+def _degree_matches(x, xp, num: int, den: int):
+    """The pairs (X, X') of `x` and `xp` with deg X' = (num/den) * deg X."""
     return [(ex, exp) for ex in x for exp in xp
             if exp.degree * den == num * ex.degree]
 
@@ -371,40 +372,45 @@ def enumerate_type_C(n: int) -> Enumerated:
     angle."""
     slope.require_admissible(n)
     manifolds = _manifolds()
-    tan_sq = exact.tan_sq_pi_over(n + 1)
+    tan_p, tan_q = exact.tan_sq_pi_over(n + 1).as_integer_ratio()
+    cos_p, cos_q = exact.cos_sq_pi_over(n + 1).as_integer_ratio()
+    scale = slope._two_pow_cos_pow(n)  # deg X' = tau^(n-1)/scale * deg X
     rows: list[InvariantTuple] = []
     reports: list[ExclusionReport] = []
     # tau <= n and tau' <= n - 1 are the index bounds i = tau + 1 <= n + 1
     # and i' = tau' + 2 <= n + 1 of Kobayashi-Ochiai (J. Math. Kyoto Univ.
     # 13, 1973), which FanoEntry also enforces.
     for tau in range(1, n + 1):
-        ratio = slope.base_degree_ratio(n, tau)
         for tau_prime in range(1, n):
-            c1p = slope.c1_prime(n, tau, tau_prime)
-            if c1p.denominator != 1:
+            # c1' = (8/tau)*cos^2(pi/(n+1)) - 4*tau', as in slope.c1_prime.
+            c1p, rest = divmod(8 * cos_p - 4 * cos_q * tau * tau_prime,
+                               cos_q * tau)
+            if rest:
                 continue
+            x = [e for e in manifolds[n, tau + 1] if _cyclic_h4(e)]
+            xp = [e for e in manifolds[n, tau_prime + 2] if _cyclic_h4(e)]
+            matched = _degree_matches(x, xp, tau ** (n - 1), scale)
+            script = _DOSSIERS.get((n, tau, tau_prime))
+            if c1p <= 0 and not script and not matched:
+                continue  # unrealizable numerics; dropped silently
+            # Y.f = -(c1'*mu + 2*tau') with mu = 1, as in slope.y_dot_f.
             cand = _candidate(n, "C", tau, tau_prime,
-                              -Fraction(tau * tau) * tan_sq, c1_prime=c1p,
-                              y_dot_f=slope.y_dot_f(c1p, tau_prime, 1))
+                              Fraction(-tau * tau * tan_p, tan_q),
+                              c1_prime=c1p, y_dot_f=-c1p - 2 * tau_prime)
             # Effectivity of the degeneracy divisor: its pushforward is
             # -c1' times the ample generator.  Then the n = 5 dossiers.
             rep = None
             if c1p > 0:
                 rep = _exclude(cand, "R_not_effective",
-                               {"pushforward": -c1p}, _CITE_R_EFF)
-            elif (n, tau, tau_prime) in _DOSSIERS:
-                dossier = globals()[_DOSSIERS[n, tau, tau_prime]]()
+                               {"pushforward": Fraction(-c1p)}, _CITE_R_EFF)
+            elif script:
+                dossier = globals()[script]()
                 rep = _exclude(cand, dossier.rule, dossier.witness,
                                dossier.citation)
             if rep is not None:
                 reports.append(rep)
                 rows.append(rep.candidate)
                 continue
-            x = [e for e in manifolds[n, cand["i"]] if _cyclic_h4(e)]
-            xp = [e for e in manifolds[n, cand["i_prime"]] if _cyclic_h4(e)]
-            matched = _degree_matches(x, xp, ratio)
-            if not matched:
-                continue  # unrealizable numerics; dropped silently
             # A degree match makes c2 = (c2/d)*deg X an integer (see
             # tests/test_classify.py); the c2_integrality rule still guards.
             ex, exp = matched[0]

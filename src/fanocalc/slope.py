@@ -235,6 +235,9 @@ class InvariantTuple(Record):
               != (nu * nup - 2 * nu_d * nup_d) * rho.denominator):
             raise InvariantError("rho_value",
                                  "rho must equal (nu*nu'-2)/(mu*nu') for kind D")
+        for v in (self.d, self.d_prime, self.deg_x, self.deg_x_prime):
+            if v is not None and v.numerator <= 0:
+                raise InvariantError("degree_sign", "degrees must be positive")
         if self.d is not None and c2d * self.d % c2d_d:
             raise InvariantError("c2_integrality", "c2 = (c2/d)*d must be an integer")
 

@@ -283,6 +283,7 @@ def check_tuple_rejections(rng: random.Random) -> str | None:
         ("parity", dict(base, c1=-1, c2_over_d=Fraction(13, 4))),
         ("rho_value", dict(base, rho=Fraction(1))),
         ("rhotau", dict(base, delta=Fraction(-8), c2_over_d=Fraction(2))),
+        ("degree_sign", dict(base, d_prime=0)),
         ("c2_integrality", dict(base, d=3, delta=Fraction(-13, 3),
                                 c2_over_d=Fraction(13, 12))),
     ]

@@ -174,9 +174,37 @@ def test_integer_conic_decisions_match_fractions(n):
                for deg in range(1, 41)]
     for tau in range(1, 9):
         ratio = slope.base_degree_ratio(n, tau)
-        assert classify._degree_matches(entries, entries, ratio) == [
+        assert classify._degree_matches(
+            entries, entries, tau ** (n - 1), slope._two_pow_cos_pow(n)) == [
             (x, xp) for x in entries for xp in entries
             if Fraction(xp.degree) == ratio * x.degree]
+
+
+@pytest.mark.parametrize("n", (2, 3, 5))
+def test_conic_int_decisions_match_slope_formulas(n, tmp_path, monkeypatch):
+    # A manifold of every degree up to 90 at every index matches every
+    # degree ratio, so each candidate with an integral c1' becomes a row,
+    # and the enumerator's int c1', Y.f and ratio meet slope's formulas.
+    path = tmp_path / "manifolds.csv"
+    path.write_text("dim,index,degree,name,b4_rank,source_note\n" + "".join(
+        f"{n},{i},{deg},X{i}_{deg},1,\n"
+        for i in range(1, n + 2) for deg in range(1, 91)))
+    monkeypatch.setenv(dataset.DATA_ENV_VAR, str(path))
+    rows, reports = enumerate_type_C(n)
+    assert {(t.tau, t.tau_prime) for t in rows} == {
+        (tau, tau_prime) for tau in range(1, n + 1)
+        for tau_prime in range(1, n)
+        if slope.c1_prime(n, tau, tau_prime).denominator == 1}
+    assert {id(r.candidate) for r in reports} == {
+        id(t) for t in rows if t.status == "excluded"}
+    for t in rows:
+        assert t.c1_prime == slope.c1_prime(n, t.tau, t.tau_prime)
+        assert t.y_dot_f == slope.y_dot_f(t.c1_prime, t.tau_prime, 1)
+        assert t.delta == -t.tau ** 2 * exact.tan_sq_pi_over(n + 1)
+        assert all(type(getattr(t, f)) is Fraction
+                   for f in slope._RATIONAL_FIELDS if getattr(t, f) is not None)
+        if t.status == "admissible":
+            assert t.deg_x_prime == slope.base_degree_ratio(n, t.tau) * t.deg_x
 
 
 def test_conic_degree_match_gives_an_integral_c2():

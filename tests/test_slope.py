@@ -4,7 +4,7 @@ from fractions import Fraction
 import pytest
 from hypothesis import example, given, strategies as st
 
-from fanocalc import exact, slope
+from fanocalc import classify, exact, slope, verify
 from fanocalc.slope import (InvariantError, InvariantTuple, base_degree_ratio,
                             c1_prime, check_rho_tau, pushforward_R,
                             solve_nu_prime, tuple_to_row, tuples_to_csv)
@@ -53,7 +53,7 @@ def fraction_solve_nu_prime(n, tau, delta, mu):
 RATIONAL_FIELDS = ("nu", "nu_prime", "tau", "tau_prime", "rho", "delta",
                    "c2_over_d", "deg_x", "deg_x_prime", "c1_prime", "y_dot_f")
 FIELD_DEFAULTS = dict(deg_x=None, deg_x_prime=None, c1_prime=None,
-                      y_dot_f=None, d=None)
+                      y_dot_f=None, d=None, d_prime=None)
 
 
 def fraction_outcome(row):
@@ -89,6 +89,9 @@ def fraction_outcome(row):
         return "rho_value"
     if kind == "D" and rho * mu * nu_p != nu * nu_p - 2:
         return "rho_value"
+    if any(r[f] is not None and r[f] <= 0
+           for f in ("d", "d_prime", "deg_x", "deg_x_prime")):
+        return "degree_sign"
     if r["d"] is not None and (r["c2_over_d"] * r["d"]).denominator != 1:
         return "c2_integrality"
     if tau <= 0:
@@ -417,9 +420,9 @@ def sample_tuple(**overrides):
 
 
 def test_tuple_accepts_valid_row():
-    t = sample_tuple(d=1, deg_x=1, deg_x_prime=1, name_x="P2",
-                     name_x_prime="P2", c1_prime=F(-3), y_dot_f=F(1),
-                     status="admissible")
+    t = sample_tuple(d=1, d_prime=1, deg_x=1, deg_x_prime=F(1, 2),
+                     name_x="P2", name_x_prime="P2", c1_prime=F(-3),
+                     y_dot_f=F(1), status="admissible")
     assert t.c2 == 3
 
 
@@ -523,3 +526,91 @@ def test_zero_denominator_fails_its_rule(row, reason):
     with pytest.raises(InvariantError) as err:
         InvariantTuple(n=2, **row)
     assert err.value.reason == reason
+
+
+@pytest.mark.parametrize("changes", [
+    dict(d=0), dict(d=-3), dict(d_prime=0), dict(d_prime=-1),
+    dict(deg_x=-5), dict(deg_x=0), dict(deg_x_prime=F(-1, 2)),
+])
+def test_nonpositive_degree_is_refused(changes):
+    with pytest.raises(InvariantError) as err:
+        sample_tuple(**changes)
+    assert err.value.reason == "degree_sign"
+    assert fraction_outcome({**SAMPLE_ROW, **changes}) == "degree_sign"
+    # A copy that changes a degree is validated in full.
+    with pytest.raises(InvariantError) as err:
+        sample_tuple().with_status("admissible", **changes)
+    assert err.value.reason == "degree_sign"
+
+
+def test_degree_sign_comes_before_c2_integrality():
+    # c2/d = 1/3, so d = -1 fails both rules.
+    with pytest.raises(InvariantError) as err:
+        fractional_tuple(d=-1)
+    assert err.value.reason == "degree_sign"
+
+
+# -- copies ---------------------------------------------------------------------
+
+STATUSES = [("candidate", None), ("admissible", None), ("excluded", "why"),
+            ("candidate", "conic"), ("", "")]
+
+
+def emitted_rows():
+    rows = []
+    for n in slope.ADMISSIBLE_N:
+        rows += classify.enumerate_type_P(n)
+        c_rows, c_reports = classify.enumerate_type_C(n)
+        rows += c_rows + [r.candidate for r in c_reports]
+    d_rows, d_reports = classify.enumerate_type_D()
+    return rows + d_rows + [r.candidate for r in d_reports]
+
+
+def test_status_only_copy_equals_the_built_row():
+    rows = emitted_rows()
+    assert {t.kind for t in rows} == set(slope.KINDS)
+    for t in rows:
+        fields = {name: getattr(t, name) for name in FIELDS}
+        for status, reason in STATUSES:
+            copy = t.with_status(status, reason)
+            built = InvariantTuple(**{**fields, "status": status,
+                                      "reason": reason})
+            assert copy == built
+            assert type(copy) is InvariantTuple
+            assert [type(getattr(copy, f)) for f in FIELDS] \
+                == [type(getattr(built, f)) for f in FIELDS]
+            assert (copy.status, copy.reason) == (status, reason)
+            assert (t.status, t.reason) == (fields["status"],
+                                            fields["reason"])
+
+
+def refuse(*args, **kwargs):
+    raise AssertionError("a copy ran a rule")
+
+
+def test_every_copy_runs_the_rules(monkeypatch):
+    t = sample_tuple(d=1, deg_x=1, status="admissible")
+    monkeypatch.setattr(slope, "check_rho_tau", refuse)
+    monkeypatch.setattr(InvariantTuple, "_validate", refuse)
+    # A status-only copy is validated in full, like a copy that changes
+    # any other field, even to the value it already has.
+    with pytest.raises(AssertionError, match="ran a rule"):
+        t.with_status("excluded", "why")
+    for name in FIELDS[:-2]:
+        with pytest.raises(AssertionError, match="ran a rule"):
+            t.with_status("admissible", **{name: getattr(t, name)})
+    with pytest.raises(TypeError, match="unexpected keyword argument 'bogus'"):
+        t.with_status("admissible", bogus=1)
+
+
+@pytest.mark.parametrize("status, reason", STATUSES)
+def test_rejections_do_not_depend_on_status(monkeypatch, status, reason):
+    seen = []
+
+    def build(**kwargs):
+        seen.append(kwargs)
+        return InvariantTuple(**kwargs, status=status, reason=reason)
+
+    monkeypatch.setattr(slope, "InvariantTuple", build)
+    assert verify.check_tuple_rejections(None) is None
+    assert len(seen) > 10  # every bad case was built
