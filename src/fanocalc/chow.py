@@ -133,68 +133,46 @@ def refuse_bits(what: str, bits: int) -> None:
                          f"above the limit of {MAX_POW_BITS}")
 
 
-def check_pow_size(p: int, q: int, k: int, e: RingElem | None = None) -> None:
-    """Refuse (p/q)^k, or e^k for e with scalar part p/q, past
-    MAX_POW_BITS with ValueError, before computing it.  (p/q)^k is about
-    k times as long as p/q; 0 and +-1 do not grow.  e^k sums C(k, j)
-    (p/q)^(k-j) N^j, N = e - p/q, over j <= min(k, n+1), and each factor
-    of N adds about the bits of k, of N and of the relation to each slot
-    e^k fills: those of degree k*lo to k*hi, lo and hi the least and
-    greatest degree in e.  Those bits are counted once per squaring,
-    log2(k) of them, as the work; a scalar part doubles at each squaring,
-    so its last one counts."""
-    bits = 0
-    if p and abs(p) != q:
-        g = gcd(p, q)
-        bits = k * max((p // g).bit_length(), (q // g).bit_length())
-    if e is not None:
-        n, (r, pa, pb) = e.ctx.n, e.ctx._rel
-        nil = sum(map(abs, e.vec)) - abs(p)
-        if nil:
-            step = (nil * e.den * max(r, abs(pa), abs(pb))).bit_length()
-            kb = k.bit_length()
-            bits += min(k, n + 1) * (kb + step) * kb
-        slots = 2 * n + 2  # counted only when all of them are too many
-        if bits * slots > MAX_POW_BITS:
-            lo, hi = _span(e)
-            slots = _slots(n, k * lo, k * hi)
-        bits *= slots
-    refuse_bits("power", bits)
+def scalar_bits(p: int, q: int) -> int:
+    """The bits of p/q, q > 0, in lowest terms; 0 for 0 and +-1, whose
+    products and powers do not grow."""
+    if not p or abs(p) == q:
+        return 0
+    g = gcd(p, q)
+    return max((p // g).bit_length(), (q // g).bit_length())
 
 
-def _factor_bits(e: RingElem) -> tuple[int, int]:
-    """For e = (a + N)/q, a the scalar numerator and N the rest: the bits
-    of a and q, 0 for +-1, and those of the sum of |N|'s numerators;
-    computed once per element."""
-    if e._bits is None:
-        a = abs(e.vec[0])
-        e._bits = ((e.den - 1).bit_length() + (max(a, 1) - 1).bit_length(),
-                   (sum(map(abs, e.vec)) - a).bit_length())
-    return e._bits
-
-
-def check_product_size(e: RingElem, e2: RingElem, chain=None):
-    """Refuse e*e2 past MAX_POW_BITS with ValueError, before computing
-    it.  `chain` is what this returned for the product e, or None when e
-    is a single factor; what it returns is that of e*e2.
-
-    Write each of the k factors as (a + N)/q.  Each slot of the product
-    sums, for each j <= n+1, at most C(k, j) products of j of the N, the
-    relation and the a of the other factors, over a divisor of r^n times
-    the product of the q.  So it holds about the bits of every a and q,
-    plus min(k, n+1) times those of k, of the largest N and of the
-    relation, as in check_pow_size, in each slot of degree lo+lo2 to
-    hi+hi2, where e spans lo to hi and e2 lo2 to hi2."""
-    n, (r, pa, pb) = e.ctx.n, e.ctx._rel
-    scalar, nil, k = chain or (*_factor_bits(e), 1)
-    scalar2, nil2 = _factor_bits(e2)
-    scalar, nil, k = scalar + scalar2, max(nil, nil2), k + 1
-    bits = scalar + min(k, n + 1) * (
-        k.bit_length() + nil + (r * max(r, abs(pa) + abs(pb))).bit_length())
+def _refuse(what: str, size: tuple[int, int, int], work: int, count: int,
+            *factors: RingElem) -> None:
+    """Refuse a result past MAX_POW_BITS with ValueError, before computing
+    it.  The result is `count` copies of the product of `factors`, k leaf
+    factors (a + N)/q in all, and `size` is (S, V, k): S the sum of the
+    bits of their scalar parts a/q, V the most bits of one N/q times the
+    relation.  Each slot of the result sums, for each j <= min(k, n+1),
+    at most C(k, j) products of j of the N/q and k-j scalar parts, so it
+    holds about S plus min(k, n+1) times the bits of k and V; `work`
+    counts the passes of that size that build it.  Only the slots of
+    degree lo to hi can be filled, lo and hi the sums of the least and
+    greatest degrees of the factors."""
+    s, v, k = size
+    n = factors[0].ctx.n
+    bits = s
+    if v:  # k if k <= n else n+1 is min(k, n+1) without a call
+        bits += (k if k <= n else n + 1) * (k.bit_length() + v) * work
     if bits * (2 * n + 2) > MAX_POW_BITS:  # all slots, then the filled ones
-        (lo, hi), (lo2, hi2) = _span(e), _span(e2)
-        refuse_bits("product", bits * _slots(n, lo + lo2, hi + hi2))
-    return scalar, nil, k
+        lo, hi = map(sum, zip(*map(_span, factors)))
+        refuse_bits(what, bits * _slots(n, count * lo, count * hi))
+
+
+def _leaf_size(e: RingElem) -> tuple[int, int, int]:
+    """The (S, V, k) of _refuse for a leaf, an element that neither `*`
+    nor `**` built, stored on it: one factor (a + N)/q, S the bits of a/q
+    and V those of |N|'s numerators times q times the largest of r, |pa|
+    and |pb|."""
+    (r, pa, pb), p, q = e.ctx._rel, e.vec[0], e.den
+    nil = (sum(map(abs, e.vec)) - abs(p)) * q * max(r, abs(pa), abs(pb))
+    e._size = size = scalar_bits(p, q), nil.bit_length(), 1
+    return size
 
 
 def linear_combination(
@@ -269,17 +247,18 @@ class RingElem:
     `vec` holds the numerators of the coefficients of t^0..t^n in A, then
     in B, over the positive denominator `den`, in lowest terms; both are
     never changed after construction, so `nonzero`, `coeffs` and the
-    size estimate of a product are computed once, when first needed.  Use
-    RingCtx to build elements.
+    size estimate of a leaf are computed once, when first needed; `*` and
+    `**` set that of the elements they build.  Use RingCtx to build
+    elements.
     """
 
-    __slots__ = ("ctx", "vec", "den", "_coeffs", "_nonzero", "_bits")
+    __slots__ = ("ctx", "vec", "den", "_coeffs", "_nonzero", "_size")
 
     def __init__(self, ctx: RingCtx, vec: list[int], den: int):
         self.ctx = ctx
         self.vec = vec
         self.den = den
-        self._coeffs = self._nonzero = self._bits = None
+        self._coeffs = self._nonzero = self._size = None
 
     @property
     def nonzero(self) -> list[tuple[int, int]]:
@@ -304,10 +283,22 @@ class RingElem:
         return linear_combination(self.ctx, ((1, self), (1, other)))
 
     def __mul__(self, other: "RingElem") -> "RingElem":
+        """The product, refused past MAX_POW_BITS before it is computed: a
+        chain of the leaf factors of both."""
         if not isinstance(other, RingElem):
             return NotImplemented
+        _check(self.ctx, other)
+        s, v, k = self._size or _leaf_size(self)
+        s2, v2, k2 = other._size or _leaf_size(other)
+        size = s + s2, v if v > v2 else v2, k + k2
+        _refuse("product", size, 1, 1, self, other)
+        product = self._times(other)
+        product._size = size
+        return product
+
+    def _times(self, other: "RingElem") -> "RingElem":
+        """The product, unchecked, of two elements of one context."""
         ctx = self.ctx
-        _check(ctx, other)
         n = ctx.n
         m = n + 1
         r, pa, pb = ctx._rel
@@ -333,19 +324,24 @@ class RingElem:
             raise TypeError("exponent must be an int")
         if k < 0:
             raise ValueError("exponent must be nonnegative")
-        check_pow_size(self.vec[0], self.den, k, self)
+        # A chain of k copies, refused once: its log2(k) squarings, each
+        # about as long as the last, are the work, and are not checked.
+        s, v, count = self._size or _leaf_size(self)
+        size = k * s, v, k * count
+        _refuse("power", size, k.bit_length(), k, self)
         if not k:
             return self.ctx.one()
         # Square up to the lowest set bit of k, and start the product from
         # that factor rather than from one.
         base = self
         while not k & 1:
-            base, k = base * base, k >> 1
+            base, k = base._times(base), k >> 1
         result = base
         while k := k >> 1:
-            base = base * base
+            base = base._times(base)
             if k & 1:
-                result = result * base
+                result = result._times(base)
+        result._size = size
         return result
 
     def is_zero(self) -> bool:
@@ -439,7 +435,11 @@ def _images(m: BasisMap, ctx: RingCtx) -> tuple[RingElem, RingElem]:
 
 def convert_element(e: RingElem, m: BasisMap, dst: RingCtx) -> RingElem:
     """Rewrite e in the generators of dst, where the generators of e's
-    context equal m applied to the generators of dst."""
+    context equal m applied to the generators of dst; dst must have e's
+    base dimension n."""
+    if dst.n != e.ctx.n:
+        raise ContextMismatchError(f"cannot convert an element of dimension "
+                                   f"n = {e.ctx.n} into n = {dst.n}")
     g1, g2 = _images(m, dst)
     return linear_combination(dst, [(coeff, (g1 ** i) * (g2 ** j))
                                     for (i, j), coeff in e.coeffs.items()])

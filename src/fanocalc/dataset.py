@@ -26,6 +26,13 @@ class FanoEntry(Record):
     def __init__(self, dim: int, index: int, degree: int, name: str,
                  b4_rank: int | None, source_note: str):
         refuse_float(dim, index, degree, b4_rank)
+        if dim < 1:
+            raise ValueError("dim must be at least 1")
+        # From dimension 2 on, the square of an ample class is nonzero in H^4.
+        least_b4 = 1 if dim >= 2 else 0
+        if b4_rank is not None and b4_rank < least_b4:
+            raise ValueError(f"b4_rank must be at least {least_b4} "
+                             f"in dimension {dim}")
         if not (1 <= index <= dim + 1):
             raise ValueError("index must lie between 1 and dim+1")
         if degree < 1:

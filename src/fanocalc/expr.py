@@ -15,9 +15,8 @@ from collections import namedtuple
 from fractions import Fraction
 
 from . import Record
-from .chow import (RingCtx, RingElem, _exact, check_pow_size,
-                   check_product_size, intersection_degree,
-                   linear_combination, refuse_bits)
+from .chow import (RingCtx, RingElem, _exact, intersection_degree,
+                   linear_combination, refuse_bits, scalar_bits)
 
 MAX_DEPTH = 64
 # Longest expression, in tokens.  A flat sum, product or power chain adds
@@ -306,10 +305,6 @@ def _column(node: Node) -> int:
     return node.pos
 
 
-def _scalar_bits(c: int | Fraction) -> int:
-    return max(c.numerator.bit_length(), c.denominator.bit_length())
-
-
 def _checked(factor: Node, check, *args):
     """check(*args), whose ValueError becomes an ExprError at the column
     of the factor of a product that crossed a size limit."""
@@ -331,8 +326,8 @@ def _eval(node: Node, ctx: RingCtx, bindings: Bindings,
     # that raised is not in it, and neither is a power of a compound base,
     # whose key would walk its whole subtree.  It also holds each product
     # of two elements, keyed by the pair of their ids, with both factors,
-    # so that neither id is reused while the memo lives, and the product's
-    # size estimate: the L^2*H of a sum is then multiplied once.
+    # so that neither id is reused while the memo lives: the L^2*H of a
+    # sum is then multiplied once.
     kind = type(node)
     if kind is Pow:
         base = node.base
@@ -344,7 +339,8 @@ def _eval(node: Node, ctx: RingCtx, bindings: Bindings,
             try:
                 if e is None:
                     for k, pos in zip(node.exponents, node.pos):
-                        check_pow_size(c.numerator, c.denominator, k)
+                        refuse_bits("power", k * scalar_bits(
+                            c.numerator, c.denominator))
                         c **= k
                 else:
                     # Fold c into e, so that the power sees the scalar part
@@ -362,14 +358,14 @@ def _eval(node: Node, ctx: RingCtx, bindings: Bindings,
     if kind is Mul:
         # Each product is refused past MAX_POW_BITS before it is computed:
         # a scalar one by the bits of its two factors, and one of elements
-        # by check_product_size, which carries `chain` from one to the next.
+        # by `*`.
         c, e = _eval(node.factors[0], ctx, bindings, memo)
-        chain = None
         for factor in node.factors[1:]:
             c2, e2 = _eval(factor, ctx, bindings, memo)
             if c2 is not _ONE:  # as an element's symbol, power or sum has
                 _checked(factor, refuse_bits, "product",
-                         _scalar_bits(c) + _scalar_bits(c2))
+                         scalar_bits(c.numerator, c.denominator)
+                         + scalar_bits(c2.numerator, c2.denominator))
                 c *= c2
             if e2 is None:
                 continue
@@ -379,9 +375,9 @@ def _eval(node: Node, ctx: RingCtx, bindings: Bindings,
             key = id(e), id(e2)
             product = memo.get(key)
             if product is None:
-                chain = _checked(factor, check_product_size, e, e2, chain)
-                product = memo[key] = e, e2, e * e2, chain
-            _, _, e, chain = product
+                product = memo[key] = \
+                    e, e2, _checked(factor, RingElem.__mul__, e, e2)
+            e = product[2]
         return c, e
     if kind is Sym:
         if node.name not in bindings:

@@ -1,13 +1,15 @@
+import operator
 import random
 import time
 from fractions import Fraction
+from functools import reduce as fold
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import assume, given, strategies as st
 
 from fanocalc.chow import (BasisMap, ContextMismatchError, RingCtx,
-                           basis_map_A, basis_map_B, check_product_size,
-                           convert_element, derived_context, dumps_context,
+                           basis_map_A, basis_map_B, convert_element,
+                           derived_context, dumps_context,
                            intersection_degree, linear_combination,
                            loads_context, reduce)
 
@@ -124,20 +126,46 @@ def test_product_bound_follows_a_chain_of_factors():
     # parts do not grow, pass.
     ctx = RingCtx(1000, ("L", "H"), F(1, 3), F(-2, 7), F(5))
     start = time.perf_counter()
-    e, chain = ctx.scalar(2) + ctx.gen1.scale(F(1, 3)) + ctx.gen2, None
+    e = ctx.scalar(2) + ctx.gen1.scale(F(1, 3)) + ctx.gen2
     with pytest.raises(ValueError, match="^product too large: about "):
         for k in range(2, 2000):
-            factor = ctx.scalar(k + 1) + ctx.gen1.scale(F(1, k + 2)) \
-                + ctx.gen2
-            chain = check_product_size(e, factor, chain)
-            e = e * factor
+            e = e * (ctx.scalar(k + 1) + ctx.gen1.scale(F(1, k + 2))
+                     + ctx.gen2)
     assert 50 < k < 200 and time.perf_counter() - start < 5.0
     small = lh_ctx(5, -1, F(1, 3), 18)
     x = small.one() + small.gen1
-    e, chain = x, None
+    e = x
     for _ in range(20_000):
-        chain = check_product_size(e, x, chain)
-    assert chain[2] == 20_001
+        e = e * x
+    assert (e.coeffs[0, 0], e.coeffs[1, 0]) == (1, 20_001)
+
+
+def test_library_product_refuses_with_no_caller_state():
+    # Each product carries the estimate of its chain of factors, so a
+    # plain fold of `*` over distinct linear factors at n = 1000 stops at
+    # once, as the evaluator's product chains do.
+    ctx = RingCtx(1000, ("L", "H"), F(1, 3), F(-2, 7), F(5))
+    factors = (ctx.scalar(k) + ctx.gen1.scale(F(1, k + 1)) + ctx.gen2
+               for k in range(1, 2000))
+    start = time.perf_counter()
+    with pytest.raises(ValueError, match=r"^product too large: about \d+ "
+                       r"bits, above the limit of 1048576$"):
+        fold(operator.mul, factors)
+    assert time.perf_counter() - start < 1.0
+
+
+@given(ctx_and_elems(), st.integers(min_value=0, max_value=12))
+def test_power_equals_the_product_of_its_copies(data, k):
+    # `**` checks once and then squares unchecked; `*` checks each
+    # product.  Where neither refuses, both give the same element.
+    ctx, e = data
+    try:
+        power = e ** k
+        product = fold(operator.mul, [e] * k, ctx.one())
+    except ValueError as err:
+        assert "too large" in str(err)
+        assume(False)
+    assert power == product
 
 
 def test_product_with_a_number_is_a_type_error():
@@ -302,6 +330,17 @@ def test_convert_element_roundtrip():
     e = ctx.element({(1, 2): F(3, 2), (0, 1): F(-1), (1, 0): F(2)})
     there = convert_element(e, m, ctx_p)
     assert convert_element(there, m.inverse(), ctx) == e
+
+
+def test_convert_element_refuses_another_dimension():
+    # The generators' images truncate at dst's n, so the result would be
+    # wrong: G1*G2^5 vanishes at n = 3.
+    a, b = lh_ctx(5, -1, F(1, 3), 18), lh_ctx(3, -1, F(1, 3), 18)
+    identity = BasisMap(((1, 0), (0, 1)))
+    with pytest.raises(ContextMismatchError):
+        convert_element(a.gen1 * a.gen2 ** 5, identity, b)
+    assert convert_element(b.gen1 * b.gen2 ** 3, identity, b) \
+        == b.gen1 * b.gen2 ** 3
 
 
 def test_basis_map_B_table_rows():

@@ -468,6 +468,22 @@ def test_records_refuse_float(call):
         call()
 
 
+@pytest.mark.parametrize("dim, b4_rank, message", [
+    (0, None, "^dim must be at least 1$"),
+    (5, -2, "^b4_rank must be at least 1 in dimension 5$"),
+    (2, 0, "^b4_rank must be at least 1 in dimension 2$"),
+    (1, -1, "^b4_rank must be at least 0 in dimension 1$"),
+])
+def test_fano_entry_refuses_impossible_dimension_and_b4(dim, b4_rank,
+                                                         message):
+    with pytest.raises(ValueError, match=message):
+        dataset.FanoEntry(dim, 1, 4, "X", b4_rank, "note")
+
+
+def test_fano_entry_accepts_a_curve_with_no_h4():
+    assert dataset.FanoEntry(1, 2, 2, "P1", 0, "line").b4_rank == 0
+
+
 @pytest.mark.parametrize("call, bound", [
     (lambda: enumerate_type_D(F(11, 2)), "n_max"),
     (lambda: enumerate_congruences(F(39, 2)), "m_max"),

@@ -708,8 +708,14 @@ def test_dataset_env_override(capsys, tmp_path, monkeypatch):
     ("dim,index,degree,name,b4_rank,source_note\n2,3,1,P\xff,,plane\n",
      "'utf-8' codec can't decode byte 0xff in position 49: invalid start "
      "byte"),
+    ("dim,index,degree,name,b4_rank,source_note\n2,3,1,P2,,plane\n"
+     "0,1,1,pt,,point\n", "line 3: dim must be at least 1"),
+    ("dim,index,degree,name,b4_rank,source_note\n5,3,4,X,-2,note\n",
+     "line 2: b4_rank must be at least 1 in dimension 5"),
+    ("dim,index,degree,name,b4_rank,source_note\n2,3,1,P2,0,plane\n",
+     "line 2: b4_rank must be at least 1 in dimension 2"),
 ], ids=["missing-columns", "short-row", "bad-index", "oversized-field",
-        "extra-cells", "not-utf-8"])
+        "extra-cells", "not-utf-8", "zero-dim", "negative-b4", "zero-b4"])
 def test_dataset_bad_file_exits_2(capsys, tmp_path, monkeypatch, text,
                                   message):
     path = tmp_path / "manifolds.csv"

@@ -1,8 +1,10 @@
 """The package's public surface, which is imported lazily (PEP 562)."""
 
 import ast
+import importlib
 import os
 import pathlib
+import re
 import subprocess
 import sys
 
@@ -58,6 +60,25 @@ def test_names_match_their_modules():
     assert fanocalc.quad_pow is exact.quad_pow
     assert fanocalc.InvariantTuple is slope.InvariantTuple
     assert set(EXPECTED_ALL) <= set(dir(fanocalc))
+
+
+def test_readme_names_resolve():
+    # Each backticked `module.name` of the README whose module is fanocalc
+    # or one of its modules names an attribute of that module, so a name
+    # the code drops cannot stay in the docs.
+    readme = (pathlib.Path(__file__).parent.parent / "README.md").read_text(
+        encoding="utf-8")
+    modules = {path.stem for path in (SRC / "fanocalc").glob("[!_]*.py")}
+    names = {(module, name) for module, name
+             in re.findall(r"`(\w+)\.(\w+)`", readme)
+             if module in modules or module == "fanocalc"}
+    assert len(names) >= 25
+    for module, name in sorted(names):
+        if module == "fanocalc" and name in modules:
+            continue
+        owner = importlib.import_module(
+            "fanocalc" if module == "fanocalc" else f"fanocalc.{module}")
+        assert hasattr(owner, name), f"README names {module}.{name}"
 
 
 def test_unknown_attribute_raises_attribute_error():
