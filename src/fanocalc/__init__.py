@@ -41,6 +41,20 @@ def refuse_float(*values):
             raise TypeError("exact numbers only, not float")
 
 
+def integer(x, name, least=None):
+    """int(x) for a whole number x, such as 3 or Fraction(3): TypeError on
+    a float, and ValueError naming `name` when x is not integral or is
+    below `least`."""
+    if type(x) is not int:
+        refuse_float(x)
+        if x % 1:
+            raise ValueError(f"{name} must be an integer")
+        x = int(x)
+    if least is not None and x < least:
+        raise ValueError(f"{name} must be at least {least}")
+    return x
+
+
 class Record:
     """Base of the records that validate their fields or must not equal a
     plain tuple; the others are named tuples.  A subclass lists its fields

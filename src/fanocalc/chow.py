@@ -33,7 +33,7 @@ from itertools import compress
 from math import gcd, lcm
 from types import MappingProxyType
 
-from . import Record, refuse_float
+from . import Record, integer, refuse_float
 
 # exact has its own; this one keeps `eval` from loading exact.
 RatLike = Fraction | int
@@ -57,21 +57,23 @@ def _exact(x) -> Fraction:
 
 class RingCtx(Record):
     __slots__ = ("n", "gen_names", "rel_a", "rel_b", "degree_s", "_rel")
-    # _rel, not compared, is (r, pa, pb) with rel_a = pa/r, rel_b = pb/r.
+    # _rel, not compared, is (r, pa, pb, top) with rel_a = pa/r,
+    # rel_b = pb/r and top the largest of r, |pa| and |pb|.
     _compare = __slots__[:-1]
 
     def __init__(self, n: int, gen_names: tuple[str, str], rel_a: RatLike,
                  rel_b: RatLike, degree_s: RatLike):
-        refuse_float(n)
+        n = integer(n, "n")
         a, b, degree_s = _exact(rel_a), _exact(rel_b), _exact(degree_s)
         if not 2 <= n <= MAX_N:
             raise ValueError(f"base dimension n must be from 2 to {MAX_N}")
         if degree_s <= 0:
             raise ValueError("degree_s must be positive")
         r = lcm(a.denominator, b.denominator)
+        pa = a.numerator * r // a.denominator
+        pb = b.numerator * r // b.denominator
         self._fill(n, tuple(gen_names), a, b, degree_s,
-                   (r, a.numerator * r // a.denominator,
-                    b.numerator * r // b.denominator))
+                   (r, pa, pb, max(r, abs(pa), abs(pb))))
 
     def _unit(self, k: int, c: Fraction = Fraction(1)) -> "RingElem":
         vec = [0] * (2 * self.n + 2)
@@ -169,8 +171,8 @@ def _leaf_size(e: RingElem) -> tuple[int, int, int]:
     nor `**` built, stored on it: one factor (a + N)/q, S the bits of a/q
     and V those of |N|'s numerators times q times the largest of r, |pa|
     and |pb|."""
-    (r, pa, pb), p, q = e.ctx._rel, e.vec[0], e.den
-    nil = (sum(map(abs, e.vec)) - abs(p)) * q * max(r, abs(pa), abs(pb))
+    p, q = e.vec[0], e.den
+    nil = sum([abs(x) for k, x in e.nonzero if k]) * q * e.ctx._rel[3]
     e._size = size = scalar_bits(p, q), nil.bit_length(), 1
     return size
 
@@ -218,7 +220,7 @@ def reduce(raw: dict[tuple[int, int], Fraction], ctx: RingCtx) -> "RingElem":
     """
     n = ctx.n
     m = n + 1
-    r, pa, pb = ctx._rel
+    r, pa, pb, _ = ctx._rel
     terms = []  # (slot, numerator, denominator)
     for (i, j), c in raw.items():
         c = _exact(c)
@@ -301,7 +303,7 @@ class RingElem:
         ctx = self.ctx
         n = ctx.n
         m = n + 1
-        r, pa, pb = ctx._rel
+        r, pa, pb, _ = ctx._rel
         # Each factor's nonzero pairs split at slot m into its A and B
         # parts.  A B pair keeps its slot, m + i for G1*t^i, so each B
         # factor in a convolution lowers `at` and raises `top` by m.
@@ -414,10 +416,11 @@ def basis_map_A(nu: int, nu_prime: int, mu: int, mu_prime: int,
 
     Row convention: (-K, H)^T = A * (-K', H')^T.
     """
+    refuse_float(nu, nu_prime)
+    lam, mu = integer(lam, "lambda", 1), integer(mu, "mu", 1)
+    mu_prime = integer(mu_prime, "mu'", 1)
     if lam not in (1, 2):
         raise ValueError("lambda must be 1 or 2")
-    if mu <= 0 or mu_prime <= 0:
-        raise ValueError("mu and mu' must be positive")
     a = BasisMap(
         ((Fraction(-nu, lam), Fraction(2 * lam - nu * nu_prime, lam * mu_prime)),
          (Fraction(mu, lam), Fraction(mu * nu_prime, mu_prime * lam))))
@@ -490,8 +493,9 @@ def basis_map_B(nu: int, nu_prime: int, mu: int, c1: int, delta: RatLike,
     integral-entries flag, det(B), and the identity
     d*(nu^2 - delta*mu^2) = +-4*b*d'.
     """
-    if mu <= 0 or b <= 0 or d <= 0 or d_prime <= 0:
-        raise ValueError("mu, b, d, d' must be positive")
+    refuse_float(nu, nu_prime)
+    mu, b, c1 = integer(mu, "mu", 1), integer(b, "b", 1), integer(c1, "c1")
+    d, d_prime = integer(d, "d", 1), integer(d_prime, "d'", 1)
     delta = _exact(delta)
     b11 = Fraction(nu * nu_prime - 1, b)
     b12 = Fraction(d, 4 * b * mu) * (

@@ -16,7 +16,7 @@ from collections import defaultdict, namedtuple
 from fractions import Fraction
 from functools import cache
 
-from . import dataset, exact, refuse_float, slope
+from . import dataset, exact, integer, slope
 # The benchmark and verify reach enumerate_congruences through classify.
 from .families import enumerate_congruences  # noqa: F401
 from .slope import InvariantTuple
@@ -166,11 +166,7 @@ def enumerate_type_D(n_max: int = DEFAULT_N_MAX) -> Enumerated:
     """Second contraction blows down a divisor to a codimension-two
     center; candidates are cut out by the argument bound and the
     integrality of the codimension-two basis change."""
-    refuse_float(n_max)
-    if n_max % 1:
-        raise ValueError("n_max must be an integer")
-    if n_max < 2:
-        raise ValueError("n_max must be at least 2")
+    n_max = integer(n_max, "n_max", 2)
     manifolds = _manifolds()
     rows: list[InvariantTuple] = []
     reports: list[ExclusionReport] = []

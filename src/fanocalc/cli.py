@@ -99,9 +99,8 @@ def cmd_enumerate(kind, fmt, n, n_max, m_max) -> int:
     if kind == "congruence":
         from . import families
         m_max = families.DEFAULT_M_MAX if m_max is None else m_max
-        rows = [(t.alpha, t.z, t.m)
-                for t in families.enumerate_congruences(m_max)]
-        emit(("alpha", "z", "m"), rows, fmt, [f"bounds: m_max={m_max}"])
+        emit(("alpha", "z", "m"), families.enumerate_congruences(m_max), fmt,
+             [f"bounds: m_max={m_max}"])
         return 0
     from . import classify
     from .slope import ADMISSIBLE_N, CSV_COLUMNS, tuple_to_row

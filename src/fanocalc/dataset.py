@@ -15,7 +15,7 @@ import io
 import os
 from fractions import Fraction
 
-from . import Record, refuse_float
+from . import Record, integer
 
 DATA_ENV_VAR = "FANOCALC_DATA"
 
@@ -25,9 +25,10 @@ class FanoEntry(Record):
 
     def __init__(self, dim: int, index: int, degree: int, name: str,
                  b4_rank: int | None, source_note: str):
-        refuse_float(dim, index, degree, b4_rank)
-        if dim < 1:
-            raise ValueError("dim must be at least 1")
+        dim, index = integer(dim, "dim", 1), integer(index, "index")
+        degree = integer(degree, "degree", 1)
+        if b4_rank is not None:
+            b4_rank = integer(b4_rank, "b4_rank")
         # From dimension 2 on, the square of an ample class is nonzero in H^4.
         least_b4 = 1 if dim >= 2 else 0
         if b4_rank is not None and b4_rank < least_b4:
@@ -35,8 +36,6 @@ class FanoEntry(Record):
                              f"in dimension {dim}")
         if not (1 <= index <= dim + 1):
             raise ValueError("index must lie between 1 and dim+1")
-        if degree < 1:
-            raise ValueError("degree must be at least 1")
         self._fill(dim, index, degree, name, b4_rank, source_note)
 
 

@@ -22,7 +22,7 @@ from __future__ import annotations
 from fractions import Fraction
 from math import gcd, lcm
 
-from . import Record, refuse_float
+from . import Record, integer, refuse_float
 
 RatLike = Fraction | int
 IntPair = tuple[int, int]
@@ -157,8 +157,7 @@ def arg_less_than(z: QuadNum, q: int) -> bool:
     """
     if z.is_zero():
         raise ValueError("argument of zero is undefined")
-    if q < 2:
-        raise ValueError("q must be at least 2")
+    q = integer(q, "q", 2)
     if z.B <= 0:
         raise ValueError("z must lie in the open upper half plane (im > 0)")
     x = w = (z.A, z.B)
@@ -179,15 +178,9 @@ _TAN_SQ = {q: (1 - c) / c for q, c in _COS_SQ.items() if c}
 
 def tan_sq_pi_over(q: int) -> Fraction | None:
     """tan^2(pi/q) when rational, None otherwise (q=2 is a pole)."""
-    refuse_float(q)
-    if q < 2:
-        raise ValueError("q must be at least 2")
-    return _TAN_SQ.get(q)
+    return _TAN_SQ.get(integer(q, "q", 2))
 
 
 def cos_sq_pi_over(q: int) -> Fraction | None:
     """cos^2(pi/q) when rational, None otherwise."""
-    refuse_float(q)
-    if q < 2:
-        raise ValueError("q must be at least 2")
-    return _COS_SQ.get(q)
+    return _COS_SQ.get(integer(q, "q", 2))

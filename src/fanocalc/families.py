@@ -15,11 +15,7 @@ from __future__ import annotations
 from collections import namedtuple
 from math import gcd
 
-from . import refuse_float
-
-TYPE_CHECKING = False
-if TYPE_CHECKING:
-    from fractions import Fraction
+from . import integer, refuse_float
 
 DEFAULT_M_MAX = 19
 # The list grows linearly in m_max, so the bound is capped like chow.MAX_N.
@@ -32,12 +28,11 @@ class CongruenceTuple(namedtuple("CongruenceTuple", "alpha z m")):
     __slots__ = ()
 
     def __new__(cls, alpha: int, z: int, m: int) -> "CongruenceTuple":
-        refuse_float(alpha, z, m)
+        # alpha = 2 would force the two linear pieces to meet; ruled out.
+        alpha = integer(alpha, "alpha", 3)
+        refuse_float(z, m)
         if m - z - 1 <= 0 or alpha * (m - z - 1) != m - 1:
             raise ValueError("alpha must equal (m-1)/(m-z-1) exactly")
-        # alpha = 2 would force the two linear pieces to meet; ruled out.
-        if alpha < 3:
-            raise ValueError("alpha must be at least 3")
         if not (0 < 3 * z <= 2 * m):
             raise ValueError("z must satisfy 0 < z <= 2m/3")
         return super().__new__(cls, alpha, z, m)
@@ -53,11 +48,6 @@ class FamilyRow(namedtuple("FamilyRow", "x_prime moduli tau_moduli x tau")):
         g = gcd(self.tau_moduli, self.tau)
         p, q = self.tau_moduli // g, self.tau // g
         return f"{p}" if q == 1 else f"{p}/{q}"
-
-    @property
-    def pullback_factor(self) -> Fraction:
-        from fractions import Fraction
-        return Fraction(self.factor)
 
 
 # -- family table ------------------------------------------------------------
@@ -85,11 +75,7 @@ def enumerate_congruences(m_max: int = DEFAULT_M_MAX) -> list[CongruenceTuple]:
     m = alpha*t + 1 and z = (alpha-1)*t, and 3z <= 2m becomes
     (alpha-3)*t <= 2: every t >= 1 gives a solution with alpha = 3, alpha = 4
     allows t <= 2, alpha = 5 allows t = 1, and no alpha >= 6 is possible."""
-    refuse_float(m_max)
-    if m_max % 1:
-        raise ValueError("m_max must be an integer")
-    if m_max < 3:
-        raise ValueError("m_max must be at least 3")
+    m_max = integer(m_max, "m_max", 3)
     if m_max > MAX_M_MAX:
         raise ValueError(f"m_max must be at most {MAX_M_MAX}")
     out = []

@@ -12,7 +12,7 @@ import csv
 import io
 from fractions import Fraction
 
-from . import Record, refuse_float
+from . import Record, integer, refuse_float
 from .exact import (_COS_SQ, RatLike, cos_sq_pi_over, integral_form, rational,
                     zmul, zpow)
 
@@ -81,8 +81,7 @@ def solve_nu_prime(n: int, tau: RatLike, delta: RatLike,
     tau, delta = rational(tau), rational(delta)
     if delta.numerator >= 0 or tau.numerator <= 0:
         raise ValueError("need delta < 0 and tau > 0")
-    if mu <= 0:
-        raise ValueError("mu must be positive")
+    mu = integer(mu, "mu", 1)
     a, b, s, d = integral_form(tau, 1, delta)
     # s^k * (a_k + b_k*sqrt(delta)) = X_k + Y_k*sqrt(D) with b_k = q*Y_k/s^k,
     # so b_n/b_{n+1} = s*Y_n/Y_{n+1}.
@@ -143,8 +142,7 @@ def pushforward_R(nu: int, nu_prime: int, c2_push_coeff: RatLike) -> Fraction:
 def kprime_degree_formulas(n: int, tau: RatLike, nu_prime: int, mu: int,
                            minus_khn: RatLike) -> tuple[Fraction, Fraction]:
     """Closed forms for (-K'*H'^n, K'^2*H'^(n-1)) given -K*H^n."""
-    if mu <= 0:
-        raise ValueError("mu must be positive")
+    mu, nu_prime = integer(mu, "mu", 1), integer(nu_prime, "nu'", 1)
     tau, minus_khn = Fraction(rational(tau)), Fraction(rational(minus_khn))
     scale = _two_pow_cos_pow(n)  # 2^n * cos^(n-1)(pi/(n+1))
     cos_sq = cos_sq_pi_over(n + 1)

@@ -3,6 +3,7 @@ import random
 import time
 from fractions import Fraction
 from functools import reduce as fold
+from math import lcm
 
 import pytest
 from hypothesis import assume, given, strategies as st
@@ -380,3 +381,20 @@ def test_ring_axioms(data):
     assert x * y == y * x
     assert (x + y) * z == x * z + y * z
     assert x * (y * z) == (x * y) * z
+
+
+def test_leaf_size_matches_the_dense_estimate():
+    # _leaf_size reads the relation's bound stored on the context and sums
+    # only the nonzero slots; on verify's random elements it must give the
+    # (S, V, k) of the estimate over all 2n+2 numerators.
+    from fanocalc import verify
+    from fanocalc.chow import _leaf_size, scalar_bits
+    rng = random.Random(20261021)
+    for _ in range(300):
+        ctx = verify._rand_ctx(rng)
+        e = verify._rand_elem(rng, ctx)
+        r = lcm(ctx.rel_a.denominator, ctx.rel_b.denominator)
+        pa, pb = int(ctx.rel_a * r), int(ctx.rel_b * r)
+        p, q = e.vec[0], e.den
+        nil = (sum(map(abs, e.vec)) - abs(p)) * q * max(r, abs(pa), abs(pb))
+        assert _leaf_size(e) == (scalar_bits(p, q), nil.bit_length(), 1)

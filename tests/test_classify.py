@@ -398,17 +398,17 @@ def test_family_table():
     rows = family_table()
     assert len(rows) == 5
     as_tuples = [(r.x_prime, r.moduli, r.tau_moduli, r.x, r.tau,
-                  r.pullback_factor) for r in rows]
-    assert ("P3", "G(1,3)", 1, "V_4^3", 1, F(1)) in as_tuples
-    assert ("P2", "P2", 2, "P2", 1, F(2)) in as_tuples
-    assert ("Q5", "G(1,6)_Q5", 1, "W_36^5", 1, F(1)) in as_tuples
+                  r.factor) for r in rows]
+    assert ("P3", "G(1,3)", 1, "V_4^3", 1, str(F(1))) in as_tuples
+    assert ("P2", "P2", 2, "P2", 1, str(F(2))) in as_tuples
+    assert ("Q5", "G(1,6)_Q5", 1, "W_36^5", 1, str(F(1))) in as_tuples
 
 
 def test_family_factor_prints_as_a_fraction():
     for p in range(1, 13):
         for q in range(1, 13):
             row = families.FamilyRow("X'", "M", p, "X", q)
-            assert (row.factor, row.pullback_factor) == (str(F(p, q)), F(p, q))
+            assert row.factor == str(F(p, q))
 
 
 # -- congruences -------------------------------------------------------------
@@ -487,6 +487,27 @@ def test_fano_entry_accepts_a_curve_with_no_h4():
 @pytest.mark.parametrize("call, bound", [
     (lambda: enumerate_type_D(F(11, 2)), "n_max"),
     (lambda: enumerate_congruences(F(39, 2)), "m_max"),
+    # Every other count that fanocalc.integer reads.
+    (lambda: CongruenceTuple(F(7, 2), 5, 8), "alpha"),
+    (lambda: exact.arg_less_than(exact.quad(1, 1, -3), F(7, 2)), "q"),
+    (lambda: exact.tan_sq_pi_over(F(7, 2)), "q"),
+    (lambda: exact.cos_sq_pi_over(F(7, 2)), "q"),
+    (lambda: chow.RingCtx(F(5, 2), ("L", "H"), 0, -1, 1), "n"),
+    (lambda: dataset.FanoEntry(F(5, 2), 2, 3, "X", 1, "n"), "dim"),
+    (lambda: dataset.FanoEntry(3, F(3, 2), 3, "X", 1, "n"), "index"),
+    (lambda: dataset.FanoEntry(3, 2, F(5, 2), "X", 1, "n"), "degree"),
+    (lambda: dataset.FanoEntry(3, 2, 3, "X", F(1, 2), "n"), "b4_rank"),
+    (lambda: chow.basis_map_A(1, 2, 1, 1, F(3, 2)), "lambda"),
+    (lambda: chow.basis_map_A(1, 2, F(1, 2), F(1, 2), 1), "mu"),
+    (lambda: chow.basis_map_A(1, 2, 1, F(1, 2), 1), "mu'"),
+    (lambda: chow.basis_map_B(2, 1, F(1, 2), 0, -4, 1, 1, 2), "mu"),
+    (lambda: chow.basis_map_B(2, 1, 1, F(1, 2), -4, 1, 1, 2), "c1"),
+    (lambda: chow.basis_map_B(2, 1, 1, 0, -4, F(1, 2), 1, 2), "d"),
+    (lambda: chow.basis_map_B(2, 1, 1, 0, -4, 1, F(1, 2), 2), "b"),
+    (lambda: chow.basis_map_B(2, 1, 1, 0, -4, 1, 1, F(1, 2)), "d'"),
+    (lambda: slope.solve_nu_prime(2, 2, -12, F(1, 2)), "mu"),
+    (lambda: slope.kprime_degree_formulas(3, 1, 2, F(1, 2), 8), "mu"),
+    (lambda: slope.kprime_degree_formulas(3, 1, F(3, 2), 1, 8), "nu'"),
 ])
 def test_bounds_refuse_a_non_integer(call, bound):
     with pytest.raises(ValueError, match=f"^{bound} must be an integer$"):
@@ -497,6 +518,53 @@ def test_bounds_read_a_whole_fraction_as_its_int():
     # The check is on the value: Fraction(6) is the bound 6.
     assert enumerate_type_D(F(6)) == enumerate_type_D(6)
     assert enumerate_congruences(F(40)) == enumerate_congruences(40)
+
+
+def test_counts_read_a_whole_fraction_as_its_int():
+    for z in (exact.quad(1, 1, -3), exact.quad(1, 1, -1)):
+        for q in (3, 5):
+            assert exact.arg_less_than(z, F(q)) == exact.arg_less_than(z, q)
+    assert exact.tan_sq_pi_over(F(3)) == exact.tan_sq_pi_over(3) == 3
+    assert exact.cos_sq_pi_over(F(4)) == exact.cos_sq_pi_over(4) == F(1, 2)
+    ctx = chow.RingCtx(F(5), ("L", "H"), 0, -1, 1)
+    assert ctx == chow.RingCtx(5, ("L", "H"), 0, -1, 1)
+    assert type(ctx.n) is int
+    entry = dataset.FanoEntry(F(3), F(2), F(2), "Q3", F(1), "n")
+    assert entry == dataset.FanoEntry(3, 2, 2, "Q3", 1, "n")
+    assert {type(entry.dim), type(entry.index), type(entry.degree),
+            type(entry.b4_rank)} == {int}
+    assert chow.basis_map_A(1, 4, F(1), F(1), F(1)) == \
+        chow.basis_map_A(1, 4, 1, 1, 1)
+    assert chow.basis_map_B(2, 1, F(1), F(0), -4, F(1), F(1), F(2)) == \
+        chow.basis_map_B(2, 1, 1, 0, -4, 1, 1, 2)
+    assert slope.solve_nu_prime(2, 2, -12, F(1)) == \
+        slope.solve_nu_prime(2, 2, -12, 1)
+    assert slope.kprime_degree_formulas(3, 1, F(2), F(1), 8) == \
+        slope.kprime_degree_formulas(3, 1, 2, 1, 8)
+    assert CongruenceTuple(F(4), 6, 9) == (4, 6, 9)
+
+
+@pytest.mark.parametrize("call, message", [
+    (lambda: chow.basis_map_A(1, 2, 1, 1, 0), "lambda must be at least 1"),
+    (lambda: chow.basis_map_A(1, 2, 1, 1, 3), "lambda must be 1 or 2"),
+    (lambda: chow.basis_map_A(1, 2, 0, 1, 1), "mu must be at least 1"),
+    (lambda: chow.basis_map_A(1, 2, 1, -1, 1), "mu' must be at least 1"),
+    (lambda: chow.basis_map_B(2, 1, 0, 0, -4, 1, 1, 2), "mu must be at least 1"),
+    (lambda: chow.basis_map_B(2, 1, 1, 0, -4, 0, 1, 2), "d must be at least 1"),
+    (lambda: chow.basis_map_B(2, 1, 1, 0, -4, 1, -2, 2), "b must be at least 1"),
+    (lambda: chow.basis_map_B(2, 1, 1, 0, -4, 1, 1, 0), "d' must be at least 1"),
+    (lambda: slope.kprime_degree_formulas(3, 1, 0, 1, 8),
+     "nu' must be at least 1"),
+    (lambda: exact.arg_less_than(exact.quad(1, 1, -3), F(1)),
+     "q must be at least 2"),
+    (lambda: CongruenceTuple(F(2), 1, 3), "alpha must be at least 3"),
+    (lambda: dataset.FanoEntry(3, 2, 0, "X", 1, "n"),
+     "degree must be at least 1"),
+], ids=["lambda-0", "lambda-3", "A-mu", "A-mu-prime", "B-mu", "B-d", "B-b",
+        "B-d-prime", "nu-prime", "q", "alpha", "degree"])
+def test_counts_refuse_a_value_below_their_least(call, message):
+    with pytest.raises(ValueError, match=f"^{message}$"):
+        call()
 
 
 def test_congruence_tuple_value_semantics():

@@ -130,3 +130,36 @@ def test_package_source_holds_no_floating_point():
     # Exactly one isinstance(..., float) and one copy of its message.
     assert [home for _, home in gates] == [True], gates
     assert [home for _, home in messages] == [True], messages
+
+
+def test_package_source_tests_integrality_once():
+    """The only `... % 1` in the source is in fanocalc.integer, which
+    every count, bound and multiplicity goes through."""
+    found = []
+    for path in sorted((SRC / "fanocalc").glob("*.py")):
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        in_reader = {id(node) for fn in ast.walk(tree)
+                     if isinstance(fn, ast.FunctionDef)
+                     and (path.name, fn.name) == ("__init__.py", "integer")
+                     for node in ast.walk(fn)}
+        found += [(f"{path.name}:{node.lineno}", id(node) in in_reader)
+                  for node in ast.walk(tree)
+                  if isinstance(node, ast.BinOp)
+                  and isinstance(node.op, ast.Mod)
+                  and isinstance(node.right, ast.Constant)
+                  and node.right.value == 1]
+    assert [home for _, home in found] == [True], found
+
+
+def test_integer_reads_a_whole_number():
+    from fractions import Fraction
+    for x in (3, Fraction(3), Fraction(6, 2), True):
+        assert type(fanocalc.integer(x, "k")) is int
+    assert fanocalc.integer(Fraction(-4), "k") == -4
+    assert fanocalc.integer(2, "k", least=2) == 2
+    with pytest.raises(TypeError, match="^exact numbers only, not float$"):
+        fanocalc.integer(3.0, "k")
+    with pytest.raises(ValueError, match="^k must be an integer$"):
+        fanocalc.integer(Fraction(7, 2), "k", least=5)
+    with pytest.raises(ValueError, match="^k must be at least 2$"):
+        fanocalc.integer(Fraction(1), "k", least=2)

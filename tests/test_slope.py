@@ -4,7 +4,7 @@ from fractions import Fraction
 import pytest
 from hypothesis import example, given, strategies as st
 
-from fanocalc import classify, exact, slope, verify
+from fanocalc import chow, classify, dataset, exact, slope, verify
 from fanocalc.slope import (InvariantError, InvariantTuple, base_degree_ratio,
                             c1_prime, check_rho_tau, pushforward_R,
                             solve_nu_prime, tuple_to_row, tuples_to_csv)
@@ -297,6 +297,22 @@ def test_threshold_errors_keep_their_messages(form):
     *(lambda f=f: sample_tuple(**{f: float(SAMPLE_ROW.get(f, 1))})
       for f in ("n", "lam", "mu", "mu_prime", "i", "i_prime", "c1", "d",
                 "d_prime")),
+    # Each count read by fanocalc.integer, as a float.
+    lambda: slope.kprime_degree_formulas(3, 1, 2, 1.0, 8),
+    lambda: slope.kprime_degree_formulas(3, 1, 2.0, 1, 8),
+    lambda: solve_nu_prime(2, 2, -12, 1.0),
+    lambda: solve_nu_prime(3, 1, Fraction(-1, 3), 1.0),
+    lambda: exact.arg_less_than(exact.quad(1, 1, -3), 3.0),
+    lambda: chow.RingCtx(5.0, ("L", "H"), 0, -1, 1),
+    lambda: chow.basis_map_A(1, 4, 1, 1, 1.0),
+    lambda: chow.basis_map_A(1, 4, 1.0, 1, 1),
+    lambda: chow.basis_map_A(1, 4, 1, 1.0, 1),
+    lambda: chow.basis_map_A(1.0, 4, 1, 1, 1),
+    lambda: chow.basis_map_A(1, 4.0, 1, 1, 1),
+    *(lambda k=k: chow.basis_map_B(*(float(x) if j == k else x for j, x
+                                     in enumerate((2, 1, 1, 0, -4, 1, 1, 2))))
+      for k in (0, 1, 2, 3, 5, 6, 7)),
+    lambda: dataset.FanoEntry(3, 2.0, 2, "x", None, ""),
 ])
 def test_float_is_refused(call):
     with pytest.raises(TypeError, match="^exact numbers only, not float$"):
@@ -316,14 +332,14 @@ def test_negative_n_raises_instead_of_hanging(call):
 @pytest.mark.parametrize("mu", [0, -1])
 def test_solve_nu_prime_refuses_nonpositive_mu(mu):
     # mu = 0 divided by zero, and mu = -1 answered None.
-    with pytest.raises(ValueError, match="^mu must be positive$"):
+    with pytest.raises(ValueError, match="^mu must be at least 1$"):
         solve_nu_prime(2, 1, -1, mu)
 
 
 @pytest.mark.parametrize("mu", [0, -1])
 def test_kprime_degree_formulas_refuses_nonpositive_mu(mu):
     # mu = 0 divided by zero, and mu = -1 answered (1/2, 2).
-    with pytest.raises(ValueError, match="^mu must be positive$"):
+    with pytest.raises(ValueError, match="^mu must be at least 1$"):
         slope.kprime_degree_formulas(2, 1, 1, mu, 2)
 
 
