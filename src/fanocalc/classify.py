@@ -315,7 +315,8 @@ def exclude_1_4() -> ExclusionReport:
     c1p = slope.c1_prime(5, 1, 4)
     monomials = _monomials_1_4()
     # K'^4H'^2/2 - c1'K'^3H'^3/4 + c1'^2K'^2H'^4/8 - c1'^3K'H'^5/16.
-    value = sum(m * (-c1p / 2) ** k for k, m in enumerate(monomials)) / 2
+    value = sum(m * Fraction(-c1p, 2) ** k
+                for k, m in enumerate(monomials)) / 2
     odd = value.denominator == 1 and value.numerator % 2 == 1
     return ExclusionReport(
         rule="schwarzenberger",
@@ -333,7 +334,9 @@ def exclude_2_1() -> ExclusionReport:
     cone; the degree bound 22 forces d_Z = 1, and comparing 18 = m*H^7
     with m^2*H^7 = 24 yields the non-integer multiplicity m = 4/3.
     """
-    deg_x, deg_xp = Fraction(18), Fraction(16)
+    # deg X' = (num/den) * 18 by the conic degree ratio at (n, tau) = (5, 2).
+    num, den = slope.degree_ratio(5, 2)
+    deg_x, deg_xp = Fraction(18), Fraction(18 * num, den)
     bound = 22
     # d_Z^3 is bounded by 22 and d_Z^2 must divide the degree 18.
     d_z = max(k for k in range(1, bound + 1)
@@ -356,12 +359,6 @@ _DOSSIERS = {(5, 1, 2): "_exclude_1_2", (5, 2, 1): "exclude_2_1",
              (5, 1, 4): "exclude_1_4"}
 
 
-def _degree_matches(x, xp, num: int, den: int):
-    """The pairs (X, X') of `x` and `xp` with deg X' = (num/den) * deg X."""
-    return [(ex, exp) for ex in x for exp in xp
-            if exp.degree * den == num * ex.degree]
-
-
 def enumerate_type_C(n: int) -> Enumerated:
     """Second contraction is a conic bundle over a manifold of the same
     dimension; only n in slope.ADMISSIBLE_N admits the required rational
@@ -369,30 +366,28 @@ def enumerate_type_C(n: int) -> Enumerated:
     slope.require_admissible(n)
     manifolds = _manifolds()
     tan_p, tan_q = exact.tan_sq_pi_over(n + 1).as_integer_ratio()
-    cos_p, cos_q = exact.cos_sq_pi_over(n + 1).as_integer_ratio()
-    scale = slope._two_pow_cos_pow(n)  # deg X' = tau^(n-1)/scale * deg X
     rows: list[InvariantTuple] = []
     reports: list[ExclusionReport] = []
     # tau <= n and tau' <= n - 1 are the index bounds i = tau + 1 <= n + 1
     # and i' = tau' + 2 <= n + 1 of Kobayashi-Ochiai (J. Math. Kyoto Univ.
     # 13, 1973), which FanoEntry also enforces.
     for tau in range(1, n + 1):
+        num, den = slope.degree_ratio(n, tau)
+        x = [e for e in manifolds[n, tau + 1] if _cyclic_h4(e)]
         for tau_prime in range(1, n):
-            # c1' = (8/tau)*cos^2(pi/(n+1)) - 4*tau', as in slope.c1_prime.
-            c1p, rest = divmod(8 * cos_p - 4 * cos_q * tau * tau_prime,
-                               cos_q * tau)
-            if rest:
+            c1p = slope.c1_prime(n, tau, tau_prime)
+            if c1p is None:
                 continue
-            x = [e for e in manifolds[n, tau + 1] if _cyclic_h4(e)]
             xp = [e for e in manifolds[n, tau_prime + 2] if _cyclic_h4(e)]
-            matched = _degree_matches(x, xp, tau ** (n - 1), scale)
+            matched = [(ex, exp) for ex in x for exp in xp
+                       if exp.degree * den == num * ex.degree]
             script = _DOSSIERS.get((n, tau, tau_prime))
             if c1p <= 0 and not script and not matched:
                 continue  # unrealizable numerics; dropped silently
-            # Y.f = -(c1'*mu + 2*tau') with mu = 1, as in slope.y_dot_f.
             cand = _candidate(n, "C", tau, tau_prime,
                               Fraction(-tau * tau * tan_p, tan_q),
-                              c1_prime=c1p, y_dot_f=-c1p - 2 * tau_prime)
+                              c1_prime=c1p,
+                              y_dot_f=slope.y_dot_f(c1p, tau_prime))
             # Effectivity of the degeneracy divisor: its pushforward is
             # -c1' times the ample generator.  Then the n = 5 dossiers.
             rep = None

@@ -15,7 +15,7 @@ from __future__ import annotations
 from collections import namedtuple
 from math import gcd
 
-from . import integer, refuse_float
+from . import integer
 
 DEFAULT_M_MAX = 19
 # The list grows linearly in m_max, so the bound is capped like chow.MAX_N.
@@ -30,7 +30,7 @@ class CongruenceTuple(namedtuple("CongruenceTuple", "alpha z m")):
     def __new__(cls, alpha: int, z: int, m: int) -> "CongruenceTuple":
         # alpha = 2 would force the two linear pieces to meet; ruled out.
         alpha = integer(alpha, "alpha", 3)
-        refuse_float(z, m)
+        z, m = integer(z, "z"), integer(m, "m")
         if m - z - 1 <= 0 or alpha * (m - z - 1) != m - 1:
             raise ValueError("alpha must equal (m-1)/(m-z-1) exactly")
         if not (0 < 3 * z <= 2 * m):

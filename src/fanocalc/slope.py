@@ -11,10 +11,10 @@ from __future__ import annotations
 import csv
 import io
 from fractions import Fraction
+from math import gcd
 
 from . import Record, integer, refuse_float
-from .exact import (_COS_SQ, RatLike, cos_sq_pi_over, integral_form, rational,
-                    zmul, zpow)
+from .exact import _COS_SQ, RatLike, integral_form, rational, zmul, zpow
 
 KINDS = ("P", "D", "C")
 # The rational fields of InvariantTuple; the last four are optional.
@@ -40,7 +40,8 @@ def _two_pow_cos_pow(n: int) -> int:
     solutions: the integer 2, 4 and 18 for n = 2, 3 and 5.  At n = 2 the
     exponent is 1/2 and 4*cos^2(pi/3) = 1, so flooring it changes nothing."""
     require_admissible(n)
-    return 2 * int(4 * cos_sq_pi_over(n + 1)) ** ((n - 1) // 2)
+    p, q = _COS_SQ[n + 1].as_integer_ratio()
+    return 2 * (4 * p // q) ** ((n - 1) // 2)
 
 
 class InvariantError(ValueError):
@@ -99,34 +100,33 @@ def solve_nu_prime(n: int, tau: RatLike, delta: RatLike,
     return nu_prime
 
 
-def c1_prime(n: int, tau: RatLike, tau_prime: RatLike) -> Fraction:
-    """First Chern class of the rank-three bundle in the conic case:
-    (8/tau)*cos^2(pi/(n+1)) - 4*tau'.  With cos^2 = p/q, tau = a/b and
-    tau' = c/e, that is (8pbe - 4qac)/(qae), one Fraction built from
-    ints.  A float raises TypeError."""
+def c1_prime(n: int, tau: int, tau_prime: int) -> int | None:
+    """First Chern class of the rank-three bundle in the conic case,
+    (8/tau)*cos^2(pi/(n+1)) - 4*tau'.  With cos^2 = p/q that is
+    (8p - 4q*tau*tau')/(q*tau), one divmod on ints; None when it is not
+    an integer.  tau and tau' are integers >= 1."""
     require_admissible(n)
-    tau, tau_prime = rational(tau), rational(tau_prime)
-    if tau == 0:
-        raise ValueError("tau must be nonzero")
-    p, q = cos_sq_pi_over(n + 1).as_integer_ratio()
-    a, b = tau.as_integer_ratio()
-    c, e = tau_prime.as_integer_ratio()
-    return Fraction(8 * p * b * e - 4 * q * a * c, q * a * e)
+    tau, tau_prime = integer(tau, "tau", 1), integer(tau_prime, "tau'", 1)
+    p, q = _COS_SQ[n + 1].as_integer_ratio()
+    c1p, rest = divmod(8 * p - 4 * q * tau * tau_prime, q * tau)
+    return None if rest else c1p
 
 
-def base_degree_ratio(n: int, tau: RatLike) -> Fraction:
-    """Factor carrying deg(X) to deg(X') in the conic case:
-    tau^(n-1) / (2^n * cos^(n-1)(pi/(n+1)))."""
-    tau = Fraction(rational(tau))
-    if tau <= 0:
-        raise ValueError("tau must be positive")
-    return tau ** (n - 1) / _two_pow_cos_pow(n)
+def degree_ratio(n: int, tau: int) -> tuple[int, int]:
+    """The factor num/den, in lowest terms, carrying deg(X) to deg(X') in
+    the conic case: tau^(n-1) / (2^n * cos^(n-1)(pi/(n+1))).  tau is an
+    integer >= 1."""
+    tau = integer(tau, "tau", 1)
+    num, den = tau ** (n - 1), _two_pow_cos_pow(n)
+    g = gcd(num, den)
+    return num // g, den // g
 
 
-def y_dot_f(c1p: RatLike, tau_prime: RatLike, mu: int) -> Fraction:
+def y_dot_f(c1_prime: int, tau_prime: int) -> int:
     """Intersection of the hypersurface class of Y in the ambient
-    projective bundle with a fiber of the first projection."""
-    return -(Fraction(rational(c1p)) * rational(mu) + 2 * rational(tau_prime))
+    projective bundle with a fiber of the first projection, -(c1' + 2tau');
+    every conic row has mu = 1."""
+    return -(integer(c1_prime, "c1'") + 2 * integer(tau_prime, "tau'", 1))
 
 
 def pushforward_R(nu: int, nu_prime: int, c2_push_coeff: RatLike) -> Fraction:
@@ -137,20 +137,6 @@ def pushforward_R(nu: int, nu_prime: int, c2_push_coeff: RatLike) -> Fraction:
     nu, nu_prime = rational(nu), rational(nu_prime)
     first = (nu_prime + 2) * (nu * nu_prime - 1) + 2 * (nu + 1)
     return Fraction(first) - Fraction(rational(c2_push_coeff))
-
-
-def kprime_degree_formulas(n: int, tau: RatLike, nu_prime: int, mu: int,
-                           minus_khn: RatLike) -> tuple[Fraction, Fraction]:
-    """Closed forms for (-K'*H'^n, K'^2*H'^(n-1)) given -K*H^n."""
-    mu, nu_prime = integer(mu, "mu", 1), integer(nu_prime, "nu'", 1)
-    tau, minus_khn = Fraction(rational(tau)), Fraction(rational(minus_khn))
-    scale = _two_pow_cos_pow(n)  # 2^n * cos^(n-1)(pi/(n+1))
-    cos_sq = cos_sq_pi_over(n + 1)
-    first = (mu * tau) ** (n - 1) / scale * minus_khn
-    # Fraction(mu): at n = 2 the power of mu is negative.
-    second = 2 * Fraction(mu) ** (n - 3) * tau ** (n - 2) / scale \
-        * (2 * cos_sq - nu_prime * mu * tau) * minus_khn
-    return first, second
 
 
 class InvariantTuple(Record):

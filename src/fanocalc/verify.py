@@ -23,11 +23,11 @@ SEED = 20260824
 
 # Conic-case table rows: (n, tau, tau', Delta, c1', Y.f, deg X, deg X').
 CONIC_ROWS = (
-    (2, 2, 1, Fraction(-12), Fraction(-3), Fraction(1), 1, 1),
-    (3, 1, 2, Fraction(-1), Fraction(-4), Fraction(0), 4, 1),
-    (3, 2, 1, Fraction(-4), Fraction(-2), Fraction(0), 2, 2),
-    (5, 1, 3, Fraction(-1, 3), Fraction(-6), Fraction(0), 36, 2),
-    (5, 3, 1, Fraction(-3), Fraction(-2), Fraction(0), 4, 18),
+    (2, 2, 1, Fraction(-12), -3, 1, 1, 1),
+    (3, 1, 2, Fraction(-1), -4, 0, 4, 1),
+    (3, 2, 1, Fraction(-4), -2, 0, 2, 2),
+    (5, 1, 3, Fraction(-1, 3), -6, 0, 36, 2),
+    (5, 3, 1, Fraction(-3), -2, 0, 4, 18),
 )
 
 # Blow-down-case raw rows: (n, tau, tau', Delta, c1, d, d').
@@ -239,22 +239,30 @@ def check_conic_rows(rng: random.Random) -> str | None:
             raise CheckFailed(f"n={n} tau={tau}")
         if slope.c1_prime(n, tau, taup) != c1p:
             raise CheckFailed(f"c1' mismatch at n={n} ({tau},{taup})")
-        if slope.base_degree_ratio(n, tau) * dx != dxp:
+        num, den = slope.degree_ratio(n, tau)
+        if num * dx != dxp * den:
             raise CheckFailed(f"degree ratio at n={n} ({tau},{taup})")
-        if slope.y_dot_f(c1p, taup, 1) != ydf:
+        if slope.y_dot_f(c1p, taup) != ydf:
             raise CheckFailed(f"Y.f at n={n} ({tau},{taup})")
 
 
 @check("second-contraction degrees")
 def check_kprime_consistency(rng: random.Random) -> str | None:
+    """In the ring of P(E), with c1 normalized by the parity of tau and
+    c2/d = (c1^2 - Delta)/4, H' = L + ((tau - c1)/2)H is pulled back from
+    the n-dimensional base, H'^(n+1) = 0, and -K = 2L + (i - c1)H with
+    i = tau + 1 gives -K*H'^n = 2 deg X'."""
     for n, tau, taup, delta, c1p, ydf, dx, dxp in CONIC_ROWS:
-        first, second = slope.kprime_degree_formulas(n, tau, taup, 1, 2 * dx)
-        if not type(first) is type(second) is Fraction:
-            raise CheckFailed(f"not a Fraction at n={n} ({tau},{taup})")
-        if first != 2 * dxp:
-            raise CheckFailed(f"-K'H'^n at n={n} ({tau},{taup})")
-        if 2 * second / first != c1p:
-            raise CheckFailed(f"c1' from K'^2 at n={n} ({tau},{taup})")
+        c1 = 0 if tau % 2 == 0 else -1
+        ctx = chow.RingCtx(n, ("L", "H"), c1, (delta - c1 * c1) / 4, dx)
+        l, h = ctx.gen1, ctx.gen2
+        hp = l + h.scale(Fraction(tau - c1, 2))
+        hp_n = hp ** n
+        if chow.intersection_degree(hp_n * hp) != 0:
+            raise CheckFailed(f"H'^(n+1) at n={n} ({tau},{taup})")
+        minus_k = l.scale(2) + h.scale(tau + 1 - c1)
+        if chow.intersection_degree(minus_k * hp_n) != 2 * dxp:
+            raise CheckFailed(f"-K*H'^n at n={n} ({tau},{taup})")
 
 
 @check("blow-down table thresholds")

@@ -172,12 +172,14 @@ def test_type_D_early_stop_matches_full_scan():
 def test_integer_conic_decisions_match_fractions(n):
     entries = [dataset.FanoEntry(n, 1, deg, f"X{deg}", None, "")
                for deg in range(1, 41)]
+    # 2^n * cos^(n-1)(pi/(n+1)): 4 * 1/2, 8 * 1/2 and 32 * 9/16.
+    scale = {2: F(4, 2), 3: F(8, 2), 5: F(32 * 9, 16)}[n]
     for tau in range(1, 9):
-        ratio = slope.base_degree_ratio(n, tau)
-        assert classify._degree_matches(
-            entries, entries, tau ** (n - 1), slope._two_pow_cos_pow(n)) == [
+        num, den = slope.degree_ratio(n, tau)
+        assert [(x, xp) for x in entries for xp in entries
+                if xp.degree * den == num * x.degree] == [
             (x, xp) for x in entries for xp in entries
-            if Fraction(xp.degree) == ratio * x.degree]
+            if Fraction(xp.degree) == tau ** (n - 1) / scale * x.degree]
 
 
 @pytest.mark.parametrize("n", (2, 3, 5))
@@ -194,17 +196,17 @@ def test_conic_int_decisions_match_slope_formulas(n, tmp_path, monkeypatch):
     assert {(t.tau, t.tau_prime) for t in rows} == {
         (tau, tau_prime) for tau in range(1, n + 1)
         for tau_prime in range(1, n)
-        if slope.c1_prime(n, tau, tau_prime).denominator == 1}
+        if slope.c1_prime(n, tau, tau_prime) is not None}
     assert {id(r.candidate) for r in reports} == {
         id(t) for t in rows if t.status == "excluded"}
     for t in rows:
         assert t.c1_prime == slope.c1_prime(n, t.tau, t.tau_prime)
-        assert t.y_dot_f == slope.y_dot_f(t.c1_prime, t.tau_prime, 1)
+        assert t.y_dot_f == slope.y_dot_f(t.c1_prime, t.tau_prime)
         assert t.delta == -t.tau ** 2 * exact.tan_sq_pi_over(n + 1)
         assert all(type(getattr(t, f)) is Fraction
                    for f in slope._RATIONAL_FIELDS if getattr(t, f) is not None)
         if t.status == "admissible":
-            assert t.deg_x_prime == slope.base_degree_ratio(n, t.tau) * t.deg_x
+            assert t.deg_x_prime == F(*slope.degree_ratio(n, t.tau)) * t.deg_x
 
 
 def test_conic_degree_match_gives_an_integral_c2():
@@ -223,7 +225,7 @@ def test_conic_degree_match_gives_an_integral_c2():
             ratio = F(tau ** (n - 1), scale[n])
             c1 = 0 if tau % 2 == 0 else -1
             c2_over_d = (c1 * c1 + tau * tau * tan_sq[n]) / 4
-            assert ratio == slope.base_degree_ratio(n, tau)
+            assert ratio == F(*slope.degree_ratio(n, tau))
             assert c2_over_d == classify._candidate(
                 n, "C", tau, 1, -tau * tau * exact.tan_sq_pi_over(n + 1)
             )["c2_over_d"]
@@ -273,6 +275,52 @@ def test_type_C_survivor_fields():
     assert (v45.delta, v45.c1_prime) == (-3, -2)
 
 
+def test_cone_of_P_E_gives_each_second_contraction():
+    # In the ring of P(E), RingCtx(n, (L, H), c1, -c2/d, deg X), the nef
+    # boundary H' = L + ((tau - c1)/2)H is pulled back from the
+    # n-dimensional base of the second contraction, so H'^(n+1) = 0, and
+    # -K = 2L + (i - c1)H meets H'^n in 2 deg X'.  An excluded row has no
+    # deg X, and degree 1 stands in for it.
+    rows = [t for n in (2, 3, 5)
+            for t in enumerate_type_P(n) + enumerate_type_C(n)[0]]
+    assert len(rows) == 12
+    admissible = 0
+    for t in rows:
+        ctx = chow.RingCtx(t.n, ("L", "H"), t.c1, -t.c2_over_d, t.deg_x or 1)
+        l, h = ctx.gen1, ctx.gen2
+        hp = l + h.scale(F(t.tau - t.c1, 2))
+        assert chow.intersection_degree(hp ** (t.n + 1)) == 0, t
+        if t.status == "admissible":
+            admissible += 1
+            minus_k = l.scale(2) + h.scale(t.i - t.c1)
+            assert chow.intersection_degree(minus_k * hp ** t.n) == \
+                2 * t.deg_x_prime, t
+    assert admissible == 8
+
+
+def _floats(value):
+    """The floats in `value`, through dicts, tuples, lists and sets."""
+    if isinstance(value, float):
+        return [value]
+    if isinstance(value, dict):
+        value = [*value, *value.values()]
+    if isinstance(value, (tuple, list, set, frozenset)):
+        return [f for v in value for f in _floats(v)]
+    return []
+
+
+def test_no_witness_holds_a_float():
+    # A witness written as -c1'/2 of an int c1' would hold a float.
+    reports = [classify._exclude_1_2(), classify.exclude_1_4(), exclude_2_1(),
+               *enumerate_type_D()[1]]
+    for n in (2, 3, 5):
+        reports += enumerate_type_C(n)[1]
+    assert len(reports) == 3 + 4 + len(enumerate_type_D()[1])
+    for rep in reports:
+        assert _floats(rep.witness) == [], rep.rule
+    assert _floats({"a": (1, [F(1, 2), {0.5}])}) == [0.5]
+
+
 def test_type_C_rejects_other_dimensions():
     with pytest.raises(ValueError, match="^n must be 2, 3 or 5$"):
         enumerate_type_C(4)
@@ -317,7 +365,7 @@ def test_exclusion_scripts_standalone():
     rep = exclude_2_1()
     assert rep.witness["degrees"] == (18, 16)
     # The degree pair matches the conic factor at (n, tau) = (5, 2).
-    assert slope.base_degree_ratio(5, 2) * 18 == 16
+    assert F(*slope.degree_ratio(5, 2)) * 18 == 16
     assert rep.witness["bound"] == 22
     assert rep.witness["d_z"] == 1
     assert rep.witness["m"] == F(4, 3)
@@ -447,9 +495,9 @@ def test_congruence_tuple_validation():
         CongruenceTuple(3, 3, 4)  # alpha mismatch
     with pytest.raises(ValueError, match=mismatch):
         CongruenceTuple(9, 8, 9)  # z beyond 2m/3 leaves no integer alpha
-    # With alpha an integer >= 3, z > 2m/3 needs a rational z and m.
+    # alpha = 12/3 = 4 is exact, but z = 9 > 26/3 = 2m/3.
     with pytest.raises(ValueError, match=r"^z must satisfy 0 < z <= 2m/3$"):
-        CongruenceTuple(100, F(99, 40), F(7, 2))
+        CongruenceTuple(4, 9, 13)
 
 
 @pytest.mark.parametrize("call", [
@@ -506,8 +554,15 @@ def test_fano_entry_accepts_a_curve_with_no_h4():
     (lambda: chow.basis_map_B(2, 1, 1, 0, -4, 1, F(1, 2), 2), "b"),
     (lambda: chow.basis_map_B(2, 1, 1, 0, -4, 1, 1, F(1, 2)), "d'"),
     (lambda: slope.solve_nu_prime(2, 2, -12, F(1, 2)), "mu"),
-    (lambda: slope.kprime_degree_formulas(3, 1, 2, F(1, 2), 8), "mu"),
-    (lambda: slope.kprime_degree_formulas(3, 1, F(3, 2), 1, 8), "nu'"),
+    (lambda: slope.c1_prime(5, F(3, 2), 1), "tau"),
+    (lambda: slope.c1_prime(5, 3, F(1, 2)), "tau'"),
+    (lambda: slope.degree_ratio(5, F(3, 2)), "tau"),
+    (lambda: slope.y_dot_f(F(-5, 2), 1), "c1'"),
+    (lambda: slope.y_dot_f(-2, F(1, 2)), "tau'"),
+    # A rational z or m, whether or not the congruence rules hold for it.
+    (lambda: CongruenceTuple(3, F(2, 3), 2), "z"),
+    (lambda: CongruenceTuple(100, F(99, 40), F(7, 2)), "z"),
+    (lambda: CongruenceTuple(3, 4, F(13, 2)), "m"),
 ])
 def test_bounds_refuse_a_non_integer(call, bound):
     with pytest.raises(ValueError, match=f"^{bound} must be an integer$"):
@@ -539,9 +594,11 @@ def test_counts_read_a_whole_fraction_as_its_int():
         chow.basis_map_B(2, 1, 1, 0, -4, 1, 1, 2)
     assert slope.solve_nu_prime(2, 2, -12, F(1)) == \
         slope.solve_nu_prime(2, 2, -12, 1)
-    assert slope.kprime_degree_formulas(3, 1, F(2), F(1), 8) == \
-        slope.kprime_degree_formulas(3, 1, 2, 1, 8)
-    assert CongruenceTuple(F(4), 6, 9) == (4, 6, 9)
+    assert slope.c1_prime(F(5), F(3), F(1)) == slope.c1_prime(5, 3, 1)
+    assert slope.degree_ratio(F(5), F(3)) == slope.degree_ratio(5, 3)
+    assert slope.y_dot_f(F(-2), F(1)) == slope.y_dot_f(-2, 1)
+    t = CongruenceTuple(F(4), F(6), F(9))
+    assert t == (4, 6, 9) and set(map(type, t)) == {int}
 
 
 @pytest.mark.parametrize("call, message", [
@@ -553,15 +610,14 @@ def test_counts_read_a_whole_fraction_as_its_int():
     (lambda: chow.basis_map_B(2, 1, 1, 0, -4, 0, 1, 2), "d must be at least 1"),
     (lambda: chow.basis_map_B(2, 1, 1, 0, -4, 1, -2, 2), "b must be at least 1"),
     (lambda: chow.basis_map_B(2, 1, 1, 0, -4, 1, 1, 0), "d' must be at least 1"),
-    (lambda: slope.kprime_degree_formulas(3, 1, 0, 1, 8),
-     "nu' must be at least 1"),
+    (lambda: slope.c1_prime(5, 1, 0), "tau' must be at least 1"),
     (lambda: exact.arg_less_than(exact.quad(1, 1, -3), F(1)),
      "q must be at least 2"),
     (lambda: CongruenceTuple(F(2), 1, 3), "alpha must be at least 3"),
     (lambda: dataset.FanoEntry(3, 2, 0, "X", 1, "n"),
      "degree must be at least 1"),
 ], ids=["lambda-0", "lambda-3", "A-mu", "A-mu-prime", "B-mu", "B-d", "B-b",
-        "B-d-prime", "nu-prime", "q", "alpha", "degree"])
+        "B-d-prime", "tau-prime", "q", "alpha", "degree"])
 def test_counts_refuse_a_value_below_their_least(call, message):
     with pytest.raises(ValueError, match=f"^{message}$"):
         call()

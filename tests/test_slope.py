@@ -5,8 +5,9 @@ import pytest
 from hypothesis import example, given, strategies as st
 
 from fanocalc import chow, classify, dataset, exact, slope, verify
-from fanocalc.slope import (InvariantError, InvariantTuple, base_degree_ratio,
-                            c1_prime, check_rho_tau, pushforward_R,
+from fanocalc.families import CongruenceTuple
+from fanocalc.slope import (InvariantError, InvariantTuple, c1_prime,
+                            check_rho_tau, degree_ratio, pushforward_R,
                             solve_nu_prime, tuple_to_row, tuples_to_csv)
 from quad_reference import (fraction_is_negative_real, fraction_mul,
                             fraction_pow)
@@ -278,28 +279,26 @@ def test_threshold_errors_keep_their_messages(form):
     lambda: sample_tuple(d=1, deg_x=1.0),
     lambda: c1_prime(5, 3.0, 1),
     lambda: c1_prime(5, 3, 1.0),
-    lambda: base_degree_ratio(5, 2.0),
-    lambda: slope.y_dot_f(-2.0, 1, 1),
-    lambda: slope.y_dot_f(-2, 1.0, 1),
+    lambda: degree_ratio(5, 2.0),
+    lambda: slope.y_dot_f(-2.0, 1),
+    lambda: slope.y_dot_f(-2, 1.0),
     lambda: pushforward_R(1, 2, 3.0),
-    lambda: slope.kprime_degree_formulas(5, 1.0, 4, 1, 36),
-    lambda: slope.kprime_degree_formulas(5, 1, 4, 1, 36.0),
     lambda: pushforward_R(1.5, 2, 8),
     lambda: pushforward_R(1, 2.0, 8),
     lambda: slope.require_admissible(5.0),
     lambda: c1_prime(5.0, 3, 1),
-    lambda: base_degree_ratio(5.0, 2),
-    lambda: slope.kprime_degree_formulas(5.0, 1, 3, 1, 72),
-    lambda: slope.y_dot_f(-6, 3, 0.5),
+    lambda: degree_ratio(5.0, 2),
     lambda: exact.tan_sq_pi_over(3.0),
     lambda: exact.cos_sq_pi_over(3.0),
     # Each int field of a row, as the float of its value.
     *(lambda f=f: sample_tuple(**{f: float(SAMPLE_ROW.get(f, 1))})
       for f in ("n", "lam", "mu", "mu_prime", "i", "i_prime", "c1", "d",
                 "d_prime")),
+    # Each other rational field of a row, as the float of its value.
+    *(lambda f=f: sample_tuple(**{f: float(SAMPLE_ROW[f])})
+      for f in ("nu", "nu_prime", "tau_prime", "rho", "c2_over_d")),
     # Each count read by fanocalc.integer, as a float.
-    lambda: slope.kprime_degree_formulas(3, 1, 2, 1.0, 8),
-    lambda: slope.kprime_degree_formulas(3, 1, 2.0, 1, 8),
+    lambda: CongruenceTuple(3, 2.0, 4),
     lambda: solve_nu_prime(2, 2, -12, 1.0),
     lambda: solve_nu_prime(3, 1, Fraction(-1, 3), 1.0),
     lambda: exact.arg_less_than(exact.quad(1, 1, -3), 3.0),
@@ -336,19 +335,12 @@ def test_solve_nu_prime_refuses_nonpositive_mu(mu):
         solve_nu_prime(2, 1, -1, mu)
 
 
-@pytest.mark.parametrize("mu", [0, -1])
-def test_kprime_degree_formulas_refuses_nonpositive_mu(mu):
-    # mu = 0 divided by zero, and mu = -1 answered (1/2, 2).
-    with pytest.raises(ValueError, match="^mu must be at least 1$"):
-        slope.kprime_degree_formulas(2, 1, 1, mu, 2)
-
-
-def test_formula_helpers_answer_fractions():
-    # rational() passes an int through, and 8/tau of an int is a float.
-    values = [c1_prime(5, 3, 1), base_degree_ratio(5, 2),
-              slope.y_dot_f(-2, 1, 1), pushforward_R(1, 2, 3),
-              *slope.kprime_degree_formulas(5, 1, 4, 1, 36)]
-    assert all(type(v) is F for v in values)
+def test_formula_helpers_answer_exact_numbers():
+    # The conic formulas answer ints; pushforward_R a Fraction, since
+    # rational() passes an int through.
+    values = [c1_prime(5, 3, 1), *degree_ratio(5, 2), slope.y_dot_f(-2, 1)]
+    assert all(type(v) is int for v in values)
+    assert type(pushforward_R(1, 2, 3)) is F
 
 
 def test_solve_nu_prime_table_values():
@@ -390,32 +382,52 @@ def test_c1_prime_values():
     assert c1_prime(3, 1, 2) == -4
     assert c1_prime(2, 2, 1) == -3
     assert c1_prime(5, 1, 4) == -10
+    assert c1_prime(5, 4, 1) is None  # 3/2 - 4
+    assert c1_prime(F(5), F(3), F(1)) == -2
     # n = 1 and n = 4 alike: cos^2(pi/2) = 0 is rational, but n = 1 is
     # not admissible either.
     for n in (1, 4):
         with pytest.raises(ValueError, match="^n must be 2, 3 or 5$"):
             c1_prime(n, 1, 1)
-    with pytest.raises(ValueError, match="^tau must be nonzero$"):
+    with pytest.raises(ValueError, match="^tau must be at least 1$"):
         c1_prime(5, 0, 1)
+    with pytest.raises(ValueError, match="^tau' must be at least 1$"):
+        c1_prime(5, 1, -2)
+    with pytest.raises(ValueError, match="^tau must be an integer$"):
+        c1_prime(5, F(1, 2), 1)
 
 
 @pytest.mark.parametrize("n", (2, 3, 5))
 def test_c1_prime_matches_the_fraction_formula(n):
     cos_sq = {2: F(1, 4), 3: F(1, 2), 5: F(3, 4)}[n]  # cos^2(pi/(n+1))
-    taus = [*range(1, 9), F(1, 2), F(7, 3), -1, F(-5, 2)]
-    for tau in taus:
-        for tau_prime in [*range(1, 9), F(3, 4), -2]:
-            want = F(8) / tau * cos_sq - 4 * F(tau_prime)
+    for tau in range(1, 9):
+        for tau_prime in range(1, 9):
+            want = F(8) / tau * cos_sq - 4 * tau_prime
             got = c1_prime(n, tau, tau_prime)
-            assert type(got) is F and got == want
+            if want.denominator == 1:
+                assert type(got) is int and got == want
+            else:
+                assert got is None
 
 
-def test_base_degree_ratio_values():
-    assert base_degree_ratio(5, 1) == F(1, 18)
-    assert base_degree_ratio(5, 3) == F(9, 2)
-    assert base_degree_ratio(3, 2) == 1
-    with pytest.raises(ValueError):
-        base_degree_ratio(4, 1)
+def test_degree_ratio_values():
+    assert degree_ratio(5, 1) == (1, 18)
+    assert degree_ratio(5, 2) == (8, 9)
+    assert degree_ratio(5, 3) == (9, 2)
+    assert degree_ratio(3, 2) == (1, 1)
+    assert degree_ratio(2, 2) == (1, 1)
+    with pytest.raises(ValueError, match="^n must be 2, 3 or 5$"):
+        degree_ratio(4, 1)
+    with pytest.raises(ValueError, match="^tau must be at least 1$"):
+        degree_ratio(5, 0)
+
+
+def test_y_dot_f_values():
+    assert slope.y_dot_f(-3, 1) == 1
+    assert slope.y_dot_f(-6, 3) == 0
+    assert slope.y_dot_f(F(-2), F(1)) == 0
+    with pytest.raises(ValueError, match="^c1' must be an integer$"):
+        slope.y_dot_f(F(-1, 2), 1)
 
 
 def test_pushforward_R_values():
