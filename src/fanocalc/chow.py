@@ -55,14 +55,24 @@ def _exact(x) -> Fraction:
     return Fraction(x)
 
 
-class RingCtx(Record):
-    __slots__ = ("n", "gen_names", "rel_a", "rel_b", "degree_s", "_rel")
-    # _rel, not compared, is (r, pa, pb, top) with rel_a = pa/r,
-    # rel_b = pb/r and top the largest of r, |pa| and |pb|.
-    _compare = __slots__[:-1]
+def _gen_names(names) -> tuple[str, str]:
+    names = tuple(names)
+    if (len(names) != 2 or names[0] == names[1]
+            or not all(isinstance(g, str) and g for g in names)):
+        raise ValueError("gen_names must hold exactly two distinct "
+                         "non-empty labels")
+    return names
 
-    def __init__(self, n: int, gen_names: tuple[str, str], rel_a: RatLike,
-                 rel_b: RatLike, degree_s: RatLike):
+
+class RingCtx(Record, namedtuple("RingCtx", "n gen_names rel_a rel_b "
+                                            "degree_s rel_ints")):
+    __slots__ = ()
+    # rel_ints, not compared, is (r, pa, pb, top) with rel_a = pa/r,
+    # rel_b = pb/r and top the largest of r, |pa| and |pb|.
+    _compare = ("n", "gen_names", "rel_a", "rel_b", "degree_s")
+
+    def __new__(cls, n: int, gen_names: tuple[str, str], rel_a: RatLike,
+                rel_b: RatLike, degree_s: RatLike) -> "RingCtx":
         n = integer(n, "n")
         a, b, degree_s = _exact(rel_a), _exact(rel_b), _exact(degree_s)
         if not 2 <= n <= MAX_N:
@@ -72,8 +82,8 @@ class RingCtx(Record):
         r = lcm(a.denominator, b.denominator)
         pa = a.numerator * r // a.denominator
         pb = b.numerator * r // b.denominator
-        self._fill(n, tuple(gen_names), a, b, degree_s,
-                   (r, pa, pb, max(r, abs(pa), abs(pb))))
+        return super().__new__(cls, n, _gen_names(gen_names), a, b, degree_s,
+                               (r, pa, pb, max(r, abs(pa), abs(pb))))
 
     def _unit(self, k: int, c: Fraction = Fraction(1)) -> "RingElem":
         vec = [0] * (2 * self.n + 2)
@@ -172,7 +182,7 @@ def _leaf_size(e: RingElem) -> tuple[int, int, int]:
     and V those of |N|'s numerators times q times the largest of r, |pa|
     and |pb|."""
     p, q = e.vec[0], e.den
-    nil = sum([abs(x) for k, x in e.nonzero if k]) * q * e.ctx._rel[3]
+    nil = sum([abs(x) for k, x in e.nonzero if k]) * q * e.ctx.rel_ints[3]
     e._size = size = scalar_bits(p, q), nil.bit_length(), 1
     return size
 
@@ -220,7 +230,7 @@ def reduce(raw: dict[tuple[int, int], Fraction], ctx: RingCtx) -> "RingElem":
     """
     n = ctx.n
     m = n + 1
-    r, pa, pb, _ = ctx._rel
+    r, pa, pb, _ = ctx.rel_ints
     terms = []  # (slot, numerator, denominator)
     for (i, j), c in raw.items():
         c = _exact(c)
@@ -303,7 +313,7 @@ class RingElem:
         ctx = self.ctx
         n = ctx.n
         m = n + 1
-        r, pa, pb, _ = ctx._rel
+        r, pa, pb, _ = ctx.rel_ints
         # Each factor's nonzero pairs split at slot m into its A and B
         # parts.  A B pair keeps its slot, m + i for G1*t^i, so each B
         # factor in a convolution lowers `at` and raises `top` by m.
@@ -383,16 +393,18 @@ def intersection_degree(e: RingElem) -> Fraction:
     return Fraction(e.vec[-1], e.den) * e.ctx.degree_s
 
 
-class BasisMap(Record):
+class BasisMap(Record, namedtuple("BasisMap", "entries")):
     """Exact 2x2 rational change of basis."""
 
-    __slots__ = ("entries",)
+    __slots__ = ()
 
-    def __init__(self, entries: tuple[tuple[RatLike, RatLike],
-                                      tuple[RatLike, RatLike]]):
-        self._fill(tuple(tuple(_exact(x) for x in row) for row in entries))
-        if self.det() == 0:
+    def __new__(cls, entries: tuple[tuple[RatLike, RatLike],
+                                    tuple[RatLike, RatLike]]) -> "BasisMap":
+        m = super().__new__(cls, tuple(tuple(_exact(x) for x in row)
+                                       for row in entries))
+        if m.det() == 0:
             raise ValueError("basis map must be invertible")
+        return m
 
     def det(self) -> Fraction:
         (a, b), (c, d) = self.entries
@@ -563,13 +575,14 @@ def loads_context(text: str) -> RingCtx:
             raise ValueError(f"line {lineno}: field {name}: {value!r} is not "
                              f"{kind}") from None
 
-    names = tuple(name.strip() for name in fields["gen_names"][1].split(","))
-    if len(names) != 2 or "" in names or names[0] == names[1]:
-        raise ValueError(f"line {fields['gen_names'][0]}: field gen_names "
-                         "must hold exactly two distinct non-empty labels")
+    lineno, value = fields["gen_names"]
+    try:
+        names = _gen_names(name.strip() for name in value.split(","))
+    except ValueError as err:
+        raise ValueError(f"line {lineno}: field {err}") from None
     return RingCtx(
         n=parse("n", int, "an integer"),
-        gen_names=names,  # type: ignore[arg-type]
+        gen_names=names,
         rel_a=parse("rel_a", Fraction, "a rational p/q"),
         rel_b=parse("rel_b", Fraction, "a rational p/q"),
         degree_s=parse("degree_s", Fraction, "a rational p/q"),

@@ -13,6 +13,7 @@ from __future__ import annotations
 import csv
 import io
 import os
+from collections import namedtuple
 from fractions import Fraction
 
 from . import Record, integer
@@ -20,11 +21,12 @@ from . import Record, integer
 DATA_ENV_VAR = "FANOCALC_DATA"
 
 
-class FanoEntry(Record):
-    __slots__ = ("dim", "index", "degree", "name", "b4_rank", "source_note")
+class FanoEntry(Record, namedtuple("FanoEntry", "dim index degree name "
+                                                "b4_rank source_note")):
+    __slots__ = ()
 
-    def __init__(self, dim: int, index: int, degree: int, name: str,
-                 b4_rank: int | None, source_note: str):
+    def __new__(cls, dim: int, index: int, degree: int, name: str,
+                b4_rank: int | None, source_note: str) -> "FanoEntry":
         dim, index = integer(dim, "dim", 1), integer(index, "index")
         degree = integer(degree, "degree", 1)
         if b4_rank is not None:
@@ -36,7 +38,8 @@ class FanoEntry(Record):
                              f"in dimension {dim}")
         if not (1 <= index <= dim + 1):
             raise ValueError("index must lie between 1 and dim+1")
-        self._fill(dim, index, degree, name, b4_rank, source_note)
+        return super().__new__(cls, dim, index, degree, name, b4_rank,
+                               source_note)
 
 
 def _default_path(filename: str) -> str:
@@ -53,7 +56,7 @@ def dataset_path() -> str:
     return _default_path("fano_manifolds.csv")
 
 
-DATASET_COLUMNS = ("dim", "index", "degree", "name", "b4_rank", "source_note")
+DATASET_COLUMNS = FanoEntry._fields
 
 
 def _entry(row: dict[str, str]) -> FanoEntry:

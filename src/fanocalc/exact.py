@@ -19,6 +19,7 @@ decided on (A, B) alone.  a, b and delta are Fractions at the API.
 
 from __future__ import annotations
 
+from collections import namedtuple
 from fractions import Fraction
 from math import gcd, lcm
 
@@ -32,30 +33,24 @@ class DeltaMismatchError(ValueError):
     """Two quadratic numbers over different discriminants were combined."""
 
 
-class QuadNum(Record):
+class QuadNum(Record, namedtuple("QuadNum", "A B s delta D")):
     """Element a + b*sqrt(delta) of Q(sqrt(delta)), delta < 0 rational,
     held as (A + B*sqrt(D))/s in lowest terms.  That form is unique, so
     two numbers are equal exactly when their fields are; D follows from
     delta and is not compared."""
 
-    __slots__ = ("A", "B", "s", "delta", "D")
+    __slots__ = ()
     _compare = ("A", "B", "s", "delta")
 
-    def __init__(self, re: RatLike, im_coeff: RatLike, delta: RatLike):
+    def __new__(cls, re: RatLike, im_coeff: RatLike,
+                delta: RatLike) -> "QuadNum":
         re, im_coeff, delta = rational(re), rational(im_coeff), rational(delta)
         if delta.numerator >= 0:
             raise ValueError(f"delta must be negative, got {delta}")
         if type(delta) is int:
             delta = Fraction(delta)
         a, b, s, d = integral_form(re, im_coeff, delta)
-        # One call per field, not Record._fill: each threshold decision
-        # builds a number.
-        set_ = object.__setattr__
-        set_(self, "A", a)
-        set_(self, "B", b)
-        set_(self, "s", s)
-        set_(self, "delta", delta)
-        set_(self, "D", d)
+        return cls._make((a, b, s, delta, d))
 
     @property
     def re(self) -> Fraction:
@@ -76,6 +71,12 @@ class QuadNum(Record):
         x, y = zmul((self.A, self.B), (other.A, other.B), self.D)
         return _lowest(x, y, self.s * other.s, self)
 
+    # Not tuple's: 2 * z would repeat the fields, and z + w join them.
+    __rmul__ = __mul__
+
+    def __add__(self, other):
+        return NotImplemented
+
     def is_zero(self) -> bool:
         return self.A == 0 and self.B == 0
 
@@ -94,9 +95,7 @@ def rational(x) -> RatLike:
 def _lowest(x: int, y: int, s: int, like: QuadNum) -> QuadNum:
     """(x + y*sqrt(D))/s over the discriminant of `like`, in lowest terms."""
     g = gcd(x, y, s)
-    z = object.__new__(QuadNum)
-    z._fill(x // g, y // g, s // g, like.delta, like.D)
-    return z
+    return QuadNum._make((x // g, y // g, s // g, like.delta, like.D))
 
 
 def quad(re: RatLike, im_coeff: RatLike, delta: RatLike) -> QuadNum:

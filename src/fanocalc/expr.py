@@ -49,35 +49,20 @@ Token = namedtuple("Token", "kind text pos")
 
 
 # AST nodes ------------------------------------------------------------------
-# The parser builds many, so each sets its fields one call apiece rather
-# than through Record._fill.  A column `pos` is neither compared nor hashed.
+# A column `pos` is neither compared nor hashed.
 
-_set = object.__setattr__
-
-
-class Lit(Record):
-    __slots__ = ("value", "pos")
+class Lit(Record, namedtuple("Lit", "value pos", defaults=(0,))):
+    __slots__ = ()
     _compare = ("value",)
 
-    def __init__(self, value: int | Fraction, pos: int = 0):
-        _set(self, "value", value)
-        _set(self, "pos", pos)
 
-
-class Sym(Record):
-    __slots__ = ("name", "pos")
+class Sym(Record, namedtuple("Sym", "name pos", defaults=(0,))):
+    __slots__ = ()
     _compare = ("name",)
 
-    def __init__(self, name: str, pos: int = 0):
-        _set(self, "name", name)
-        _set(self, "pos", pos)
 
-
-class Neg(Record):
-    __slots__ = ("child",)
-
-    def __init__(self, child: Node):
-        _set(self, "child", child)
+class Neg(Record, namedtuple("Neg", "child")):
+    __slots__ = ()
 
 
 # A flat chain of one operator is one node.  Its constructor splices in a
@@ -86,40 +71,38 @@ class Neg(Record):
 # only as deep as its parentheses and unary minuses, which MAX_DEPTH
 # bounds, and ==, hash and repr stay shallow.
 
-class Add(Record):
-    __slots__ = ("terms",)  # a - b is stored as a + Neg(b)
+class Add(Record, namedtuple("Add", "terms")):  # a - b is a + Neg(b)
+    __slots__ = ()
 
-    def __init__(self, terms: tuple[Node, ...]):
+    def __new__(cls, terms: tuple[Node, ...]) -> "Add":
         if isinstance(terms[0], Add):
             terms = terms[0].terms + terms[1:]
-        _set(self, "terms", terms)
+        return super().__new__(cls, terms)
 
 
-class Mul(Record):
-    __slots__ = ("factors",)
+class Mul(Record, namedtuple("Mul", "factors")):
+    __slots__ = ()
 
-    def __init__(self, factors: tuple[Node, ...]):
+    def __new__(cls, factors: tuple[Node, ...]) -> "Mul":
         if isinstance(factors[0], Mul):
             factors = factors[0].factors + factors[1:]
-        _set(self, "factors", factors)
+        return super().__new__(cls, factors)
 
 
-class Pow(Record):
+class Pow(Record, namedtuple("Pow", "base exponents pos")):
     """base^e1^e2..., which is (base^e1)^e2...; `pos` holds the column of
     each exponent, all 0 when not given."""
 
-    __slots__ = ("base", "exponents", "pos")
+    __slots__ = ()
     _compare = ("base", "exponents")
 
-    def __init__(self, base: Node, exponents: tuple[int, ...],
-                 pos: tuple[int, ...] = ()):
+    def __new__(cls, base: Node, exponents: tuple[int, ...],
+                pos: tuple[int, ...] = ()) -> "Pow":
         pos = pos or (0,) * len(exponents)
         if isinstance(base, Pow):
             exponents, pos = base.exponents + exponents, base.pos + pos
             base = base.base
-        _set(self, "base", base)
-        _set(self, "exponents", exponents)
-        _set(self, "pos", pos)
+        return super().__new__(cls, base, exponents, pos)
 
 
 Node = Lit | Sym | Neg | Add | Mul | Pow

@@ -10,14 +10,19 @@ from __future__ import annotations
 
 import csv
 import io
+from collections import namedtuple
 from fractions import Fraction
+from functools import partial
 from math import gcd
 
 from . import Record, integer, refuse_float
 from .exact import _COS_SQ, RatLike, integral_form, rational, zmul, zpow
 
 KINDS = ("P", "D", "C")
-# The rational fields of InvariantTuple; the last four are optional.
+# The integer and rational fields of InvariantTuple; d, d' and the last
+# four rational ones are optional.
+_INT_FIELDS = ("n", "lam", "mu", "mu_prime", "i", "i_prime", "c1", "d",
+               "d_prime")
 _RATIONAL_FIELDS = ("nu", "nu_prime", "tau", "tau_prime", "rho", "delta",
                     "c2_over_d", "deg_x", "deg_x_prime", "c1_prime", "y_dot_f")
 
@@ -129,6 +134,10 @@ def y_dot_f(c1_prime: int, tau_prime: int) -> int:
     return -(integer(c1_prime, "c1'") + 2 * integer(tau_prime, "tau'", 1))
 
 
+def _fraction(x: RatLike) -> Fraction:
+    return Fraction(rational(x))
+
+
 def pushforward_R(nu: int, nu_prime: int, c2_push_coeff: RatLike) -> Fraction:
     """Coefficient of the ample generator in the pushforward of the conic
     degeneracy divisor to the base:
@@ -139,40 +148,40 @@ def pushforward_R(nu: int, nu_prime: int, c2_push_coeff: RatLike) -> Fraction:
     return Fraction(first) - Fraction(rational(c2_push_coeff))
 
 
-class InvariantTuple(Record):
+_Fields = namedtuple(
+    "InvariantTuple", "n kind lam mu mu_prime nu nu_prime tau tau_prime rho "
+    "i i_prime c1 delta c2_over_d deg_x deg_x_prime c1_prime y_dot_f d "
+    "d_prime name_x name_x_prime label status reason",
+    defaults=(None,) * 9 + ("candidate", None))
+# (position, type, reader) of each typed field: __new__ passes a value that
+# is not None and not of the type to the reader, fanocalc.integer for an
+# integer field and Fraction for a rational one.
+_TYPED = tuple((k, int, partial(integer, name=f)) if f in _INT_FIELDS
+               else (k, Fraction, _fraction)
+               for k, f in enumerate(_Fields._fields)
+               if f in _INT_FIELDS or f in _RATIONAL_FIELDS)
+
+
+class InvariantTuple(Record, _Fields):
     """Full candidate row for a pair (X, E): discrete invariants of the
     base, the bundle, and the second contraction, plus a status."""
 
-    __slots__ = ("n", "kind", "lam", "mu", "mu_prime", "nu", "nu_prime",
-                 "tau", "tau_prime", "rho", "i", "i_prime", "c1", "delta",
-                 "c2_over_d", "deg_x", "deg_x_prime", "c1_prime", "y_dot_f",
-                 "d", "d_prime", "name_x", "name_x_prime", "label", "status",
-                 "reason")
+    __slots__ = ()
 
-    def __init__(self, n: int, kind: str, lam: int, mu: int, mu_prime: int,
-                 nu: RatLike, nu_prime: RatLike, tau: RatLike,
-                 tau_prime: RatLike, rho: RatLike, i: int, i_prime: int,
-                 c1: int, delta: RatLike, c2_over_d: RatLike,
-                 deg_x: RatLike | None = None,
-                 deg_x_prime: RatLike | None = None,
-                 c1_prime: RatLike | None = None,
-                 y_dot_f: RatLike | None = None, d: int | None = None,
-                 d_prime: int | None = None, name_x: str | None = None,
-                 name_x_prime: str | None = None, label: str | None = None,
-                 status: str = "candidate", reason: str | None = None):
-        self._fill(n, kind, lam, mu, mu_prime, nu, nu_prime, tau, tau_prime,
-                   rho, i, i_prime, c1, delta, c2_over_d, deg_x, deg_x_prime,
-                   c1_prime, y_dot_f, d, d_prime, name_x, name_x_prime, label,
-                   status, reason)
-        self.__post_init__()
+    def __new__(cls, *args, **kwargs) -> "InvariantTuple":
+        # _Fields binds the arguments to the fields, with their defaults.
+        row = list(_Fields(*args, **kwargs))
+        for k, kind, read in _TYPED:
+            if type(row[k]) is not kind and row[k] is not None:
+                row[k] = read(row[k])
+        row = cls._make(row)
+        row.__post_init__()
+        return row
+
+    # inspect.signature(InvariantTuple) lists the fields.
+    __new__.__wrapped__ = _Fields.__new__
 
     def __post_init__(self):
-        refuse_float(self.n, self.lam, self.mu, self.mu_prime, self.i,
-                     self.i_prime, self.c1, self.d, self.d_prime)
-        for f in _RATIONAL_FIELDS:
-            v = getattr(self, f)
-            if v is not None and type(v) is not Fraction:
-                object.__setattr__(self, f, Fraction(rational(v)))
         self._validate()
         if not check_rho_tau(self.n, self.tau, self.rho, self.delta):
             raise InvariantError("rhotau", "thresholds fail the argument condition")
@@ -235,7 +244,7 @@ class InvariantTuple(Record):
                     **kwargs) -> "InvariantTuple":
         """Copy with a new status and any changed fields, validated in
         full like every other row."""
-        fields = dict(zip(self.__slots__, self._key(self)))  # every field
+        fields = self._asdict()
         fields.update(kwargs, status=status, reason=reason)
         return type(self)(**fields)
 

@@ -187,6 +187,17 @@ def test_ring_context_refuses_float():
         RingCtx(3.0, ("L", "H"), F(1, 2), -3, 1)
 
 
+@pytest.mark.parametrize("names", [
+    ("L", "H", "K"), ("L",), ("L", "L"), ("L", ""), ("L", 2),
+])
+def test_ring_context_refuses_bad_gen_names(names):
+    # dumps_context would drop a third label, and eval could not bind a
+    # repeated one.
+    with pytest.raises(ValueError, match="^gen_names must hold exactly two "
+                                         "distinct non-empty labels$"):
+        RingCtx(3, names, 0, -1, 1)
+
+
 @pytest.mark.parametrize("build", [
     lambda ctx: ctx.scalar(0.5),
     lambda ctx: ctx.gen1.scale(0.5),

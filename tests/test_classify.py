@@ -532,6 +532,15 @@ def test_fano_entry_accepts_a_curve_with_no_h4():
     assert dataset.FanoEntry(1, 2, 2, "P1", 0, "line").b4_rank == 0
 
 
+def conic_row(**changes):
+    """The n = 2 conic row of P2, with `changes` applied."""
+    return slope.InvariantTuple(**{
+        **dict(n=2, kind="C", lam=1, mu=1, mu_prime=1, nu=2, nu_prime=1,
+               tau=2, tau_prime=1, rho=2, i=3, i_prime=3, c1=0,
+               delta=F(-12), c2_over_d=F(3), d=1, d_prime=2, name_x="P2"),
+        **changes})
+
+
 @pytest.mark.parametrize("call, bound", [
     (lambda: enumerate_type_D(F(11, 2)), "n_max"),
     (lambda: enumerate_congruences(F(39, 2)), "m_max"),
@@ -563,6 +572,12 @@ def test_fano_entry_accepts_a_curve_with_no_h4():
     (lambda: CongruenceTuple(3, F(2, 3), 2), "z"),
     (lambda: CongruenceTuple(100, F(99, 40), F(7, 2)), "z"),
     (lambda: CongruenceTuple(3, 4, F(13, 2)), "m"),
+    # Each integer field of a row; c1 = 1/2 would pass the parity rule.
+    *(pytest.param(lambda f=f: conic_row(**{f: F(1, 2)}), f, id=f"row-{f}")
+      for f in ("n", "lam", "mu_prime", "i", "i_prime", "c1", "d",
+                "d_prime")),
+    pytest.param(lambda: conic_row(mu=F(1, 2), mu_prime=F(1, 2)), "mu",
+                 id="row-mu"),
 ])
 def test_bounds_refuse_a_non_integer(call, bound):
     with pytest.raises(ValueError, match=f"^{bound} must be an integer$"):
@@ -599,6 +614,11 @@ def test_counts_read_a_whole_fraction_as_its_int():
     assert slope.y_dot_f(F(-2), F(1)) == slope.y_dot_f(-2, 1)
     t = CongruenceTuple(F(4), F(6), F(9))
     assert t == (4, 6, 9) and set(map(type, t)) == {int}
+    ints = ("n", "lam", "mu", "mu_prime", "i", "i_prime", "c1", "d",
+            "d_prime")
+    row = conic_row(**{f: F(getattr(conic_row(), f)) for f in ints})
+    assert row == conic_row()
+    assert {type(getattr(row, f)) for f in ints} == {int}
 
 
 @pytest.mark.parametrize("call, message", [

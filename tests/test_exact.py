@@ -101,6 +101,8 @@ def test_product_with_a_non_quadnum_is_a_type_error():
         2 * z
     with pytest.raises(TypeError):
         z * Fraction(1, 2)
+    with pytest.raises(TypeError):
+        z + z  # a QuadNum is a tuple, but + does not join the fields
 
 
 @pytest.mark.parametrize("args", [(0.1, 1, -1), (1, 0.5, -1), (1, 1, -1.0)])

@@ -151,6 +151,18 @@ def test_package_source_tests_integrality_once():
     assert [home for _, home in found] == [True], found
 
 
+def test_package_source_has_one_record_idiom():
+    """Records are named tuples: no slot is set one at a time, nor
+    restored by hand for copy and pickle."""
+    found = [f"{path.name}:{lineno}: {word}"
+             for path in sorted((SRC / "fanocalc").glob("*.py"))
+             for lineno, line in enumerate(
+                 path.read_text(encoding="utf-8").splitlines(), 1)
+             for word in ("object.__setattr__", "_fill", "__setstate__")
+             if word in line]
+    assert found == []
+
+
 def test_integer_reads_a_whole_number():
     from fractions import Fraction
     for x in (3, Fraction(3), Fraction(6, 2), True):

@@ -537,7 +537,7 @@ def test_with_status_copies_equal_replace(changes):
 def test_constructor_takes_exactly_the_fields():
     # No argument outside the fields can bypass a rule.
     params = list(inspect.signature(InvariantTuple).parameters)
-    assert params == list(InvariantTuple.__slots__) == list(FIELDS)
+    assert params == list(InvariantTuple._fields) == list(FIELDS)
 
 
 @pytest.mark.parametrize("row, reason", [
